@@ -1,16 +1,19 @@
 """Dyadic statistics computed from a lagged network.
 
-The similarity indices treat the network as undirected: a node's neighbor
-set is the union of its in- and out-neighbors (never containing the node
-itself, since self-initiations are rejected at ingestion). Any common
-neighbor of a dyad therefore has undirected degree at least 2, keeping
-the Adamic-Adar logarithm positive.
+The network statistics are whole-matrix expressions over the window's
+adjacency A, indexed at the dyads. The similarity indices (Adamic & Adar
+2003; Liben-Nowell & Kleinberg 2007) treat the network as undirected,
+U = (A + Aᵀ) > 0: a node's neighbours are its in- and out-neighbours,
+never the node itself, since self-initiations are rejected at ingestion.
+Any common neighbour of a dyad therefore has undirected degree at least
+2, keeping the Adamic-Adar logarithm positive.
+
+Sums over nodes use ``np.einsum``, never BLAS, so they run in sorted-node
+order whatever the thread count, and the columns are the same in every
+process.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,98 +32,47 @@ ENDOGENOUS_FEATURE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class NeighborIndex:
-    """Adjacency of one lagged network, precomputed for repeated lookups."""
-
-    out_nb: dict
-    in_nb: dict
-    und_nb: dict
-    edges: frozenset
-
-    @staticmethod
-    def from_network(net: LaggedNetwork) -> "NeighborIndex":
-        out_nb = {n: set() for n in net.nodes}
-        in_nb = {n: set() for n in net.nodes}
-        for i, j in net.edges:
-            out_nb[i].add(j)
-            in_nb[j].add(i)
-        und_nb = {n: frozenset((out_nb[n] | in_nb[n]) - {n}) for n in net.nodes}
-        return NeighborIndex(
-            out_nb={n: frozenset(v) for n, v in out_nb.items()},
-            in_nb={n: frozenset(v) for n, v in in_nb.items()},
-            und_nb=und_nb,
-            edges=net.edges,
-        )
-
-    def degree(self, node: str) -> int:
-        return len(self.und_nb[node])
-
-
-def _check_dyad(i, j):
-    if i == j:
-        raise ValueError(f"dyadic statistic undefined on the self-pair ({i},{j})")
-
-
-def memory(index: NeighborIndex, i: str, j: str) -> float:
-    """1 if the focal directed edge occurred anywhere in the window."""
-    _check_dyad(i, j)
-    return 1.0 if (i, j) in index.edges else 0.0
-
-
-def flow(index: NeighborIndex, i: str, j: str, exclude_focal: bool = False) -> float:
-    """Binary out-degree of the sender times binary in-degree of the
-    receiver. The focal edge itself contributes to both counts by default;
-    exclude_focal removes it from each side."""
-    _check_dyad(i, j)
-    out_d = len(index.out_nb[i])
-    in_d = len(index.in_nb[j])
-    if exclude_focal and (i, j) in index.edges:
-        out_d -= 1
-        in_d -= 1
-    return float(out_d * in_d)
-
-
-def common_combatants(index: NeighborIndex, i: str, j: str) -> float:
-    """Count of shared undirected neighbors other than the dyad members."""
-    _check_dyad(i, j)
-    return float(len((index.und_nb[i] & index.und_nb[j]) - {i, j}))
-
-
-def adamic_adar(index: NeighborIndex, i: str, j: str) -> float:
-    """Common neighbors weighted by 1/ln(undirected degree)."""
-    _check_dyad(i, j)
-    shared = (index.und_nb[i] & index.und_nb[j]) - {i, j}
-    return float(sum(1.0 / math.log(index.degree(k)) for k in shared))
-
-
-def jaccard(index: NeighborIndex, i: str, j: str) -> float:
-    """Shared neighbors over the neighbor union, both sets stripped of the
-    dyad members themselves; 0 when the union is empty."""
-    _check_dyad(i, j)
-    ni = index.und_nb[i] - {j}
-    nj = index.und_nb[j] - {i}
-    union = ni | nj
-    if not union:
-        return 0.0
-    return len(ni & nj) / len(union)
-
-
 def feature_block(net: LaggedNetwork, dyads, bundle, exclude_focal_flow: bool = False) -> np.ndarray:
     """The eight endogenous statistics for an ordered dyad list.
 
+    Columns follow ENDOGENOUS_FEATURE_NAMES; rows align with dyads:
+
+    * memory: 1 if the directed edge i->j occurred in the window;
+    * flow: binary out-degree of i times binary in-degree of j. The focal
+      edge counts on both sides unless exclude_focal_flow removes it;
+    * common-combatants: shared undirected neighbours of i and j;
+    * adamic-adar: shared neighbours k weighted by 1/ln(deg k);
+    * jaccard: shared neighbours over the union of both neighbour sets,
+      each stripped of the other dyad member; 0 when the union is empty.
+
     bundle carries the latent-structure fits (community partition, block
-    model, latent space) already computed on this same network. Columns
-    follow ENDOGENOUS_FEATURE_NAMES; rows align with dyads.
+    model, latent space) already computed on this same network; they fill
+    the last three columns. A self-pair raises ValueError.
     """
-    index = NeighborIndex.from_network(net)
+    I = np.array([net.index[i] for i, _ in dyads], dtype=np.intp)
+    J = np.array([net.index[j] for _, j in dyads], dtype=np.intp)
+    if np.any(I == J):
+        raise ValueError("dyadic statistics are undefined on a self-pair")
+    A = net.adjacency
+    U = np.maximum(A, A.T)
+    deg = U.sum(axis=1)
+    w = np.where(deg >= 2, 1.0 / np.log(np.maximum(deg, 2.0)), 0.0)
+    memory = A[I, J]
+    out_deg = A.sum(axis=1)[I]
+    in_deg = A.sum(axis=0)[J]
+    if exclude_focal_flow:
+        out_deg = out_deg - memory
+        in_deg = in_deg - memory
+    common = np.einsum("ik,jk->ij", U, U)[I, J]
+    union = deg[I] + deg[J] - 2.0 * U[I, J] - common
+
     out = np.empty((len(dyads), len(ENDOGENOUS_FEATURE_NAMES)))
+    out[:, 0] = memory
+    out[:, 1] = out_deg * in_deg
+    out[:, 2] = common
+    out[:, 3] = np.einsum("ik,k,jk->ij", U, w, U)[I, J]
+    out[:, 4] = np.divide(common, union, out=np.zeros(len(dyads)), where=union > 0)
     for row, (i, j) in enumerate(dyads):
-        out[row, 0] = memory(index, i, j)
-        out[row, 1] = flow(index, i, j, exclude_focal=exclude_focal_flow)
-        out[row, 2] = common_combatants(index, i, j)
-        out[row, 3] = adamic_adar(index, i, j)
-        out[row, 4] = jaccard(index, i, j)
         out[row, 5] = 1.0 if bundle.partition.same_community(i, j) else 0.0
         out[row, 6] = bundle.mmsbm.prob(i, j)
         out[row, 7] = bundle.latent.distance(i, j)

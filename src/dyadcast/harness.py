@@ -14,7 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .design import (
@@ -103,78 +104,45 @@ class ExperimentConfig:
             )
 
     def to_json(self) -> dict:
-        feat = self.features
-        return {
-            "events": self.events,
-            "registry": self.registry,
-            "covariates": self.covariates,
-            "first_period": self.first_period,
-            "last_period": self.last_period,
-            "lags": list(self.lags),
-            "spec_classes": list(self.spec_classes),
-            "learners": list(self.learners),
-            "depth": self.depth,
-            "master_seed": self.master_seed,
-            "tune_folds": self.tune_folds,
-            "tune_grid": {
-                "enet_lambda": list(self.tune_grid.enet_lambda),
-                "nn_hidden": list(self.tune_grid.nn_hidden),
-                "nn_decay": list(self.tune_grid.nn_decay),
-                "boost_rounds": list(self.tune_grid.boost_rounds),
-            },
-            "learner_params": {k: dict(v) for k, v in self.learner_params.items()},
-            "features": {
-                "exclude_focal_flow": feat.exclude_focal_flow,
-                "covariate_offset": feat.covariate_offset,
-                "max_missing": feat.max_missing,
-                "latent": {
-                    "walk_length": feat.latent.walk_length,
-                    "mmsbm_k": feat.latent.mmsbm_k,
-                    "mmsbm_restarts": feat.latent.mmsbm_restarts,
-                    "mmsbm_max_iter": feat.latent.mmsbm_max_iter,
-                    "mmsbm_tol": feat.latent.mmsbm_tol,
-                    "latent_dim": feat.latent.latent_dim,
-                    "latent_tau": feat.latent.latent_tau,
-                    "latent_starts": feat.latent.latent_starts,
-                    "latent_max_iter": feat.latent.latent_max_iter,
-                },
-            },
-            "bootstrap_replicates": self.bootstrap_replicates,
-            "bootstrap_level": self.bootstrap_level,
-            "output_dir": self.output_dir,
-            "dump_models": self.dump_models,
-        }
+        return _plain(self)
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":
-        known = {
-            "events", "registry", "covariates", "first_period", "last_period",
-            "lags", "spec_classes", "learners", "depth", "master_seed",
-            "tune_folds", "tune_grid", "learner_params", "features",
-            "bootstrap_replicates", "bootstrap_level", "output_dir", "dump_models",
-        }
-        unknown = set(obj) - known
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(obj)
-        if "lags" in kwargs:
-            kwargs["lags"] = tuple(kwargs["lags"])
-        if "spec_classes" in kwargs:
-            kwargs["spec_classes"] = tuple(kwargs["spec_classes"])
-        if "learners" in kwargs:
-            kwargs["learners"] = tuple(kwargs["learners"])
+        kwargs = _known_keys(obj, ExperimentConfig, "config")
+        for key in ("lags", "spec_classes", "learners"):
+            if key in kwargs:
+                kwargs[key] = tuple(kwargs[key])
         if "tune_grid" in kwargs:
-            g = kwargs["tune_grid"]
-            kwargs["tune_grid"] = TuneGrid(
-                **{k: tuple(v) for k, v in g.items()}
-            )
+            g = _known_keys(kwargs["tune_grid"], TuneGrid, "tune_grid")
+            kwargs["tune_grid"] = TuneGrid(**{k: tuple(v) for k, v in g.items()})
         if "features" in kwargs:
-            f = dict(kwargs["features"])
-            latent = LatentConfig(**f.pop("latent", {}))
-            kwargs["features"] = FeatureConfig(latent=latent, **f)
+            f = _known_keys(kwargs["features"], FeatureConfig, "features")
+            latent = _known_keys(f.pop("latent", {}), LatentConfig, "features.latent")
+            kwargs["features"] = FeatureConfig(latent=LatentConfig(**latent), **f)
         cfg = ExperimentConfig(**kwargs)
         cfg.validate()
         return cfg
+
+
+def _plain(value):
+    """A config dataclass as JSON-ready dicts and lists, keyed by field name."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _known_keys(obj, cls, label) -> dict:
+    """A copy of the JSON object obj, rejecting keys that are not fields of cls."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{label} must be a JSON object, got {type(obj).__name__}")
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValidationError(f"unknown {label} keys: {sorted(unknown)}")
+    return dict(obj)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -240,6 +208,12 @@ class RunResult:
 
     def errored(self) -> bool:
         return any(c.status == "error" for c in self.cells)
+
+    @cached_property
+    def aggregate(self) -> list:
+        """aggregate_rows over the cells, computed once on first use and
+        shared by the aggregate.csv writer and the CLI printout."""
+        return aggregate_rows(self.config, self.cells)
 
 
 def run_experiment(
@@ -431,7 +405,7 @@ def aggregate_rows(config: ExperimentConfig, cells) -> list:
 
 
 def summarize(result: RunResult) -> list:
-    return aggregate_rows(result.config, result.cells)
+    return list(result.aggregate)
 
 
 def _fmt(x) -> str:

@@ -28,20 +28,6 @@ from .seeding import seed_for
 from .store import LaggedNetwork
 
 
-def _undirected(net: LaggedNetwork):
-    nodes = net.node_list()
-    idx = {node: k for k, node in enumerate(nodes)}
-    n = len(nodes)
-    A = np.zeros((n, n))
-    und_edges = set()
-    for i, j in net.edges:
-        a, b = idx[i], idx[j]
-        A[a, b] = 1.0
-        A[b, a] = 1.0
-        und_edges.add((min(a, b), max(a, b)))
-    return nodes, A, und_edges
-
-
 def modularity(nodes, und_edges, labels) -> float:
     """Newman modularity of a hard partition on an undirected simple graph.
 
@@ -125,7 +111,9 @@ def walktrap(net: LaggedNetwork, walk_length: int = 4) -> CommunityPartition:
     """
     if walk_length < 1:
         raise ValueError(f"walk_length must be >= 1, got {walk_length}")
-    nodes, A, und_edges = _undirected(net)
+    nodes = net.node_list()
+    A = np.maximum(net.adjacency, net.adjacency.T)
+    und_edges = [tuple(e) for e in np.argwhere(np.triu(A, 1)).tolist()]
     n = len(nodes)
     if n == 0:
         raise ValueError("cannot partition an empty node set")
@@ -145,7 +133,7 @@ def walktrap(net: LaggedNetwork, walk_length: int = 4) -> CommunityPartition:
     alive = set(range(n))
     ds = {}
     heap = []
-    for a, b in sorted(und_edges):
+    for a, b in und_edges:
         val = _dsigma(1, phat[a], 1, phat[b], d, n)
         ds[(a, b)] = val
         heapq.heappush(heap, (val, a, b))
@@ -228,10 +216,6 @@ def walktrap(net: LaggedNetwork, walk_length: int = 4) -> CommunityPartition:
     )
 
 
-def common_community(partition: CommunityPartition, i: str, j: str) -> float:
-    return 1.0 if partition.same_community(i, j) else 0.0
-
-
 @dataclass
 class MMSBMFit:
     """Point estimates of a mixed-membership blockmodel.
@@ -281,10 +265,6 @@ class MMSBMFit:
         )
 
 
-def mmsbm_prob(fit: MMSBMFit, i: str, j: str) -> float:
-    return fit.prob(i, j)
-
-
 def fit_mmsbm(
     net: LaggedNetwork,
     K: int = 4,
@@ -314,10 +294,7 @@ def fit_mmsbm(
     if n < K:
         raise ValueError(f"need at least K={K} nodes, have {n}")
 
-    idx = {node: k for k, node in enumerate(nodes)}
-    Y = np.zeros((n, n))
-    for i, j in net.edges:
-        Y[idx[i], idx[j]] = 1.0
+    Y = net.adjacency
     mask = 1.0 - np.eye(n)
 
     def objective(pi, B):
@@ -406,10 +383,6 @@ class LatentSpaceFit:
         )
 
 
-def latent_distance(fit: LatentSpaceFit, i: str, j: str) -> float:
-    return fit.distance(i, j)
-
-
 ALPHA_CAP = 30.0
 
 
@@ -435,12 +408,9 @@ def fit_latent_space(
     n = len(nodes)
     if n == 0:
         raise ValueError("cannot fit a latent space on an empty node set")
-    idx = {node: k for k, node in enumerate(nodes)}
     n_dyads = n * (n - 1)
 
-    Y = np.zeros((n, n))
-    for i, j in net.edges:
-        Y[idx[i], idx[j]] = 1.0
+    Y = net.adjacency
     mask = 1.0 - np.eye(n)
     n_edges = int(Y.sum())
 

@@ -287,7 +287,9 @@ def fit_elastic_net(
     quadratic approximations, inner cyclic coordinate descent with soft
     thresholding; the intercept is never penalized. When lam is None it is
     chosen by cross-validated tuning. Coefficients on the original feature
-    scale are reported alongside the standardized ones.
+    scale are reported alongside the standardized ones. The diagnostics
+    count the outer steps (``n_outer``) and the inner loops that stopped at
+    their 1000-sweep cap short of the 1e-11 tolerance (``capped_inner``).
 
     The inner loop uses covariance updates (Friedman, Hastie & Tibshirani
     2010): each IRLS step forms the weighted Gram matrix ZᵀWZ and the
@@ -309,7 +311,7 @@ def fit_elastic_net(
     beta0 = 0.0
     beta = [0.0] * p
     converged = False
-    outer = 0
+    outer = capped_inner = 0
     for outer in range(1, max_outer + 1):
         eta = beta0 + np.einsum("ij,j->i", Z, beta)
         mu = _sigmoid(eta)
@@ -338,6 +340,8 @@ def fit_elastic_net(
             beta0 = new0
             if delta < 1e-11:
                 break
+        else:
+            capped_inner += 1
         step = max(map(abs, map(operator.sub, beta, b_old)), default=0.0)
         if max(abs(beta0 - b0_old), step) < 1e-9:
             converged = True
@@ -349,7 +353,12 @@ def fit_elastic_net(
     scaled = beta / std.sds if p else beta
     raw_coef[std.kept] = scaled
     raw_intercept = beta0 - float(np.sum(scaled * std.means)) if p else beta0
-    diagnostics = {"converged": converged, "n_outer": outer, "seed": seed}
+    diagnostics = {
+        "converged": converged,
+        "n_outer": outer,
+        "capped_inner": capped_inner,
+        "seed": seed,
+    }
     if tuning is not None:
         diagnostics["tuning"] = tuning
     return FittedModel(

@@ -11,6 +11,9 @@ import hashlib
 import io
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .errors import ParseError, ValidationError
 
@@ -101,11 +104,29 @@ class EventPanel:
 
 @dataclass(frozen=True)
 class LaggedNetwork:
-    """Binary directed adjacency aggregated over an inclusive window."""
+    """Binary directed adjacency aggregated over an inclusive window.
+
+    ``index`` maps each node to its position in sorted-id order, and
+    ``adjacency`` is the read-only n x n 0/1 matrix in that order
+    (``adjacency[index[i], index[j]] == 1`` iff i->j is an edge). Both are
+    built once per instance and shared by every consumer of the window.
+    """
 
     window: tuple[int, int]
     edges: frozenset[tuple[str, str]]
     nodes: frozenset[str]
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {node: k for k, node in enumerate(self.node_list())}
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        A = np.zeros((len(self.nodes), len(self.nodes)))
+        for i, j in self.edges:
+            A[self.index[i], self.index[j]] = 1.0
+        A.flags.writeable = False
+        return A
 
     def has_edge(self, i: str, j: str) -> bool:
         return (i, j) in self.edges

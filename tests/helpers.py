@@ -5,6 +5,7 @@ no reuse of library internals) so that agreement between a library
 routine and its oracle is meaningful evidence.
 """
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -76,6 +77,71 @@ class StubBundle:
         self.partition = StubPartition(labels)
         self.mmsbm = StubMMSBM(probs)
         self.latent = StubLatent(dists)
+
+
+# ------------------------------------------------------ network features
+#
+# Per-dyad oracles for the network columns of feature_block, computed from
+# neighbour sets with no matrix algebra.
+
+def _neighbours(net):
+    """(out-neighbours, in-neighbours, undirected neighbours) per node."""
+    out_nb = {n: set() for n in net.nodes}
+    in_nb = {n: set() for n in net.nodes}
+    for i, j in net.edges:
+        out_nb[i].add(j)
+        in_nb[j].add(i)
+    und_nb = {n: (out_nb[n] | in_nb[n]) - {n} for n in net.nodes}
+    return out_nb, in_nb, und_nb
+
+
+def _check_dyad(i, j):
+    if i == j:
+        raise ValueError(f"dyadic statistic undefined on the self-pair ({i},{j})")
+
+
+def memory(net, i, j):
+    """1 if the focal directed edge occurred anywhere in the window."""
+    _check_dyad(i, j)
+    return 1.0 if (i, j) in net.edges else 0.0
+
+
+def flow(net, i, j, exclude_focal=False):
+    """Out-degree of the sender times in-degree of the receiver; with
+    exclude_focal the focal edge is removed from both counts."""
+    _check_dyad(i, j)
+    out_nb, in_nb, _ = _neighbours(net)
+    out_d, in_d = len(out_nb[i]), len(in_nb[j])
+    if exclude_focal and (i, j) in net.edges:
+        out_d -= 1
+        in_d -= 1
+    return float(out_d * in_d)
+
+
+def common_combatants(net, i, j):
+    """Count of shared undirected neighbours other than the dyad members."""
+    _check_dyad(i, j)
+    und = _neighbours(net)[2]
+    return float(len((und[i] & und[j]) - {i, j}))
+
+
+def adamic_adar(net, i, j):
+    """Shared neighbours weighted by 1/ln(undirected degree), summed in
+    sorted-id order."""
+    _check_dyad(i, j)
+    und = _neighbours(net)[2]
+    shared = sorted((und[i] & und[j]) - {i, j})
+    return float(sum(1.0 / math.log(len(und[k])) for k in shared))
+
+
+def jaccard(net, i, j):
+    """Shared neighbours over the neighbour union, both sets stripped of
+    the dyad members; 0 when the union is empty."""
+    _check_dyad(i, j)
+    und = _neighbours(net)[2]
+    ni, nj = und[i] - {j}, und[j] - {i}
+    union = ni | nj
+    return len(ni & nj) / len(union) if union else 0.0
 
 
 # ---------------------------------------------------------------- metrics

@@ -4,92 +4,97 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dyadcast import (
-    ENDOGENOUS_FEATURE_NAMES,
-    NeighborIndex,
+from dyadcast import ENDOGENOUS_FEATURE_NAMES, feature_block
+from helpers import (
+    StubBundle,
     adamic_adar,
     common_combatants,
-    feature_block,
     flow,
     jaccard,
+    make_net,
     memory,
 )
-from helpers import StubBundle, make_net
+
+NETWORK_COLUMNS = ENDOGENOUS_FEATURE_NAMES[:5]
 
 
-def idx_of(edges, nodes=()):
-    return NeighborIndex.from_network(make_net(edges, nodes))
+def stats(edges, dyads, nodes=(), exclude_focal_flow=False):
+    """The network columns of feature_block by name, one value per dyad."""
+    net = make_net(edges, nodes)
+    labels = {n: 0 for n in net.nodes}
+    zeros = {d: 0.0 for d in dyads}
+    X = feature_block(net, dyads, StubBundle(labels, zeros, zeros), exclude_focal_flow)
+    return {name: X[:, k].tolist() for k, name in enumerate(NETWORK_COLUMNS)}
 
 
 def test_memory_examples():
-    idx = idx_of([("a", "b")])
-    assert memory(idx, "a", "b") == 1.0
-    assert memory(idx, "b", "a") == 0.0  # direction matters
+    # a 0/1 indicator of the directed edge, not an event count
+    col = stats([("a", "b")], [("a", "b"), ("b", "a")])["memory"]
+    assert col == [1.0, 0.0]  # direction matters
 
 
 def test_flow_worked_example():
     # sender with out-degree 2, receiver with in-degree 2
-    idx = idx_of([("a", "b"), ("a", "c"), ("d", "b")])
-    assert flow(idx, "a", "b") == 4.0
+    col = stats([("a", "b"), ("a", "c"), ("d", "b")], [("a", "b"), ("b", "a")])["flow"]
+    assert col == [4.0, 0.0]
 
 
 def test_flow_single_edge():
-    idx = idx_of([("a", "b")])
-    assert flow(idx, "a", "b") == 1.0
-    assert flow(idx, "a", "b", exclude_focal=True) == 0.0
+    assert stats([("a", "b")], [("a", "b")])["flow"] == [1.0]
+    assert stats([("a", "b")], [("a", "b")], exclude_focal_flow=True)["flow"] == [0.0]
 
 
 def test_flow_exclude_focal_only_when_present():
-    idx = idx_of([("a", "c"), ("d", "b")], nodes=["a", "b"])
     # no a->b edge, so the flag changes nothing
-    assert flow(idx, "a", "b") == flow(idx, "a", "b", exclude_focal=True) == 1.0
+    edges, nodes = [("a", "c"), ("d", "b")], ["a", "b"]
+    assert stats(edges, [("a", "b")], nodes)["flow"] == [1.0]
+    assert stats(edges, [("a", "b")], nodes, exclude_focal_flow=True)["flow"] == [1.0]
 
 
 def test_common_combatants_examples():
-    idx = idx_of([("a", "c"), ("c", "b")])
-    assert common_combatants(idx, "a", "b") == 1.0
-    idx2 = idx_of([("a", "c"), ("b", "d")])
-    assert common_combatants(idx2, "a", "b") == 0.0
+    assert stats([("a", "c"), ("c", "b")], [("a", "b")])["common-combatants"] == [1.0]
+    assert stats([("a", "c"), ("b", "d")], [("a", "b")])["common-combatants"] == [0.0]
     # dyad members themselves never count as shared neighbors
-    idx3 = idx_of([("a", "b"), ("a", "c"), ("c", "b"), ("a", "d"), ("d", "b")])
-    assert common_combatants(idx3, "a", "b") == 2.0
+    edges = [("a", "b"), ("a", "c"), ("c", "b"), ("a", "d"), ("d", "b")]
+    assert stats(edges, [("a", "b")])["common-combatants"] == [2.0]
 
 
 def test_adamic_adar_examples():
     # one shared neighbor of undirected degree 2
-    idx = idx_of([("a", "c"), ("c", "b")])
-    assert adamic_adar(idx, "a", "b") == pytest.approx(1.0 / math.log(2.0), abs=1e-15)
+    (aa,) = stats([("a", "c"), ("c", "b")], [("a", "b")])["adamic-adar"]
+    assert aa == pytest.approx(1.0 / math.log(2.0), abs=1e-15)
     # shared neighbors of degrees 2 and 3
-    idx2 = idx_of([("a", "c"), ("c", "b"), ("a", "d"), ("d", "b"), ("d", "e")])
-    expect = 1.0 / math.log(2.0) + 1.0 / math.log(3.0)
-    assert adamic_adar(idx2, "a", "b") == pytest.approx(expect, abs=1e-15)
-    assert adamic_adar(idx_of([("a", "c"), ("b", "d")]), "a", "b") == 0.0
+    edges = [("a", "c"), ("c", "b"), ("a", "d"), ("d", "b"), ("d", "e")]
+    (aa,) = stats(edges, [("a", "b")])["adamic-adar"]
+    assert aa == pytest.approx(1.0 / math.log(2.0) + 1.0 / math.log(3.0), abs=1e-15)
+    assert stats([("a", "c"), ("b", "d")], [("a", "b")])["adamic-adar"] == [0.0]
 
 
 def test_jaccard_worked_example():
     # n(a)\{b} = {c,d}, n(b)\{a} = {c} -> 1/2
-    idx = idx_of([("a", "c"), ("a", "d"), ("c", "b")])
-    assert jaccard(idx, "a", "b") == 0.5
+    assert stats([("a", "c"), ("a", "d"), ("c", "b")], [("a", "b")])["jaccard"] == [0.5]
 
 
 def test_jaccard_empty_union_is_zero():
-    idx = idx_of([], nodes=["a", "b"])
-    assert jaccard(idx, "a", "b") == 0.0
+    assert stats([], [("a", "b")], nodes=["a", "b"])["jaccard"] == [0.0]
     # neighbors that are only each other also strip to empty
-    idx2 = idx_of([("a", "b")])
-    assert jaccard(idx2, "a", "b") == 0.0
+    assert stats([("a", "b")], [("a", "b")])["jaccard"] == [0.0]
 
 
 def test_jaccard_identical_sets():
-    idx = idx_of([("a", "c"), ("b", "c")])
-    assert jaccard(idx, "a", "b") == 1.0
+    assert stats([("a", "c"), ("b", "c")], [("a", "b")])["jaccard"] == [1.0]
 
 
 @pytest.mark.parametrize("fn", [memory, flow, common_combatants, adamic_adar, jaccard])
 def test_self_pair_rejected(fn):
-    idx = idx_of([("a", "b")])
+    """Every statistic is undefined on a self-pair: its oracle and
+    feature_block both refuse one, wherever it sits in the dyad list."""
+    net = make_net([("a", "b")])
     with pytest.raises(ValueError):
-        fn(idx, "a", "a")
+        fn(net, "a", "a")
+    bundle = StubBundle({"a": 0, "b": 0}, {("a", "b"): 0.0}, {("a", "b"): 0.0})
+    with pytest.raises(ValueError):
+        feature_block(net, [("a", "b"), ("a", "a")], bundle)
 
 
 # --------------------------------------------------------------- block
@@ -124,16 +129,22 @@ def test_feature_block_column_order_and_values():
 
 
 def test_feature_block_exclude_focal_flow():
-    net = make_net([("a", "b")])
+    """The flag removes the focal edge from both degree counts and drops
+    no column: only flow changes."""
+    net = make_net([("a", "b"), ("a", "c"), ("d", "b")])
+    dyads = [("a", "b"), ("a", "c"), ("c", "b")]
     bundle = StubBundle(
-        labels={"a": 0, "b": 0},
-        probs={("a", "b"): 0.5},
-        dists={("a", "b"): 1.0},
+        labels={"a": 0, "b": 0, "c": 1, "d": 1},
+        probs={d: 0.5 for d in dyads},
+        dists={d: 1.0 for d in dyads},
     )
-    X0 = feature_block(net, [("a", "b")], bundle)
-    X1 = feature_block(net, [("a", "b")], bundle, exclude_focal_flow=True)
-    assert X0[0, 1] == 1.0
-    assert X1[0, 1] == 0.0
+    X0 = feature_block(net, dyads, bundle)
+    X1 = feature_block(net, dyads, bundle, exclude_focal_flow=True)
+    assert X0.shape == X1.shape == (3, len(ENDOGENOUS_FEATURE_NAMES))
+    # a->b: (2-1) x (2-1); a->c: (2-1) x (1-1); c->b has no focal edge
+    assert X0[:, 1].tolist() == [4.0, 2.0, 0.0]
+    assert X1[:, 1].tolist() == [1.0, 0.0, 0.0]
+    assert np.array_equal(np.delete(X0, 1, axis=1), np.delete(X1, 1, axis=1))
 
 
 def test_feature_block_empty_network():
@@ -149,44 +160,64 @@ def test_feature_block_empty_network():
 
 # ----------------------------------------------------------- properties
 
-def random_edges(draw):
-    nodes = "abcdef"
+def random_edges(draw, nodes="abcdef", max_size=14):
     pairs = [(i, j) for i in nodes for j in nodes if i != j]
-    return draw(st.sets(st.sampled_from(pairs), max_size=14))
+    return draw(st.sets(st.sampled_from(pairs), max_size=max_size))
+
+
+def all_dyads(nodes):
+    return [(i, j) for i in nodes for j in nodes if i != j]
+
+
+@given(st.data())
+def test_matches_oracles(data):
+    """Each network column equals its per-dyad oracle: exactly for the
+    counts and ratios, within 1e-12 for the Adamic-Adar sum, whose
+    summation order differs."""
+    nodes = "abcdefghi"
+    edges = random_edges(data.draw, nodes, max_size=30)
+    exclude = data.draw(st.booleans())
+    dyads = all_dyads(nodes)
+    got = stats(edges, dyads, nodes, exclude_focal_flow=exclude)
+    net = make_net(edges, nodes)
+    assert got["memory"] == [memory(net, i, j) for i, j in dyads]
+    assert got["flow"] == [flow(net, i, j, exclude_focal=exclude) for i, j in dyads]
+    assert got["common-combatants"] == [common_combatants(net, i, j) for i, j in dyads]
+    assert got["jaccard"] == [jaccard(net, i, j) for i, j in dyads]
+    expect = [adamic_adar(net, i, j) for i, j in dyads]
+    assert np.max(np.abs(np.subtract(got["adamic-adar"], expect))) <= 1e-12
 
 
 @given(st.data())
 def test_relabel_equivariance(data):
     """Permuting node names permutes the statistics with them."""
-    edges = random_edges(data.draw)
     nodes = list("abcdef")
+    edges = random_edges(data.draw)
     perm = data.draw(st.permutations(nodes))
     mapping = dict(zip(nodes, perm))
-    idx = idx_of(edges, nodes)
-    idx2 = idx_of([(mapping[i], mapping[j]) for i, j in edges], perm)
-    for i in nodes:
-        for j in nodes:
-            if i == j:
-                continue
-            mi, mj = mapping[i], mapping[j]
-            assert memory(idx, i, j) == memory(idx2, mi, mj)
-            assert flow(idx, i, j) == flow(idx2, mi, mj)
-            assert common_combatants(idx, i, j) == common_combatants(idx2, mi, mj)
-            assert adamic_adar(idx, i, j) == pytest.approx(adamic_adar(idx2, mi, mj), abs=1e-12)
-            assert jaccard(idx, i, j) == pytest.approx(jaccard(idx2, mi, mj), abs=1e-12)
+    dyads = all_dyads(nodes)
+    before = stats(edges, dyads, nodes)
+    after = stats(
+        [(mapping[i], mapping[j]) for i, j in edges],
+        [(mapping[i], mapping[j]) for i, j in dyads],
+        perm,
+    )
+    for name in ("memory", "flow", "common-combatants"):
+        assert before[name] == after[name]
+    for name in ("adamic-adar", "jaccard"):
+        assert np.allclose(before[name], after[name], rtol=0.0, atol=1e-12)
 
 
 @given(st.data())
 def test_structural_invariants(data):
-    edges = random_edges(data.draw)
-    idx = idx_of(edges, "abcdef")
-    for i in "abcdef":
-        for j in "abcdef":
-            if i == j:
-                continue
-            assert 0.0 <= jaccard(idx, i, j) <= 1.0
-            # both count the same shared-neighbor set
-            assert (adamic_adar(idx, i, j) == 0.0) == (common_combatants(idx, i, j) == 0.0)
-            # an observed focal edge puts at least 1x1 into the product
-            assert flow(idx, i, j) >= memory(idx, i, j)
-            assert common_combatants(idx, i, j) == common_combatants(idx, j, i)
+    nodes = "abcdef"
+    dyads = all_dyads(nodes)
+    s = stats(random_edges(data.draw), dyads, nodes)
+    by_dyad = {d: {name: s[name][k] for name in NETWORK_COLUMNS} for k, d in enumerate(dyads)}
+    for (i, j), row in by_dyad.items():
+        assert 0.0 <= row["jaccard"] <= 1.0
+        # both count the same shared-neighbor set
+        assert (row["adamic-adar"] == 0.0) == (row["common-combatants"] == 0.0)
+        # an observed focal edge puts at least 1x1 into the product
+        assert row["flow"] >= row["memory"]
+        assert row["common-combatants"] == by_dyad[(j, i)]["common-combatants"]

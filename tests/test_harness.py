@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dyadcast
 from dyadcast import (
     BundleCache,
     CellResult,
@@ -193,6 +198,43 @@ def test_run_deterministic_byte_identical(world, tmp_path):
         assert a == b, name
 
 
+def test_run_outputs_identical_across_hash_seeds(tmp_path):
+    """Two `dyadcast run` processes with different PYTHONHASHSEED values
+    write the same bytes: no output depends on set or dict order."""
+    panel, table, _ = generate_synthetic(
+        SyntheticSpec(
+            n_nodes=8, periods=6, n_blocks=2, block_affinity=0.6,
+            persistence=0.35, base_rate=0.12, seed=0,
+        )
+    )
+    paths = save_synthetic(panel, table, tmp_path / "data")
+    src = str(Path(dyadcast.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        cfg = ExperimentConfig(
+            events=paths["events"], registry=paths["registry"],
+            first_period=4, last_period=6, lags=(1,),
+            spec_classes=("endogenous-only",), learners=("logit", "elastic-net"),
+            learner_params={"elastic-net": {"lam": 0.01}},
+            features=FeatureConfig(latent=LatentConfig(
+                mmsbm_restarts=1, mmsbm_max_iter=20, latent_starts=1, latent_max_iter=20,
+            )),
+            output_dir=str(tmp_path / f"run{hash_seed}"),
+        )
+        cfg_path = tmp_path / f"config{hash_seed}.json"
+        cfg_path.write_text(json.dumps(cfg.to_json()))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dyadcast.cli", "run", "--config", str(cfg_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(Path(cfg.output_dir))
+    for name in ("cells.csv", "aggregate.csv", "ratios.csv"):
+        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
+
+
 # -------------------------------------------------------------- aggregate
 
 def test_aggregate_hand_arithmetic():
@@ -262,6 +304,29 @@ def test_cells_round_trip_preserves_summaries(full_run, tmp_path):
     assert (tmp_path / "agg2.csv").read_bytes() == (tmp_path / "out" / "aggregate.csv").read_bytes()
 
 
+def test_undefined_values_are_written_as_na(tmp_path):
+    from dyadcast.evaluation import RatioEntry, RatioSeries
+    from dyadcast.harness import write_aggregate_csv, write_cells_csv, write_ratios_csv
+
+    cfg = ExperimentConfig(
+        first_period=5, last_period=5, lags=(1,),
+        spec_classes=("endogenous-only",), learners=("logit",),
+    )
+    cells = [CellResult(5, 1, "endogenous-only", "logit", "skip", reason="x")]
+    write_cells_csv(tmp_path / "cells.csv", cells)
+    assert (tmp_path / "cells.csv").read_text().splitlines()[1] == "5,1,endogenous-only,logit,NA,NA,x,"
+    write_aggregate_csv(tmp_path / "aggregate.csv", aggregate_rows(cfg, cells))
+    assert (tmp_path / "aggregate.csv").read_text().splitlines()[1] == (
+        "1,endogenous-only,logit,NA,NA,NA,NA,NA,NA"
+    )
+    series = RatioSeries(rows=[])
+    series.add(5, [RatioEntry("memory", float("nan"), None)])
+    write_ratios_csv(tmp_path / "ratios.csv", {(1, "endogenous-only"): series})
+    assert (tmp_path / "ratios.csv").read_text().splitlines()[1] == (
+        "1,endogenous-only,5,memory,NA,NA,NA"
+    )
+
+
 def test_read_cells_rejects_wrong_header(tmp_path):
     p = tmp_path / "cells.csv"
     p.write_text("period,lag\n1,2\n")
@@ -322,6 +387,34 @@ def test_config_validation(patch):
 def test_config_from_json_rejects_unknown_keys():
     with pytest.raises(ValidationError, match="unknown"):
         ExperimentConfig.from_json({"first_period": 1, "frobnicate": True})
+
+
+def test_config_json_file_lists_every_field():
+    """config.json spells out every config field, nested ones included,
+    with the defaults the README documents."""
+    doc = ExperimentConfig().to_json()
+    assert set(doc) == {
+        "events", "registry", "covariates", "first_period", "last_period",
+        "lags", "spec_classes", "learners", "depth", "master_seed",
+        "tune_folds", "tune_grid", "learner_params", "features",
+        "bootstrap_replicates", "bootstrap_level", "output_dir", "dump_models",
+    }
+    assert doc["tune_grid"] == {
+        "enet_lambda": [0.001, 0.01, 0.1, 1.0, 10.0],
+        "nn_hidden": [2, 4, 8],
+        "nn_decay": [0.01, 0.1, 1.0],
+        "boost_rounds": [10, 25, 50, 100, 200],
+    }
+    assert doc["features"] == {
+        "exclude_focal_flow": False,
+        "covariate_offset": 1,
+        "max_missing": 0.5,
+        "latent": {
+            "walk_length": 4, "mmsbm_k": 4, "mmsbm_restarts": 5,
+            "mmsbm_max_iter": 300, "mmsbm_tol": 1e-07, "latent_dim": 2,
+            "latent_tau": 0.1, "latent_starts": 3, "latent_max_iter": 500,
+        },
+    }
 
 
 def test_load_run_inputs_requires_events():
@@ -390,6 +483,41 @@ def test_cli_run_reports_cell_errors(cli_world, tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert "error" in err and "missing" in err
+
+
+def test_cli_run_aggregates_once(cli_world, tmp_path, capsys, monkeypatch):
+    """The printed table reuses the rows written to aggregate.csv."""
+    import dyadcast.harness as hz
+
+    paths, _ = cli_world
+    calls = []
+    original = hz.aggregate_rows
+    monkeypatch.setattr(hz, "aggregate_rows", lambda *a: calls.append(a) or original(*a))
+    run_dir = tmp_path / "run"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cli_config_json(paths, run_dir)))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert len(calls) == 1
+    run_table = capsys.readouterr().out.splitlines()[1:-1]
+    assert main(["summarize", "--in", str(run_dir)]) == 0
+    assert run_table == capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"features": {"bogus": 1}},
+        {"features": {"latent": {"bogus": 1}}},
+        {"tune_grid": {"bogus": [1]}},
+    ],
+)
+def test_cli_unknown_nested_keys_exit_2(tmp_path, capsys, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown") and "bogus" in err
+    assert err.count("\n") == 1
 
 
 def test_cli_bad_inputs_exit_2(tmp_path, capsys):

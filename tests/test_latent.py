@@ -10,12 +10,9 @@ from dyadcast import (
     LatentConfig,
     LatentSpaceFit,
     MMSBMFit,
-    common_community,
     fit_bundle,
     fit_latent_space,
     fit_mmsbm,
-    latent_distance,
-    mmsbm_prob,
     modularity,
     walktrap,
 )
@@ -121,10 +118,10 @@ def test_walktrap_validation():
 
 def test_common_community():
     part = walktrap(two_cliques_bridge())
-    assert common_community(part, "x0", "x1") == 1.0
-    assert common_community(part, "x0", "y0") == 0.0
+    assert part.same_community("x0", "x1")
+    assert not part.same_community("x0", "y0")
     with pytest.raises(ValueError):
-        common_community(part, "x0", "nope")
+        part.same_community("x0", "nope")
 
 
 def test_partition_json_round_trip():
@@ -202,7 +199,7 @@ def test_mmsbm_prob_constructed():
         converged=True,
         n_iter=0,
     )
-    assert mmsbm_prob(fit, "a", "b") == pytest.approx(0.2, abs=1e-15)
+    assert fit.prob("a", "b") == pytest.approx(0.2, abs=1e-15)
     uniform = MMSBMFit(
         nodes=("a", "b"),
         pi=np.full((2, 2), 0.5),
@@ -211,7 +208,7 @@ def test_mmsbm_prob_constructed():
         converged=True,
         n_iter=0,
     )
-    assert mmsbm_prob(uniform, "a", "b") == pytest.approx(0.5, abs=1e-15)
+    assert uniform.prob("a", "b") == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(ValueError):
         fit.prob("a", "zz")
 
@@ -237,7 +234,7 @@ def test_latent_distance_is_euclidean():
         converged=True,
         degenerate=False,
     )
-    assert latent_distance(fit, "a", "b") == 5.0
+    assert fit.distance("a", "b") == 5.0
     assert fit.distance("b", "a") == 5.0
     with pytest.raises(ValueError):
         fit.distance("a", "zz")

@@ -194,30 +194,43 @@ def test_elastic_net_matches_residual_oracle_well_conditioned(seed, lam):
     X, y = logistic_sample(n=200, seed=seed)
     train = TrainingSet.build(X, y, NAMES3)
     model = fit_elastic_net(train, lam=lam)
-    b0, b, converged, n_outer, _ = elastic_net_residual_oracle(train.Z, train.y, lam)
+    b0, b, converged, n_outer, capped_inner = elastic_net_residual_oracle(train.Z, train.y, lam)
     assert model.diagnostics["converged"] and converged
     assert model.diagnostics["n_outer"] == n_outer
+    assert model.diagnostics["capped_inner"] == capped_inner == 0
     assert np.max(np.abs(model.params["coef"] - b)) < 1e-10
     assert abs(model.params["intercept"] - b0) < 1e-10
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_elastic_net_matches_residual_oracle_near_collinear(seed):
+def near_collinear_sample(seed):
     # two columns are noisy linear copies of the other two, so cyclic
-    # coordinate descent crawls and inner loops stop at the sweep cap;
-    # the two solvers then need not agree bit for bit, only on the optimum
+    # coordinate descent crawls and inner loops stop at the sweep cap
     rng = np.random.default_rng(seed)
     base = rng.normal(size=(60, 2))
     X = np.column_stack([base, base @ rng.normal(size=(2, 2)) + 1e-2 * rng.normal(size=(60, 2))])
     y = (rng.random(60) < _sigmoid(base[:, 0] - base[:, 1])).astype(float)
-    train = TrainingSet.build(X, y, ("a", "b", "c", "d"))
+    return TrainingSet.build(X, y, ("a", "b", "c", "d"))
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_elastic_net_matches_residual_oracle_near_collinear(seed):
+    # where inner loops stop at the sweep cap the two solvers need not
+    # agree bit for bit, only on the optimum
+    train = near_collinear_sample(seed)
     lam = 0.01
     model = fit_elastic_net(train, lam=lam)
     b0, b, _, _, capped_inner = elastic_net_residual_oracle(train.Z, train.y, lam)
     assert capped_inner > 0
+    assert model.diagnostics["capped_inner"] > 0
     ours = elastic_net_objective(train.Z, train.y, lam, model.params["intercept"], model.params["coef"])
     oracle = elastic_net_objective(train.Z, train.y, lam, b0, b)
     assert abs(ours - oracle) <= 1e-9 * abs(oracle)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_elastic_net_reports_capped_inner_loops(seed):
+    model = fit_elastic_net(near_collinear_sample(seed), lam=0.001)
+    assert 0 < model.diagnostics["capped_inner"] <= model.diagnostics["n_outer"]
 
 
 def test_elastic_net_negative_lam_rejected():
