@@ -47,12 +47,17 @@ def feature_block(net: LaggedNetwork, dyads, bundle, exclude_focal_flow: bool = 
 
     bundle carries the latent-structure fits (community partition, block
     model, latent space) already computed on this same network; they fill
-    the last three columns. A self-pair raises ValueError.
+    the last three columns (mmsbm-prob per dyad: any vector form of
+    ``pi[i] @ B @ pi[j]`` rounds differently). A self-pair, or a
+    latent-space fit on other nodes, raises ValueError.
     """
     I = np.array([net.index[i] for i, _ in dyads], dtype=np.intp)
     J = np.array([net.index[j] for _, j in dyads], dtype=np.intp)
     if np.any(I == J):
         raise ValueError("dyadic statistics are undefined on a self-pair")
+    nodes = tuple(net.node_list())
+    if bundle.latent.nodes != nodes:
+        raise ValueError("the latent-space fit was made on a different node set")
     A = net.adjacency
     U = np.maximum(A, A.T)
     deg = U.sum(axis=1)
@@ -72,8 +77,9 @@ def feature_block(net: LaggedNetwork, dyads, bundle, exclude_focal_flow: bool = 
     out[:, 2] = common
     out[:, 3] = np.einsum("ik,k,jk->ij", U, w, U)[I, J]
     out[:, 4] = np.divide(common, union, out=np.zeros(len(dyads)), where=union > 0)
-    for row, (i, j) in enumerate(dyads):
-        out[row, 5] = 1.0 if bundle.partition.same_community(i, j) else 0.0
-        out[row, 6] = bundle.mmsbm.prob(i, j)
-        out[row, 7] = bundle.latent.distance(i, j)
+    community = np.array([bundle.partition.labels[node] for node in nodes])
+    out[:, 5] = community[I] == community[J]
+    out[:, 6] = [bundle.mmsbm.prob(i, j) for i, j in dyads]
+    Z = bundle.latent.positions
+    out[:, 7] = np.sqrt(np.sum((Z[I] - Z[J]) ** 2, axis=1))
     return out

@@ -14,10 +14,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
+from .codec import Saved, decode
 from .design import (
     SPEC_CLASSES,
     SPEC_COMBINED,
@@ -35,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import bootstrap_ci, coefficient_ratio, pr_curve, roc_curve, RatioSeries
-from .latent import BundleCache, LatentConfig
+from .latent import BundleCache
 from .learners import LEARNERS, TrainingSet, TuneGrid, fit_learner, fit_logit
 from .seeding import seed_for
 from .store import CovariateTable, EventPanel, aggregate_window, load_covariates, load_events
@@ -50,7 +51,7 @@ RATIOS_HEADER = ("lag", "spec", "period", "feature", "ratio", "smoothed", "selec
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(Saved):
     """Everything a run needs; serializes to/from a flat JSON document."""
 
     events: str | None = None
@@ -103,46 +104,11 @@ class ExperimentConfig:
                 f"bootstrap_level must be in (0,1), got {self.bootstrap_level}"
             )
 
-    def to_json(self) -> dict:
-        return _plain(self)
-
-    @staticmethod
-    def from_json(obj: dict) -> "ExperimentConfig":
-        kwargs = _known_keys(obj, ExperimentConfig, "config")
-        for key in ("lags", "spec_classes", "learners"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        if "tune_grid" in kwargs:
-            g = _known_keys(kwargs["tune_grid"], TuneGrid, "tune_grid")
-            kwargs["tune_grid"] = TuneGrid(**{k: tuple(v) for k, v in g.items()})
-        if "features" in kwargs:
-            f = _known_keys(kwargs["features"], FeatureConfig, "features")
-            latent = _known_keys(f.pop("latent", {}), LatentConfig, "features.latent")
-            kwargs["features"] = FeatureConfig(latent=LatentConfig(**latent), **f)
-        cfg = ExperimentConfig(**kwargs)
+    @classmethod
+    def from_json(cls, obj: dict) -> "ExperimentConfig":
+        cfg = decode(cls, obj, ValidationError, "config")
         cfg.validate()
         return cfg
-
-
-def _plain(value):
-    """A config dataclass as JSON-ready dicts and lists, keyed by field name."""
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
-def _known_keys(obj, cls, label) -> dict:
-    """A copy of the JSON object obj, rejecting keys that are not fields of cls."""
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{label} must be a JSON object, got {type(obj).__name__}")
-    unknown = set(obj) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValidationError(f"unknown {label} keys: {sorted(unknown)}")
-    return dict(obj)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -14,7 +14,6 @@ actually changes.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import heapq
 import json
@@ -23,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import Saved, encode
 from .errors import FitError
 from .seeding import seed_for
 from .store import LaggedNetwork
@@ -55,18 +55,22 @@ def modularity(nodes, und_edges, labels) -> float:
 
 
 @dataclass(frozen=True)
-class CommunityPartition:
+class CommunityPartition(Saved):
     """Hard community assignment with the modularity of the chosen cut.
 
     merges is the full agglomeration dendrogram as (a, b, new) label
     triples over integer labels; labels 0..n-1 are nodes in sorted-id
-    order, merged communities get fresh labels n, n+1, ...
+    order, merged communities get fresh labels n, n+1, ... The labels dict
+    itself is kept in sorted node order.
     """
 
     labels: dict
     modularity: float
     walk_length: int
     merges: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", dict(sorted(self.labels.items())))
 
     def same_community(self, i: str, j: str) -> bool:
         if i not in self.labels or j not in self.labels:
@@ -75,23 +79,6 @@ class CommunityPartition:
 
     def n_communities(self) -> int:
         return len(set(self.labels.values()))
-
-    def to_json(self) -> dict:
-        return {
-            "labels": dict(sorted(self.labels.items())),
-            "modularity": self.modularity,
-            "walk_length": self.walk_length,
-            "merges": [list(m) for m in self.merges],
-        }
-
-    @staticmethod
-    def from_json(obj) -> "CommunityPartition":
-        return CommunityPartition(
-            labels=dict(obj["labels"]),
-            modularity=float(obj["modularity"]),
-            walk_length=int(obj["walk_length"]),
-            merges=tuple(tuple(m) for m in obj.get("merges", [])),
-        )
 
 
 def _dsigma(size1, phat1, size2, phat2, d, n):
@@ -217,7 +204,7 @@ def walktrap(net: LaggedNetwork, walk_length: int = 4) -> CommunityPartition:
 
 
 @dataclass
-class MMSBMFit:
+class MMSBMFit(Saved):
     """Point estimates of a mixed-membership blockmodel.
 
     history holds the penalized objective after each EM iteration of the
@@ -241,28 +228,8 @@ class MMSBMFit:
         p = self.pi[self._index[i]] @ self.B @ self.pi[self._index[j]]
         return float(p)
 
-    def to_json(self) -> dict:
-        return {
-            "nodes": list(self.nodes),
-            "pi": self.pi.tolist(),
-            "B": self.B.tolist(),
-            "objective": self.objective,
-            "converged": self.converged,
-            "n_iter": self.n_iter,
-            "history": list(self.history),
-        }
 
-    @staticmethod
-    def from_json(obj) -> "MMSBMFit":
-        return MMSBMFit(
-            nodes=tuple(obj["nodes"]),
-            pi=np.array(obj["pi"], dtype=float),
-            B=np.array(obj["B"], dtype=float),
-            objective=float(obj["objective"]),
-            converged=bool(obj["converged"]),
-            n_iter=int(obj["n_iter"]),
-            history=tuple(obj.get("history", [])),
-        )
+MMSBM_EPS = 1e-6
 
 
 def fit_mmsbm(
@@ -272,14 +239,13 @@ def fit_mmsbm(
     max_iter: int = 300,
     tol: float = 1e-7,
     seed: int = 0,
-    eps: float = 1e-6,
 ) -> MMSBMFit:
     """Penalized EM for sender/receiver role mixtures.
 
     Each ordered dyad draws a sender role from the sender's mixture and a
     receiver role from the receiver's, then an edge with the block
     probability for that role pair. Dirichlet/Beta smoothing with weight
-    eps keeps every parameter interior, which makes the penalized
+    eps = MMSBM_EPS keeps every parameter interior, which makes the penalized
     log likelihood
 
         loglik + eps*sum(log pi) + eps*sum(log B + log(1-B))
@@ -296,6 +262,7 @@ def fit_mmsbm(
 
     Y = net.adjacency
     mask = 1.0 - np.eye(n)
+    eps = MMSBM_EPS
 
     def objective(pi, B):
         P1 = np.clip(pi @ B @ pi.T, 1e-300, 1.0 - 1e-16)
@@ -339,7 +306,7 @@ def fit_mmsbm(
 
 
 @dataclass
-class LatentSpaceFit:
+class LatentSpaceFit(Saved):
     """Positions and intercept of a distance model for directed edges."""
 
     nodes: tuple
@@ -359,31 +326,9 @@ class LatentSpaceFit:
         delta = self.positions[self._index[i]] - self.positions[self._index[j]]
         return float(np.sqrt(np.sum(delta**2)))
 
-    def to_json(self) -> dict:
-        return {
-            "nodes": list(self.nodes),
-            "positions": self.positions.tolist(),
-            "alpha": self.alpha,
-            "objective": self.objective,
-            "converged": self.converged,
-            "degenerate": self.degenerate,
-            "n_iter": self.n_iter,
-        }
-
-    @staticmethod
-    def from_json(obj) -> "LatentSpaceFit":
-        return LatentSpaceFit(
-            nodes=tuple(obj["nodes"]),
-            positions=np.array(obj["positions"], dtype=float),
-            alpha=float(obj["alpha"]),
-            objective=float(obj["objective"]),
-            converged=bool(obj["converged"]),
-            degenerate=bool(obj["degenerate"]),
-            n_iter=int(obj.get("n_iter", 0)),
-        )
-
 
 ALPHA_CAP = 30.0
+LATENT_GRAD_TOL = 1e-5
 
 
 def fit_latent_space(
@@ -393,13 +338,13 @@ def fit_latent_space(
     starts: int = 3,
     max_iter: int = 500,
     seed: int = 0,
-    grad_tol: float = 1e-5,
 ) -> LatentSpaceFit:
     """MAP fit of P(i->j) = sigmoid(alpha - ||z_i - z_j||).
 
     A ridge penalty tau*sum(||z||^2) on positions (never the intercept)
     pins the translation/rotation freedom enough for optimization.
-    Gradient ascent with backtracking step halving; best of `starts`
+    Gradient ascent with backtracking step halving, stopping once every
+    gradient entry is below LATENT_GRAD_TOL; best of `starts`
     random starts by penalized objective. Empty and complete graphs get a
     closed-form degenerate fit: all positions at the origin and alpha at
     -+ALPHA_CAP.
@@ -455,7 +400,7 @@ def fit_latent_space(
         it = 0
         for it in range(1, max_iter + 1):
             g_z, g_alpha = gradients(z, alpha)
-            if max(np.max(np.abs(g_z)), abs(g_alpha)) < grad_tol:
+            if max(np.max(np.abs(g_z)), abs(g_alpha)) < LATENT_GRAD_TOL:
                 converged = True
                 break
             accepted = False
@@ -492,33 +437,16 @@ class LatentConfig:
     latent_max_iter: int = 500
 
     def fingerprint(self) -> str:
-        payload = json.dumps(dataclasses.asdict(self), sort_keys=True)
+        payload = json.dumps(encode(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 @dataclass
-class LatentBundle:
+class LatentBundle(Saved):
     partition: CommunityPartition
     mmsbm: MMSBMFit
     latent: LatentSpaceFit
     content_hash: str
-
-    def to_json(self) -> dict:
-        return {
-            "partition": self.partition.to_json(),
-            "mmsbm": self.mmsbm.to_json(),
-            "latent": self.latent.to_json(),
-            "content_hash": self.content_hash,
-        }
-
-    @staticmethod
-    def from_json(obj) -> "LatentBundle":
-        return LatentBundle(
-            partition=CommunityPartition.from_json(obj["partition"]),
-            mmsbm=MMSBMFit.from_json(obj["mmsbm"]),
-            latent=LatentSpaceFit.from_json(obj["latent"]),
-            content_hash=obj["content_hash"],
-        )
 
 
 def fit_bundle(net: LaggedNetwork, config: LatentConfig, master_seed: int) -> LatentBundle:

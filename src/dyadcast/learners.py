@@ -16,17 +16,21 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .codec import Saved
 from .errors import EvaluationError, FitError, SchemaError, TuningError
 from .evaluation import pr_curve
 from .seeding import seed_for
 
 COEF_CAP = 30.0
+IRLS_MAX_ITER = 100
+IRLS_GRAD_TOL = 1e-8
+TUNE_MAX_EXTENSIONS = 3
 
 LEARNERS = ("logit", "elastic-net", "logitboost", "neural-net")
 
 
 @dataclass
-class Standardizer:
+class Standardizer(Saved):
     """Column standardization frozen at fit time.
 
     Zero-variance columns (sd below 1e-12 relative tolerance) are removed
@@ -35,7 +39,7 @@ class Standardizer:
     """
 
     input_names: tuple
-    kept: np.ndarray
+    kept: np.ndarray = field(metadata={"dtype": int})
     means: np.ndarray
     sds: np.ndarray
     dropped: tuple
@@ -67,25 +71,6 @@ class Standardizer:
 
     def kept_names(self) -> tuple:
         return tuple(self.input_names[k] for k in self.kept)
-
-    def to_json(self) -> dict:
-        return {
-            "input_names": list(self.input_names),
-            "kept": self.kept.tolist(),
-            "means": self.means.tolist(),
-            "sds": self.sds.tolist(),
-            "dropped": list(self.dropped),
-        }
-
-    @staticmethod
-    def from_json(obj) -> "Standardizer":
-        return Standardizer(
-            input_names=tuple(obj["input_names"]),
-            kept=np.array(obj["kept"], dtype=int),
-            means=np.array(obj["means"], dtype=float),
-            sds=np.array(obj["sds"], dtype=float),
-            dropped=tuple(obj["dropped"]),
-        )
 
 
 @dataclass
@@ -130,7 +115,7 @@ def _sigmoid(x):
 
 
 @dataclass
-class FittedModel:
+class FittedModel(Saved):
     """One trained classifier: kind, schema, parameters, fit diagnostics."""
 
     kind: str
@@ -167,68 +152,32 @@ class FittedModel:
             raise ValueError(f"{self.kind} has no linear coefficients")
         return dict(zip(self.standardizer.kept_names(), self.params["coef"]))
 
-    def to_json(self) -> dict:
-        params = {}
-        for key, value in self.params.items():
-            if isinstance(value, np.ndarray):
-                params[key] = {"__array__": value.tolist()}
-            elif key == "stumps":
-                params[key] = [list(s) for s in value]
-            else:
-                params[key] = value
-        return {
-            "kind": self.kind,
-            "standardizer": self.standardizer.to_json(),
-            "params": params,
-            "diagnostics": self.diagnostics,
-        }
-
-    @staticmethod
-    def from_json(obj) -> "FittedModel":
-        params = {}
-        for key, value in obj["params"].items():
-            if isinstance(value, dict) and "__array__" in value:
-                params[key] = np.array(value["__array__"], dtype=float)
-            elif key == "stumps":
-                params[key] = [(int(f), float(t), float(a), float(b)) for f, t, a, b in value]
-            else:
-                params[key] = value
-        return FittedModel(
-            kind=obj["kind"],
-            standardizer=Standardizer.from_json(obj["standardizer"]),
-            params=params,
-            diagnostics=dict(obj["diagnostics"]),
-        )
-
 
 def predict(model: FittedModel, X: np.ndarray, names) -> np.ndarray:
     """Score rows with a fitted model; names must match the training schema."""
     return model.predict_proba(X, names)
 
 
-def _irls(Z, y, penalty=0.0, max_iter=100, grad_tol=1e-8):
-    """Newton/IRLS for (optionally ridge-penalized) logistic regression on
-    a design with an implicit leading intercept column. Coefficients are
-    capped at +-COEF_CAP to tame quasi-separation."""
+def _irls(Z, y):
+    """Newton/IRLS for logistic regression on a design with an implicit
+    leading intercept column, stopping when every gradient entry is below
+    IRLS_GRAD_TOL or after IRLS_MAX_ITER steps. Coefficients are capped at
+    +-COEF_CAP to tame quasi-separation."""
     n, p = Z.shape
     D = np.hstack([np.ones((n, 1)), Z])
     beta = np.zeros(p + 1)
     capped = False
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, IRLS_MAX_ITER + 1):
         eta = D @ beta
         mu = _sigmoid(eta)
         grad = D.T @ (y - mu)
-        if penalty:
-            grad[1:] -= 2.0 * penalty * beta[1:]
-        if np.max(np.abs(grad)) < grad_tol:
+        if np.max(np.abs(grad)) < IRLS_GRAD_TOL:
             converged = True
             break
         w = np.maximum(mu * (1.0 - mu), 1e-10)
         H = (D * w[:, None]).T @ D
-        if penalty:
-            H[1:, 1:] += 2.0 * penalty * np.eye(p)
         try:
             step = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
@@ -261,13 +210,14 @@ def _soft_threshold(value, threshold):
 
 
 def _tune_meta(result: "TuneResult") -> dict:
-    return {
+    """The diagnostics entry of a fit whose hyperparameters were tuned."""
+    return {"tuning": {
         "params": result.params,
         "score": result.score,
         "folds": result.folds_used,
         "extensions": result.extensions,
         "at_boundary": result.at_boundary,
-    }
+    }}
 
 
 def fit_elastic_net(
@@ -299,7 +249,7 @@ def fit_elastic_net(
     the fitted coefficients do not depend on the BLAS thread count.
     """
     _require_both_classes(train.y)
-    tuning = None
+    tuning = {}
     if lam is None:
         result = tune("elastic-net", train, grid, folds, seed)
         lam = result.params["lam"]
@@ -358,9 +308,8 @@ def fit_elastic_net(
         "n_outer": outer,
         "capped_inner": capped_inner,
         "seed": seed,
+        **tuning,
     }
-    if tuning is not None:
-        diagnostics["tuning"] = tuning
     return FittedModel(
         kind="elastic-net",
         standardizer=std,
@@ -429,7 +378,7 @@ def fit_logitboost(
     Zero rounds yield the base-rate constant; rounds=None tunes the count
     by cross-validation."""
     _require_both_classes(train.y)
-    tuning = None
+    tuning = {}
     if rounds is None:
         result = tune("logitboost", train, grid, folds, seed)
         rounds = result.params["rounds"]
@@ -471,9 +420,8 @@ def fit_logitboost(
         "final_loss": loss,
         "degenerate_stop": degenerate,
         "seed": seed,
+        **tuning,
     }
-    if tuning is not None:
-        diagnostics["tuning"] = tuning
     return FittedModel(
         kind="logitboost",
         standardizer=train.standardizer,
@@ -517,7 +465,7 @@ def fit_neural_net(
     penalized training loss. Unset hidden/decay are chosen by
     cross-validated tuning."""
     _require_both_classes(train.y)
-    tuning = None
+    tuning = {}
     if hidden is None or decay is None:
         g = grid or TuneGrid()
         if hidden is not None:
@@ -592,9 +540,8 @@ def fit_neural_net(
         "loss": loss,
         "failed_starts": failed_starts,
         "seed": seed,
+        **tuning,
     }
-    if tuning is not None:
-        diagnostics["tuning"] = tuning
     return FittedModel(
         kind="neural-net",
         standardizer=train.standardizer,
@@ -688,13 +635,12 @@ def tune(
     grid: TuneGrid | None = None,
     folds: int = 5,
     seed: int = 0,
-    max_extensions: int = 3,
 ) -> TuneResult:
     """Pick hyperparameters by stratified k-fold CV on mean validation
     area under the precision-recall curve.
 
     A winner sitting on a grid boundary triggers a geometric extension of
-    that axis (at most max_extensions times overall; still-boundary
+    that axis (at most TUNE_MAX_EXTENSIONS times overall; still-boundary
     results are accepted and flagged). Ties prefer the earliest candidate
     in deterministic grid order. Learners without hyperparameters return
     immediately. Folds shrink as needed so every fold holds both classes;
@@ -755,7 +701,7 @@ def tune(
             if s > best_score:
                 best_params, best_score = cand, s
         grew = False
-        if extensions < max_extensions and np.isfinite(best_score):
+        if extensions < TUNE_MAX_EXTENSIONS and np.isfinite(best_score):
             for a in axes:
                 vals = space[a]
                 if len(vals) < 2:

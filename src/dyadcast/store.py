@@ -128,9 +128,6 @@ class LaggedNetwork:
         A.flags.writeable = False
         return A
 
-    def has_edge(self, i: str, j: str) -> bool:
-        return (i, j) in self.edges
-
     def node_list(self) -> list[str]:
         return sorted(self.nodes)
 
@@ -183,10 +180,6 @@ class CovariateTable:
         """Declared names with at least one entry, in declaration order."""
         seen = {key[3] for key in self.entries}
         return [n for n in self.declared if n in seen]
-
-    @staticmethod
-    def empty() -> "CovariateTable":
-        return CovariateTable(entries={})
 
 
 def _open_text(source):

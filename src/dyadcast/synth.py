@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import Saved, decode
 from .errors import GenerationError
 from .seeding import seed_for
 from .store import (
@@ -34,7 +35,7 @@ DEFAULT_SYNTH_COVARIATES = (
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(Saved):
     """Generator parameters. rate_band bounds the overall positive rate
     (events per dyad-period); draws outside it are regenerated with a
     fresh derived seed up to max_attempts times."""
@@ -79,42 +80,9 @@ class SyntheticSpec:
         if self.max_attempts < 1:
             raise GenerationError("max_attempts must be >= 1")
 
-    def to_json(self) -> dict:
-        return {
-            "n_nodes": self.n_nodes,
-            "periods": self.periods,
-            "n_blocks": self.n_blocks,
-            "block_affinity": self.block_affinity,
-            "persistence": self.persistence,
-            "base_rate": self.base_rate,
-            "covariate_effects": dict(self.covariate_effects),
-            "covariate_names": list(self.covariate_names),
-            "time_varying_covariates": self.time_varying_covariates,
-            "initial_edges": [list(e) for e in self.initial_edges],
-            "rate_band": list(self.rate_band),
-            "max_attempts": self.max_attempts,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "SyntheticSpec":
-        known = {
-            "n_nodes", "periods", "n_blocks", "block_affinity", "persistence",
-            "base_rate", "covariate_effects", "covariate_names",
-            "time_varying_covariates", "initial_edges", "rate_band",
-            "max_attempts", "seed",
-        }
-        unknown = set(obj) - known
-        if unknown:
-            raise GenerationError(f"unknown synthetic spec keys: {sorted(unknown)}")
-        kwargs = dict(obj)
-        if "covariate_names" in kwargs:
-            kwargs["covariate_names"] = tuple(kwargs["covariate_names"])
-        if "initial_edges" in kwargs:
-            kwargs["initial_edges"] = tuple(tuple(e) for e in kwargs["initial_edges"])
-        if "rate_band" in kwargs:
-            kwargs["rate_band"] = tuple(kwargs["rate_band"])
-        return SyntheticSpec(**kwargs)
+    @classmethod
+    def from_json(cls, obj: dict) -> "SyntheticSpec":
+        return decode(cls, obj, GenerationError, "synthetic spec")
 
 
 @dataclass(frozen=True)

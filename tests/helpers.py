@@ -10,7 +10,9 @@ from collections import Counter
 
 import numpy as np
 
-from dyadcast import EventPanel, LaggedNetwork, LatentConfig
+from dyadcast import (
+    CommunityPartition, EventPanel, LaggedNetwork, LatentConfig, LatentSpaceFit,
+)
 from dyadcast.learners import COEF_CAP
 
 
@@ -46,14 +48,6 @@ def tiny_latent_config():
     )
 
 
-class StubPartition:
-    def __init__(self, labels):
-        self.labels = labels
-
-    def same_community(self, i, j):
-        return self.labels[i] == self.labels[j]
-
-
 class StubMMSBM:
     def __init__(self, probs):
         self.probs = probs
@@ -62,21 +56,19 @@ class StubMMSBM:
         return self.probs[(i, j)]
 
 
-class StubLatent:
-    def __init__(self, dists):
-        self.dists = dists
-
-    def distance(self, i, j):
-        return self.dists[(i, j)]
-
-
 class StubBundle:
-    """Hand-specified latent fits, for pinning column placement."""
+    """Hand-specified latent fits, for pinning column placement: community
+    labels and latent positions per node, block-model probabilities per
+    dyad."""
 
-    def __init__(self, labels, probs, dists):
-        self.partition = StubPartition(labels)
+    def __init__(self, labels, probs, positions):
+        nodes = tuple(sorted(positions))
+        self.partition = CommunityPartition(labels, modularity=0.0, walk_length=1)
         self.mmsbm = StubMMSBM(probs)
-        self.latent = StubLatent(dists)
+        self.latent = LatentSpaceFit(
+            nodes, np.array([positions[n] for n in nodes], dtype=float),
+            alpha=0.0, objective=0.0, converged=True, degenerate=False,
+        )
 
 
 # ------------------------------------------------------ network features

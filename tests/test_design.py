@@ -27,7 +27,7 @@ def bundle_abc():
     return StubBundle(
         labels={n: 0 for n in NODES},
         probs={(i, j): 0.5 for i in NODES for j in NODES if i != j},
-        dists={(i, j): 1.0 for i in NODES for j in NODES if i != j},
+        positions={n: (float(k), 0.0) for k, n in enumerate(NODES)},
     )
 
 

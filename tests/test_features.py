@@ -22,8 +22,9 @@ def stats(edges, dyads, nodes=(), exclude_focal_flow=False):
     """The network columns of feature_block by name, one value per dyad."""
     net = make_net(edges, nodes)
     labels = {n: 0 for n in net.nodes}
-    zeros = {d: 0.0 for d in dyads}
-    X = feature_block(net, dyads, StubBundle(labels, zeros, zeros), exclude_focal_flow)
+    origin = {n: (0.0, 0.0) for n in net.nodes}
+    X = feature_block(net, dyads, StubBundle(labels, {d: 0.0 for d in dyads}, origin),
+                      exclude_focal_flow)
     return {name: X[:, k].tolist() for k, name in enumerate(NETWORK_COLUMNS)}
 
 
@@ -92,7 +93,7 @@ def test_self_pair_rejected(fn):
     net = make_net([("a", "b")])
     with pytest.raises(ValueError):
         fn(net, "a", "a")
-    bundle = StubBundle({"a": 0, "b": 0}, {("a", "b"): 0.0}, {("a", "b"): 0.0})
+    bundle = StubBundle({"a": 0, "b": 0}, {("a", "b"): 0.0}, {"a": (0.0,), "b": (0.0,)})
     with pytest.raises(ValueError):
         feature_block(net, [("a", "b"), ("a", "a")], bundle)
 
@@ -105,7 +106,7 @@ def test_feature_block_column_order_and_values():
     bundle = StubBundle(
         labels={"a": 0, "b": 0, "c": 1, "d": 1},
         probs={("a", "b"): 0.25, ("b", "a"): 0.125},
-        dists={("a", "b"): 2.0, ("b", "a"): 2.0},
+        positions={"a": (0.0, 0.0), "b": (1.2, -1.6), "c": (3.0, 0.0), "d": (0.0, 1.0)},
     )
     X = feature_block(net, dyads, bundle)
     assert X.shape == (2, len(ENDOGENOUS_FEATURE_NAMES))
@@ -128,6 +129,26 @@ def test_feature_block_column_order_and_values():
     assert b_a["mmsbm-prob"] == 0.125
 
 
+def test_latent_columns_follow_the_node_index():
+    """common-community and latent-distance are read per node from the
+    fits, whatever order the dyads come in; a latent-space fit on another
+    node set is refused."""
+    net = make_net([("a", "b"), ("c", "d")])
+    dyads = [("d", "a"), ("a", "c"), ("c", "d"), ("b", "a")]
+    positions = {"a": (0.0, 0.0), "b": (3.0, 4.0), "c": (6.0, 0.0), "d": (6.0, 8.0)}
+    bundle = StubBundle(
+        labels={"a": 0, "b": 0, "c": 1, "d": 1},
+        probs={d: 0.5 for d in dyads},
+        positions=positions,
+    )
+    X = feature_block(net, dyads, bundle)
+    assert X[:, 5].tolist() == [0.0, 0.0, 1.0, 1.0]
+    assert X[:, 7].tolist() == [10.0, 6.0, 8.0, 5.0]
+    del positions["d"]
+    with pytest.raises(ValueError, match="node set"):
+        feature_block(net, dyads, StubBundle(bundle.partition.labels, {}, positions))
+
+
 def test_feature_block_exclude_focal_flow():
     """The flag removes the focal edge from both degree counts and drops
     no column: only flow changes."""
@@ -136,7 +157,7 @@ def test_feature_block_exclude_focal_flow():
     bundle = StubBundle(
         labels={"a": 0, "b": 0, "c": 1, "d": 1},
         probs={d: 0.5 for d in dyads},
-        dists={d: 1.0 for d in dyads},
+        positions={"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (0.0, 1.0), "d": (1.0, 1.0)},
     )
     X0 = feature_block(net, dyads, bundle)
     X1 = feature_block(net, dyads, bundle, exclude_focal_flow=True)
@@ -152,7 +173,7 @@ def test_feature_block_empty_network():
     bundle = StubBundle(
         labels={"a": 0, "b": 1},
         probs={("a", "b"): 0.0},
-        dists={("a", "b"): 0.0},
+        positions={"a": (0.0, 0.0), "b": (0.0, 0.0)},
     )
     X = feature_block(net, [("a", "b")], bundle)
     assert np.array_equal(X[0, :5], np.zeros(5))

@@ -19,6 +19,7 @@ from dyadcast import (
     ValidationError,
     aggregate_rows,
     generate_synthetic,
+    load_covariates,
     load_run_inputs,
     read_cells_csv,
     run_experiment,
@@ -518,6 +519,26 @@ def test_cli_unknown_nested_keys_exit_2(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: unknown") and "bogus" in err
     assert err.count("\n") == 1
+
+
+def test_cli_rejects_undeclared_covariate_names(tmp_path, capsys):
+    """`dyadcast run` accepts only the nine canonical covariate names; a
+    library caller declares others through load_covariates(extra_names=)."""
+    events = tmp_path / "events.csv"
+    events.write_text("sender,receiver,year\na,b,1\nb,c,2\nc,a,3\n")
+    covariates = tmp_path / "covariates.csv"
+    covariates.write_text("year,i,j,name,value\n1,a,b,coolness,0.5\n")
+    cfg = ExperimentConfig(
+        events=str(events), covariates=str(covariates), first_period=3, last_period=3,
+        lags=(1,), spec_classes=("covariates-only",), learners=("logit",),
+        output_dir=str(tmp_path / "run"),
+    )
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg.to_json()))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "error: undeclared covariate name 'coolness'\n"
+    table = load_covariates(covariates, extra_names=("coolness",))
+    assert table.names_present() == ["coolness"]
 
 
 def test_cli_bad_inputs_exit_2(tmp_path, capsys):
