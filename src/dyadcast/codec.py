@@ -7,12 +7,16 @@ an array anywhere else (a free-form dict) becomes ``{"__array__": ...}``.
 Decoding: dataclass fields recurse, ``tuple`` fields become tuples all the
 way down, arrays come back as float (or as the ``dtype`` in the field's
 metadata), a missing key takes the field's default, and an unknown key is
-an error.
+an error. A value must match its declared type: a list for ``tuple``, an
+object for ``dict``, a number for ``float`` (an integer will do), an
+integer for ``int`` and a boolean for ``bool`` (a boolean is not a
+number), a string for ``str``; ``X | None`` also takes null.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 import typing
 from dataclasses import fields, is_dataclass
 
@@ -59,7 +63,32 @@ def decode(cls, obj, error=ValueError, label=None, _prefix=""):
     })
 
 
+# declared type -> (accepted Python types, name in messages)
+_KINDS = {
+    tuple: (list, "a list"),
+    dict: (dict, "an object"),
+    float: (numbers.Real, "a number"),
+    int: (numbers.Integral, "an integer"),
+    bool: (bool, "a boolean"),
+    str: (str, "a string"),
+}
+
+
+def check(tp, value, error, path):
+    """Raise error, naming path, unless value matches the declared type tp."""
+    args = typing.get_args(tp)
+    if type(None) in args:
+        if value is None:
+            return
+        (tp,) = (a for a in args if a is not type(None))
+    if tp in _KINDS:
+        accepted, name = _KINDS[tp]
+        if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
+            raise error(f"{path} must be {name}, got {value!r}")
+
+
 def _field(f, tp, value, error, path):
+    check(tp, value, error, path)
     if tp is np.ndarray:
         return np.array(value, dtype=f.metadata.get("dtype", float))
     if tp is tuple:

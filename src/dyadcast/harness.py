@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .codec import Saved, decode
+from .codec import Saved, check, decode
 from .design import (
     SPEC_CLASSES,
     SPEC_COMBINED,
@@ -37,7 +37,9 @@ from .errors import (
 )
 from .evaluation import bootstrap_ci, coefficient_ratio, pr_curve, roc_curve, RatioSeries
 from .latent import BundleCache
-from .learners import LEARNERS, TrainingSet, TuneGrid, fit_learner, fit_logit
+from .learners import (
+    LEARNERS, TrainingSet, TuneGrid, fit_learner, fit_logit, learner_keywords,
+)
 from .seeding import seed_for
 from .store import CovariateTable, EventPanel, aggregate_window, load_covariates, load_events
 
@@ -90,9 +92,19 @@ class ExperimentConfig(Saved):
                 raise ValidationError(f"unknown learner {kind!r}")
         if not self.spec_classes or not self.learners:
             raise ValidationError("need at least one spec class and one learner")
-        for kind in self.learner_params:
+        for kind, params in self.learner_params.items():
             if kind not in LEARNERS:
                 raise ValidationError(f"learner_params for unknown learner {kind!r}")
+            path = f"learner_params.{kind}"
+            check(dict, params, ValidationError, path)
+            accepted = learner_keywords(kind)
+            unknown = sorted(set(params) - set(accepted))
+            if unknown:
+                raise ValidationError(
+                    f"unknown {path} keys: {unknown}; accepted: {sorted(accepted)}"
+                )
+            for name, value in params.items():
+                check(accepted[name], value, ValidationError, f"{path}.{name}")
         if self.depth < 1:
             raise ValidationError(f"depth must be >= 1, got {self.depth}")
         if self.tune_folds < 2:

@@ -10,8 +10,10 @@ learner ends in a sigmoid.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import operator
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -330,27 +332,35 @@ def _best_stump(Z, w, z, orders):
     Returns (feature, threshold, left_value, right_value). Ties resolve to
     the lowest feature index, then the lowest threshold. When no feature
     has two distinct values the stump degenerates to the weighted mean
-    (feature -1)."""
+    (feature -1).
+
+    Each column's gains at all of its boundaries are computed as arrays.
+    The rule "a later cut wins only if its gain exceeds best + 1e-15" then
+    runs, in scan order, over the cuts whose gain exceeds every earlier
+    gain, the only ones that can win: a cut passed over had a gain at most
+    the rounded best + 1e-15 of its turn, the best only grows, and rounding
+    is monotone, so no slack is needed."""
     total_w = float(w.sum())
     total_wz = float((w * z).sum())
+    wz = w * z
     best = None
-    best_gain = -np.inf
-    for feat in range(Z.shape[1]):
-        order = orders[feat]
+    best_gain = top = -np.inf
+    for feat, order in enumerate(orders):
         zs = Z[order, feat]
-        cw = np.cumsum(w[order])
-        cwz = np.cumsum((w * z)[order])
-        boundary = np.flatnonzero(zs[1:] > zs[:-1])
-        for cut in boundary:
-            wl, wzl = cw[cut], cwz[cut]
-            wr, wzr = total_w - wl, total_wz - wzl
-            if wl <= 0.0 or wr <= 0.0:
-                continue
-            gain = wzl * wzl / wl + wzr * wzr / wr
-            if gain > best_gain + 1e-15:
-                best_gain = gain
-                thr = 0.5 * (zs[cut] + zs[cut + 1])
-                best = (feat, float(thr), float(wzl / wl), float(wzr / wr))
+        cut = np.flatnonzero(zs[1:] > zs[:-1])
+        wl = np.cumsum(w[order])[cut]
+        wzl = np.cumsum(wz[order])[cut]
+        wr, wzr = total_w - wl, total_wz - wzl
+        keep = ~((wl <= 0.0) | (wr <= 0.0))
+        cut, wl, wzl, wr, wzr = cut[keep], wl[keep], wzl[keep], wr[keep], wzr[keep]
+        gain = wzl * wzl / wl + wzr * wzr / wr
+        earlier = np.fmax.accumulate(np.concatenate(([top], gain)))
+        top = earlier[-1]
+        for k in np.flatnonzero(gain > earlier[:-1]).tolist():
+            if gain[k] > best_gain + 1e-15:
+                best_gain = gain[k]
+                thr = 0.5 * (zs[cut[k]] + zs[cut[k] + 1])
+                best = (feat, float(thr), float(wzl[k] / wl[k]), float(wzr[k] / wr[k]))
     if best is None:
         mean = total_wz / total_w
         return (-1, 0.0, float(mean), float(mean))
@@ -581,16 +591,34 @@ def fit_learner(
 ) -> FittedModel:
     """Dispatch to one of the four learners; unset hyperparameters are
     tuned internally."""
-    params = dict(params or {})
+    fit = _fit_function(kind)
     if kind == "logit":
-        return fit_logit(train)
-    if kind == "elastic-net":
-        return fit_elastic_net(train, grid=grid, folds=folds, seed=seed, **params)
-    if kind == "logitboost":
-        return fit_logitboost(train, grid=grid, folds=folds, seed=seed, **params)
-    if kind == "neural-net":
-        return fit_neural_net(train, grid=grid, folds=folds, seed=seed, **params)
-    raise ValueError(f"unknown learner {kind!r}")
+        return fit(train)
+    return fit(train, grid=grid, folds=folds, seed=seed, **dict(params or {}))
+
+
+def _fit_function(kind: str):
+    fits = {
+        "logit": fit_logit,
+        "elastic-net": fit_elastic_net,
+        "logitboost": fit_logitboost,
+        "neural-net": fit_neural_net,
+    }
+    if kind not in fits:
+        raise ValueError(f"unknown learner {kind!r}")
+    return fits[kind]
+
+
+def learner_keywords(kind: str) -> dict:
+    """The learner_params keys learner `kind` accepts, each with its declared
+    type: the keywords of its fit function that fit_learner does not set."""
+    fit = _fit_function(kind)
+    types = typing.get_type_hints(fit)
+    return {
+        name: types[name]
+        for name in inspect.signature(fit).parameters
+        if name not in ("train", "grid", "folds", "seed")
+    }
 
 
 def cv_folds(y, folds: int, seed: int) -> np.ndarray:

@@ -241,6 +241,41 @@ def elastic_net_objective(Z, y, lam, intercept, coef):
     return nll + lam * float(np.sum(np.abs(coef)) + np.sum(np.square(coef)))
 
 
+# ----------------------------------------------------------- logitboost
+
+def best_stump_oracle(Z, w, z, orders):
+    """Weighted least-squares optimal single split, one cut at a time.
+
+    Returns (feature, threshold, left_value, right_value). Ties resolve to
+    the lowest feature index, then the lowest threshold. When no feature
+    has two distinct values the stump degenerates to the weighted mean
+    (feature -1)."""
+    total_w = float(w.sum())
+    total_wz = float((w * z).sum())
+    best = None
+    best_gain = -np.inf
+    for feat in range(Z.shape[1]):
+        order = orders[feat]
+        zs = Z[order, feat]
+        cw = np.cumsum(w[order])
+        cwz = np.cumsum((w * z)[order])
+        boundary = np.flatnonzero(zs[1:] > zs[:-1])
+        for cut in boundary:
+            wl, wzl = cw[cut], cwz[cut]
+            wr, wzr = total_w - wl, total_wz - wzl
+            if wl <= 0.0 or wr <= 0.0:
+                continue
+            gain = wzl * wzl / wl + wzr * wzr / wr
+            if gain > best_gain + 1e-15:
+                best_gain = gain
+                thr = 0.5 * (zs[cut] + zs[cut + 1])
+                best = (feat, float(thr), float(wzl / wl), float(wzr / wr))
+    if best is None:
+        mean = total_wz / total_w
+        return (-1, 0.0, float(mean), float(mean))
+    return best
+
+
 # ----------------------------------------------------------- partitions
 
 def set_partitions(items):

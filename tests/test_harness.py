@@ -29,6 +29,7 @@ from dyadcast import (
 )
 from dyadcast.cli import main
 from dyadcast.harness import AGGREGATE_HEADER, CELLS_HEADER, RATIOS_HEADER
+from dyadcast.learners import LEARNERS, learner_keywords
 
 from helpers import make_panel
 
@@ -519,6 +520,79 @@ def test_cli_unknown_nested_keys_exit_2(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: unknown") and "bogus" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ({"lags": 5}, "lags must be a list, got 5"),
+        ({"features": {"latent": {"mmsbm_k": "4"}}},
+         "features.latent.mmsbm_k must be an integer, got '4'"),
+        ({"depth": True}, "depth must be an integer, got True"),
+        ({"bootstrap_level": "0.9"}, "bootstrap_level must be a number, got '0.9'"),
+        ({"tune_grid": {"boost_rounds": 10}}, "tune_grid.boost_rounds must be a list, got 10"),
+        ({"events": 3}, "events must be a string, got 3"),
+        ({"learner_params": []}, "learner_params must be an object, got []"),
+    ],
+)
+def test_cli_mistyped_config_values_exit_2(tmp_path, capsys, bad, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_config_value_types_follow_the_fields():
+    """An integer will do for a float field, null for an optional one."""
+    cfg = ExperimentConfig.from_json({"events": None, "bootstrap_level": 0.5,
+                                      "features": {"max_missing": 1}})
+    assert cfg.features.max_missing == 1 and cfg.events is None
+    assert ExperimentConfig.from_json({"lags": [2]}).lags == (2,)
+
+
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        ({"logitboost": {"round": 5}},
+         "unknown learner_params.logitboost keys: ['round']; accepted: ['rounds']"),
+        ({"logitboost": {"rounds": "5"}},
+         "learner_params.logitboost.rounds must be an integer, got '5'"),
+        ({"neural-net": {"hidden": 2.5}},
+         "learner_params.neural-net.hidden must be an integer, got 2.5"),
+        ({"elastic-net": {"lam": True}},
+         "learner_params.elastic-net.lam must be a number, got True"),
+        ({"logit": {"rounds": 5}}, "unknown learner_params.logit keys: ['rounds']; accepted: []"),
+        ({"elastic-net": 0.01}, "learner_params.elastic-net must be an object, got 0.01"),
+    ],
+)
+def test_cli_bad_learner_params_exit_2_before_reading_data(
+    cli_world, tmp_path, capsys, monkeypatch, params, message
+):
+    import dyadcast.harness as hz
+
+    paths, _ = cli_world
+    reads = []
+    monkeypatch.setattr(hz, "load_events", lambda *a: reads.append(a))
+    monkeypatch.setattr(hz, "load_covariates", lambda *a: reads.append(a))
+    cfg_path = tmp_path / "config.json"
+    doc = cli_config_json(paths, tmp_path / "run")
+    doc["learner_params"] = params
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert reads == []
+
+
+def test_learner_params_accept_the_fit_keywords():
+    """The accepted keys are the keywords of each fit function."""
+    assert {kind: sorted(learner_keywords(kind)) for kind in LEARNERS} == {
+        "logit": [],
+        "elastic-net": ["lam", "max_outer"],
+        "logitboost": ["rounds"],
+        "neural-net": ["decay", "grad_tol", "hidden", "max_iter", "restarts"],
+    }
+    fast_config(learner_params={"logitboost": {"rounds": None},
+                                "neural-net": {"decay": 1, "grad_tol": 1e-4}}).validate()
 
 
 def test_cli_rejects_undeclared_covariate_names(tmp_path, capsys):

@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dyadcast.learners as learners
 from dyadcast import (
     FitError,
     FittedModel,
@@ -10,18 +12,23 @@ from dyadcast import (
     Standardizer,
     TrainingSet,
     TuneGrid,
+    ExperimentConfig,
+    SyntheticSpec,
     TuningError,
     fit_elastic_net,
     fit_learner,
     fit_logit,
     fit_logitboost,
     fit_neural_net,
+    generate_synthetic,
     predict,
+    run_experiment,
     tune,
 )
-from dyadcast.learners import _sigmoid, nn_loss_and_grads
+from dyadcast.learners import _best_stump, _sigmoid, nn_loss_and_grads
+from dyadcast.store import CANONICAL_COVARIATES
 
-from helpers import elastic_net_objective, elastic_net_residual_oracle
+from helpers import best_stump_oracle, elastic_net_objective, elastic_net_residual_oracle
 
 
 def logistic_sample(n=80, beta=(1.5, -2.0, 0.7), seed=3):
@@ -290,6 +297,171 @@ def test_logitboost_jittered_xor_learnable():
     model = fit_logitboost(TrainingSet.build(X, y, ("u", "v")), rounds=500)
     acc = np.mean((model.predict_proba(X, ("u", "v")) >= 0.5) == y)
     assert acc >= 0.95
+
+
+def stump_case(Z, w, z):
+    Z = np.asarray(Z, dtype=float).reshape(len(w), -1)
+    orders = [np.argsort(Z[:, k], kind="stable") for k in range(Z.shape[1])]
+    return Z, np.asarray(w, dtype=float), np.asarray(z, dtype=float), orders
+
+
+def assert_stump_matches_oracle(Z, w, z, orders):
+    got = _best_stump(Z, w, z, orders)
+    assert got == best_stump_oracle(Z, w, z, orders)
+    assert [type(v) for v in got] == [int, float, float, float]
+    return got
+
+
+def planted_gains(Z, w, z, orders):
+    """Every gain the scan evaluates, in scan order."""
+    total_w, total_wz = float(w.sum()), float((w * z).sum())
+    gains = []
+    for feat, order in enumerate(orders):
+        zs = Z[order, feat]
+        for cut in np.flatnonzero(zs[1:] > zs[:-1]):
+            wl, wzl = np.cumsum(w[order])[cut], np.cumsum((w * z)[order])[cut]
+            wr, wzr = total_w - wl, total_wz - wzl
+            if wl > 0.0 and wr > 0.0:
+                gains.append(wzl * wzl / wl + wzr * wzr / wr)
+    return np.array(gains)
+
+
+def test_stump_duplicated_columns_pick_the_first():
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=40)
+    case = stump_case(np.column_stack([np.zeros(40), x, x, x]), np.full(40, 0.25), x > 0.3)
+    assert assert_stump_matches_oracle(*case)[0] == 1
+
+
+def test_stump_constant_columns_degenerate_to_the_mean():
+    w, z = [0.1, 0.2, 0.3, 0.4], [1.0, -2.0, 0.5, 3.0]
+    case = stump_case(np.column_stack([np.full(4, 2.0), np.full(4, -1.0)]), w, z)
+    feat, thr, lo, hi = assert_stump_matches_oracle(*case)
+    assert (feat, thr) == (-1, 0.0) and lo == hi == pytest.approx(1.05)
+    assert assert_stump_matches_oracle(*stump_case(np.zeros((4, 0)), w, z))[0] == -1
+    case = stump_case(np.column_stack([np.full(4, 2.0), [0, 1, 1, 0]]), w, z)
+    assert assert_stump_matches_oracle(*case)[0] == 1
+
+
+def test_stump_threshold_ties_pick_the_lowest():
+    """Mirror-image cuts of a two-valued response with equal weights have
+    exactly equal gains; the lower threshold wins."""
+    case = stump_case([0.0, 1.0, 2.0, 3.0], np.full(4, 0.25), [1.0, -1.0, -1.0, 1.0])
+    gains = planted_gains(*case)
+    assert gains[0] == gains[2] == gains.max()
+    assert assert_stump_matches_oracle(*case)[:2] == (0, 0.5)
+
+
+def test_stump_gain_chains_within_rounding():
+    """A constant response makes every cut's gain total_w * z**2 up to
+    rounding, so the gains form a chain a few 1e-15 apart. A later cut that
+    beats the best by less than 1e-15 is passed over, so the kept cut is
+    not the first maximum."""
+    rng = np.random.default_rng(31)
+    Z = rng.integers(0, 6, size=(50, 3)).astype(float)
+    w = rng.choice([0.1, 0.2, 0.3], size=50)
+    case = stump_case(Z, w, np.full(50, np.sqrt(6.0 / w.sum())))
+    gains = planted_gains(*case)
+    assert 1e-15 < gains.max() - gains.min() < 1e-14 and len(np.unique(gains)) > 2
+    kept, best = None, -np.inf
+    for k, gain in enumerate(gains):
+        if gain > best + 1e-15:
+            kept, best = k, gain
+    assert kept != np.argmax(gains)
+    assert_stump_matches_oracle(*case)
+
+
+def test_stump_skips_a_last_cut_with_no_weight_on_the_right():
+    """The cumulative weight at the last cut rounds to the total, so the
+    right side has weight <= 0 and that cut is skipped."""
+    case = stump_case([0.0, 1.0, 2.0], [0.5, 0.5, 1e-17], [1.0, -1.0, 5.0])
+    _, w, _, _ = case
+    assert w[-1] > 0.0 and float(w.sum()) - np.cumsum(w)[-2] <= 0.0
+    assert assert_stump_matches_oracle(*case)[:2] == (0, 0.5)
+
+
+@st.composite
+def stump_problems(draw):
+    n = draw(st.integers(1, 24))
+    p = draw(st.integers(0, 4))
+    levels = draw(st.integers(1, 4))
+    cols = [
+        draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
+        for _ in range(p)
+    ]
+    if p >= 2 and draw(st.booleans()):
+        cols[-1] = cols[0]
+    Z = np.array(cols, dtype=float).T.reshape(n, p)
+    if draw(st.booleans()):
+        Z = Z + np.array(
+            draw(st.lists(st.floats(-1, 1), min_size=n * p, max_size=n * p))
+        ).reshape(n, p)
+    w_kind = draw(st.sampled_from(["equal", "levels", "free", "tiny-tail"]))
+    if w_kind == "equal":
+        w = np.full(n, 0.25)
+    elif w_kind == "levels":
+        w = np.array(draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3]), min_size=n, max_size=n)))
+        w[0] = 0.1
+    else:
+        w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+        if w_kind == "tiny-tail":
+            w[-1] = 1e-17
+    z_kind = draw(st.sampled_from(["two-valued", "constant", "free"]))
+    if z_kind == "two-valued":
+        z = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    elif z_kind == "constant":
+        z = np.full(n, draw(st.sampled_from([1 / 3, 0.1, -2.0])))
+    else:
+        z = np.array(draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n)))
+    return stump_case(Z, w, z)
+
+
+@settings(max_examples=300)
+@given(stump_problems())
+def test_stump_matches_sequential_oracle(case):
+    assert_stump_matches_oracle(*case)
+
+
+def test_stump_search_on_every_round_matches_oracle(monkeypatch):
+    """A fit whose every stump comes from the oracle is identical to the
+    real fit, on a design with duplicated and rounded columns."""
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(300, 3))
+    X = np.column_stack([x, x[:, 0], np.round(x[:, 1], 1), np.round(x[:, 2])])
+    y = (rng.random(300) < _sigmoid(x[:, 0] - np.round(x[:, 1], 1))).astype(float)
+    train = TrainingSet.build(X, y, tuple("abcdef"))
+    real = fit_logitboost(train, rounds=60)
+    monkeypatch.setattr(learners, "_best_stump", best_stump_oracle)
+    pinned = fit_logitboost(train, rounds=60)
+    assert len(real.params["stumps"]) == 60
+    assert real.params == pinned.params
+    assert real.diagnostics["final_loss"] == pinned.diagnostics["final_loss"]
+
+
+def test_stump_search_matches_oracle_on_a_covariate_world(monkeypatch):
+    """Every logitboost cell of a small world with all nine covariates,
+    time-varying, fits the same model with the oracle's stumps."""
+    panel, table, _ = generate_synthetic(SyntheticSpec(
+        n_nodes=8, periods=5, base_rate=0.05, persistence=0.3,
+        covariate_names=CANONICAL_COVARIATES,
+        covariate_effects={
+            "contiguity": 1.0, "capital-distance": -0.7,
+            "joint-democracy": -0.5, "trade-dependence": 0.4,
+        },
+        time_varying_covariates=True, seed=0,
+    ))
+    config = ExperimentConfig(
+        first_period=3, last_period=5, lags=(1,), spec_classes=("covariates-only",),
+        learners=("logitboost",), learner_params={"logitboost": {"rounds": 50}},
+        bootstrap_replicates=10,
+    )
+    real = run_experiment(config, panel, table).models
+    monkeypatch.setattr(learners, "_best_stump", best_stump_oracle)
+    pinned = run_experiment(config, panel, table).models
+    assert len(real) == 3 and real.keys() == pinned.keys()
+    for key, model in real.items():
+        assert model.params == pinned[key].params
+        assert model.diagnostics["final_loss"] == pinned[key].diagnostics["final_loss"]
 
 
 # ------------------------------------------------------------ neural net

@@ -191,6 +191,20 @@ def test_spec_from_json_rejects_unknown_keys():
         SyntheticSpec.from_json({"n_nodes": 5, "flavor": "hot"})
 
 
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ({"n_nodes": "5"}, "n_nodes must be an integer, got '5'"),
+        ({"covariate_names": "contiguity"}, "covariate_names must be a list"),
+        ({"covariate_effects": [1.0]}, "covariate_effects must be an object"),
+        ({"time_varying_covariates": 1}, "time_varying_covariates must be a boolean"),
+    ],
+)
+def test_spec_from_json_checks_value_types(bad, message):
+    with pytest.raises(GenerationError, match=message):
+        SyntheticSpec.from_json(bad)
+
+
 def test_save_and_reload_round_trip(tmp_path):
     panel, table, _ = generate_synthetic(
         SyntheticSpec(n_nodes=5, periods=4, base_rate=0.2, seed=8)
