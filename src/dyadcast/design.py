@@ -3,14 +3,15 @@
 A design row is one ordered dyad (i, j) at a focal period t.  The label is
 whether an i->j event occurs at t.  Predictors are computed strictly from
 information available before t: network structure over [t-L, t-1] and
-covariates recorded at t-1 (offset configurable).
+covariates recorded at t-1 (the offset is configurable, but at least 1).
 """
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .codec import Positive, Share, checked
 from .errors import DataError, SchemaError
 from .features import ENDOGENOUS_FEATURE_NAMES, feature_block
 from .latent import LatentBundle, LatentConfig
@@ -20,6 +21,7 @@ SPEC_ENDOGENOUS = "endogenous-only"
 SPEC_COVARIATES = "covariates-only"
 SPEC_COMBINED = "combined"
 SPEC_CLASSES = (SPEC_ENDOGENOUS, SPEC_COVARIATES, SPEC_COMBINED)
+SpecClass = Literal[SPEC_CLASSES]
 
 
 @dataclass
@@ -28,8 +30,8 @@ class FeatureConfig:
 
     latent: LatentConfig = field(default_factory=LatentConfig)
     exclude_focal_flow: bool = False
-    covariate_offset: int = 1
-    max_missing: float = 0.5
+    covariate_offset: Positive = 1
+    max_missing: Share = 0.5
 
 
 @dataclass(frozen=True)
@@ -94,11 +96,12 @@ def _covariate_block(
     return out_names, X
 
 
+@checked
 def build_design(
     panel: EventPanel,
     period: int,
-    lag: int,
-    spec_class: str,
+    lag: Positive,
+    spec_class: SpecClass,
     config: FeatureConfig,
     bundle: Optional[LatentBundle] = None,
     covariates: Optional[CovariateTable] = None,
@@ -108,11 +111,6 @@ def build_design(
     ``bundle`` must hold latent-structure fits for the window [period-lag,
     period-1]; it is required whenever endogenous features are in play.
     """
-    if spec_class not in SPEC_CLASSES:
-        raise ValueError(f"unknown spec class {spec_class!r}")
-    if lag < 1:
-        raise ValueError("lag must be >= 1")
-
     net = aggregate_window(panel, period - lag, period - 1)
     dyads = eligible_dyads(panel, period)
 

@@ -1,63 +1,23 @@
-"""Rare-event scoring: contingency metrics, ROC/PR curves, bootstrap
-intervals, rolling means, and the coefficient-ratio diagnostic.
+"""Rare-event scoring: ROC/PR curves, bootstrap intervals, rolling means,
+and the coefficient-ratio diagnostic.
 
-Undefined quantities (zero-denominator rates, ratios with a vanishing
-denominator) are marked with NaN rather than raising, so callers can
-carry them through tables; genuinely unanswerable requests (curves
-without both classes) raise EvaluationError instead.
+Undefined quantities (ratios with a vanishing denominator, rolling windows
+without a defined value) are marked with NaN rather than raising, so
+callers can carry them through tables; genuinely unanswerable requests
+(curves without both classes) raise EvaluationError instead.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import Level, Positive, checked
 from .errors import EvaluationError, SchemaError
 
 UNDEFINED = float("nan")
-
-
-@dataclass(frozen=True)
-class ContingencyCounts:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-
-def contingency(scores, labels, threshold: float) -> ContingencyCounts:
-    """Counts at a single cut: predicted positive iff score >= threshold."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape:
-        raise ValueError(f"scores shape {scores.shape} != labels shape {labels.shape}")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0,1], got {threshold}")
-    pred = scores >= threshold
-    pos = labels == 1
-    tp = int(np.sum(pred & pos))
-    fp = int(np.sum(pred & ~pos))
-    fn = int(np.sum(~pred & pos))
-    tn = int(np.sum(~pred & ~pos))
-    return ContingencyCounts(tp, fp, fn, tn)
-
-
-def metrics(counts: ContingencyCounts):
-    """(precision, recall, fpr). Precision over zero predicted positives is
-    1 by convention; recall/fpr with empty denominators are NaN."""
-    pp = counts.tp + counts.fp
-    precision = 1.0 if pp == 0 else counts.tp / pp
-    pos = counts.tp + counts.fn
-    recall = UNDEFINED if pos == 0 else counts.tp / pos
-    neg = counts.fp + counts.tn
-    fpr = UNDEFINED if neg == 0 else counts.fp / neg
-    return precision, recall, fpr
 
 
 @dataclass(frozen=True)
@@ -65,12 +25,6 @@ class Curve:
     kind: str
     points: tuple
     auc: float
-
-    def write_csv(self, stream) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["x", "y"])
-        for x, y in self.points:
-            writer.writerow([repr(float(x)), repr(float(y))])
 
 
 def _grouped_counts(scores, labels):
@@ -133,13 +87,12 @@ def pr_curve(scores, labels) -> Curve:
     return Curve(kind="PR", points=points, auc=auc)
 
 
-def bootstrap_ci(values, replicates: int = 10000, seed: int = 0, level: float = 0.95):
+@checked
+def bootstrap_ci(values, replicates: Positive = 10000, seed: int = 0, level: Level = 0.95):
     """Percentile interval of resampled means."""
     values = np.asarray(values, dtype=float)
     if len(values) < 2:
         raise ValueError(f"bootstrap needs >= 2 values, got {len(values)}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0,1), got {level}")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(values), size=(replicates, len(values)))
     means = values[idx].mean(axis=1)

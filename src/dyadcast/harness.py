@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .codec import Saved, check, decode
+from .codec import Folds, Level, NonEmpty, Positive, Saved, check, check_fields, decode
 from .design import (
     SPEC_CLASSES,
     SPEC_COMBINED,
     SPEC_COVARIATES,
     FeatureConfig,
+    SpecClass,
     build_design,
     stack_designs,
 )
@@ -38,7 +39,7 @@ from .errors import (
 from .evaluation import bootstrap_ci, coefficient_ratio, pr_curve, roc_curve, RatioSeries
 from .latent import BundleCache
 from .learners import (
-    LEARNERS, TrainingSet, TuneGrid, fit_learner, fit_logit, learner_keywords,
+    LEARNERS, Learner, TrainingSet, TuneGrid, fit_learner, fit_logit, learner_keywords,
 )
 from .seeding import seed_for
 from .store import CovariateTable, EventPanel, aggregate_window, load_covariates, load_events
@@ -61,42 +62,33 @@ class ExperimentConfig(Saved):
     covariates: str | None = None
     first_period: int = 1979
     last_period: int = 2001
-    lags: tuple = (1, 5, 10)
-    spec_classes: tuple = SPEC_CLASSES
-    learners: tuple = LEARNERS
-    depth: int = 1
+    lags: NonEmpty[Positive] = (1, 5, 10)
+    spec_classes: NonEmpty[SpecClass] = SPEC_CLASSES
+    learners: NonEmpty[Learner] = LEARNERS
+    depth: Positive = 1
     master_seed: int = 0
-    tune_folds: int = 5
+    tune_folds: Folds = 5
     tune_grid: TuneGrid = field(default_factory=TuneGrid)
-    learner_params: dict = field(default_factory=dict)
+    learner_params: dict[str, dict] = field(default_factory=dict)
     features: FeatureConfig = field(default_factory=FeatureConfig)
-    bootstrap_replicates: int = 10000
-    bootstrap_level: float = 0.95
+    bootstrap_replicates: Positive = 10000
+    bootstrap_level: Level = 0.95
     output_dir: str = "dyadcast-out"
     dump_models: bool = False
 
     def validate(self) -> None:
+        """Declared types and bounds, then the rules between fields."""
+        check_fields(self, ValidationError)
         if self.first_period > self.last_period:
             raise ValidationError(
                 f"empty period range {self.first_period}..{self.last_period}"
             )
-        if not self.lags or any(lag < 1 for lag in self.lags):
-            raise ValidationError(f"lags must be positive, got {self.lags}")
         if len(set(self.lags)) != len(self.lags):
             raise ValidationError(f"duplicate lags in {self.lags}")
-        for spec in self.spec_classes:
-            if spec not in SPEC_CLASSES:
-                raise ValidationError(f"unknown spec class {spec!r}")
-        for kind in self.learners:
-            if kind not in LEARNERS:
-                raise ValidationError(f"unknown learner {kind!r}")
-        if not self.spec_classes or not self.learners:
-            raise ValidationError("need at least one spec class and one learner")
         for kind, params in self.learner_params.items():
             if kind not in LEARNERS:
                 raise ValidationError(f"learner_params for unknown learner {kind!r}")
             path = f"learner_params.{kind}"
-            check(dict, params, ValidationError, path)
             accepted = learner_keywords(kind)
             unknown = sorted(set(params) - set(accepted))
             if unknown:
@@ -105,16 +97,6 @@ class ExperimentConfig(Saved):
                 )
             for name, value in params.items():
                 check(accepted[name], value, ValidationError, f"{path}.{name}")
-        if self.depth < 1:
-            raise ValidationError(f"depth must be >= 1, got {self.depth}")
-        if self.tune_folds < 2:
-            raise ValidationError(f"tune_folds must be >= 2, got {self.tune_folds}")
-        if self.bootstrap_replicates < 1:
-            raise ValidationError("bootstrap_replicates must be >= 1")
-        if not 0.0 < self.bootstrap_level < 1.0:
-            raise ValidationError(
-                f"bootstrap_level must be in (0,1), got {self.bootstrap_level}"
-            )
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":

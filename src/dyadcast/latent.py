@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Saved, encode
+from .codec import Count, NonNegative, Positive, Saved, checked, encode
 from .errors import FitError
 from .seeding import seed_for
 from .store import LaggedNetwork
@@ -86,7 +86,8 @@ def _dsigma(size1, phat1, size2, phat2, d, n):
     return (size1 * size2) / (size1 + size2) / n * r2
 
 
-def walktrap(net: LaggedNetwork, walk_length: int = 4) -> CommunityPartition:
+@checked
+def walktrap(net: LaggedNetwork, walk_length: Positive = 4) -> CommunityPartition:
     """Agglomerative short-random-walk clustering, cut at max modularity.
 
     The walk runs on the lazy chain (unit self-loops added), communities
@@ -96,8 +97,6 @@ def walktrap(net: LaggedNetwork, walk_length: int = 4) -> CommunityPartition:
     original graph; ties keep the earliest (least merged) stage. Nodes in
     separate components are never merged together.
     """
-    if walk_length < 1:
-        raise ValueError(f"walk_length must be >= 1, got {walk_length}")
     nodes = net.node_list()
     A = np.maximum(net.adjacency, net.adjacency.T)
     und_edges = [tuple(e) for e in np.argwhere(np.triu(A, 1)).tolist()]
@@ -232,12 +231,13 @@ class MMSBMFit(Saved):
 MMSBM_EPS = 1e-6
 
 
+@checked
 def fit_mmsbm(
     net: LaggedNetwork,
-    K: int = 4,
-    restarts: int = 5,
-    max_iter: int = 300,
-    tol: float = 1e-7,
+    K: Positive = 4,
+    restarts: Positive = 5,
+    max_iter: Count = 300,
+    tol: NonNegative = 1e-7,
     seed: int = 0,
 ) -> MMSBMFit:
     """Penalized EM for sender/receiver role mixtures.
@@ -253,8 +253,6 @@ def fit_mmsbm(
     non-decreasing across iterations. The best of `restarts` random
     initializations wins by that objective.
     """
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
     nodes = tuple(net.node_list())
     n = len(nodes)
     if n < K:
@@ -331,12 +329,13 @@ ALPHA_CAP = 30.0
 LATENT_GRAD_TOL = 1e-5
 
 
+@checked
 def fit_latent_space(
     net: LaggedNetwork,
-    dim: int = 2,
-    tau: float = 0.1,
-    starts: int = 3,
-    max_iter: int = 500,
+    dim: Positive = 2,
+    tau: NonNegative = 0.1,
+    starts: Positive = 3,
+    max_iter: Count = 500,
     seed: int = 0,
 ) -> LatentSpaceFit:
     """MAP fit of P(i->j) = sigmoid(alpha - ||z_i - z_j||).
@@ -426,15 +425,15 @@ def fit_latent_space(
 class LatentConfig:
     """Knobs for all three latent fits; hashed into the cache key."""
 
-    walk_length: int = 4
-    mmsbm_k: int = 4
-    mmsbm_restarts: int = 5
-    mmsbm_max_iter: int = 300
-    mmsbm_tol: float = 1e-7
-    latent_dim: int = 2
-    latent_tau: float = 0.1
-    latent_starts: int = 3
-    latent_max_iter: int = 500
+    walk_length: Positive = 4
+    mmsbm_k: Positive = 4
+    mmsbm_restarts: Positive = 5
+    mmsbm_max_iter: Count = 300
+    mmsbm_tol: NonNegative = 1e-7
+    latent_dim: Positive = 2
+    latent_tau: NonNegative = 0.1
+    latent_starts: Positive = 3
+    latent_max_iter: Count = 500
 
     def fingerprint(self) -> str:
         payload = json.dumps(encode(self), sort_keys=True)

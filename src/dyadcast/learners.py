@@ -15,10 +15,11 @@ import itertools
 import operator
 import typing
 from dataclasses import dataclass, field, replace
+from typing import Literal
 
 import numpy as np
 
-from .codec import Saved
+from .codec import Count, Folds, NonEmpty, NonNegative, Positive, Saved, checked
 from .errors import EvaluationError, FitError, SchemaError, TuningError
 from .evaluation import pr_curve
 from .seeding import seed_for
@@ -29,6 +30,7 @@ IRLS_GRAD_TOL = 1e-8
 TUNE_MAX_EXTENSIONS = 3
 
 LEARNERS = ("logit", "elastic-net", "logitboost", "neural-net")
+Learner = Literal[LEARNERS]
 
 
 @dataclass
@@ -155,11 +157,6 @@ class FittedModel(Saved):
         return dict(zip(self.standardizer.kept_names(), self.params["coef"]))
 
 
-def predict(model: FittedModel, X: np.ndarray, names) -> np.ndarray:
-    """Score rows with a fitted model; names must match the training schema."""
-    return model.predict_proba(X, names)
-
-
 def _irls(Z, y):
     """Newton/IRLS for logistic regression on a design with an implicit
     leading intercept column, stopping when every gradient entry is below
@@ -222,13 +219,14 @@ def _tune_meta(result: "TuneResult") -> dict:
     }}
 
 
+@checked
 def fit_elastic_net(
     train: TrainingSet,
     grid: "TuneGrid | None" = None,
-    folds: int = 5,
+    folds: Folds = 5,
     seed: int = 0,
-    lam: float | None = None,
-    max_outer: int = 100,
+    lam: NonNegative | None = None,
+    max_outer: Count = 100,
 ) -> FittedModel:
     """Penalized logistic regression minimizing
 
@@ -256,8 +254,6 @@ def fit_elastic_net(
         result = tune("elastic-net", train, grid, folds, seed)
         lam = result.params["lam"]
         tuning = _tune_meta(result)
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
     Z, yv = train.Z, train.y
     p = Z.shape[1]
     beta0 = 0.0
@@ -371,12 +367,13 @@ def _nll(F, y):
     return float(np.sum(np.logaddexp(0.0, F) - y * F))
 
 
+@checked
 def fit_logitboost(
     train: TrainingSet,
     grid: "TuneGrid | None" = None,
-    folds: int = 5,
+    folds: Folds = 5,
     seed: int = 0,
-    rounds: int | None = None,
+    rounds: Count | None = None,
 ) -> FittedModel:
     """Additive stumps fitted on the log-odds scale.
 
@@ -393,8 +390,6 @@ def fit_logitboost(
         result = tune("logitboost", train, grid, folds, seed)
         rounds = result.params["rounds"]
         tuning = _tune_meta(result)
-    if rounds < 0:
-        raise ValueError(f"rounds must be >= 0, got {rounds}")
     Z, yv = train.Z, train.y
     orders = [np.argsort(Z[:, k], kind="stable") for k in range(Z.shape[1])]
     base = float(yv.mean())
@@ -459,16 +454,17 @@ def nn_loss_and_grads(Z, y, W1, b1, w2, b2, decay):
     return loss, g_W1, g_b1, g_w2, g_b2
 
 
+@checked
 def fit_neural_net(
     train: TrainingSet,
     grid: "TuneGrid | None" = None,
-    folds: int = 5,
+    folds: Folds = 5,
     seed: int = 0,
-    hidden: int | None = None,
-    decay: float | None = None,
-    max_iter: int = 2000,
-    restarts: int = 3,
-    grad_tol: float = 1e-5,
+    hidden: Positive | None = None,
+    decay: NonNegative | None = None,
+    max_iter: Count = 2000,
+    restarts: Positive = 3,
+    grad_tol: NonNegative = 1e-5,
 ) -> FittedModel:
     """Single-hidden-layer logistic network by full-batch gradient descent
     with backtracking step control; best of `restarts` random starts by
@@ -486,8 +482,6 @@ def fit_neural_net(
         hidden = result.params["hidden"]
         decay = result.params["decay"]
         tuning = _tune_meta(result)
-    if hidden < 1:
-        raise ValueError(f"hidden must be >= 1, got {hidden}")
     Z, yv = train.Z, train.y
     p = Z.shape[1]
 
@@ -564,30 +558,28 @@ def fit_neural_net(
 class TuneGrid:
     """Hyperparameter grids searched by tune(); override per experiment."""
 
-    enet_lambda: tuple = (0.001, 0.01, 0.1, 1.0, 10.0)
-    nn_hidden: tuple = (2, 4, 8)
-    nn_decay: tuple = (0.01, 0.1, 1.0)
-    boost_rounds: tuple = (10, 25, 50, 100, 200)
+    enet_lambda: NonEmpty[NonNegative] = (0.001, 0.01, 0.1, 1.0, 10.0)
+    nn_hidden: NonEmpty[Positive] = (2, 4, 8)
+    nn_decay: NonEmpty[NonNegative] = (0.01, 0.1, 1.0)
+    boost_rounds: NonEmpty[Count] = (10, 25, 50, 100, 200)
 
     def for_learner(self, kind: str) -> dict:
-        if kind == "logit":
-            return {}
-        if kind == "elastic-net":
-            return {"lam": sorted(self.enet_lambda)}
-        if kind == "logitboost":
-            return {"rounds": sorted(self.boost_rounds)}
-        if kind == "neural-net":
-            return {"hidden": sorted(self.nn_hidden), "decay": sorted(self.nn_decay)}
-        raise ValueError(f"unknown learner {kind!r}")
+        return {
+            "logit": {},
+            "elastic-net": {"lam": sorted(self.enet_lambda)},
+            "logitboost": {"rounds": sorted(self.boost_rounds)},
+            "neural-net": {"hidden": sorted(self.nn_hidden), "decay": sorted(self.nn_decay)},
+        }[kind]
 
 
+@checked
 def fit_learner(
-    kind: str,
+    kind: Learner,
     train: TrainingSet,
     params: dict | None = None,
     seed: int = 0,
     grid: "TuneGrid | None" = None,
-    folds: int = 5,
+    folds: Folds = 5,
 ) -> FittedModel:
     """Dispatch to one of the four learners; unset hyperparameters are
     tuned internally."""
@@ -598,22 +590,19 @@ def fit_learner(
 
 
 def _fit_function(kind: str):
-    fits = {
+    return {
         "logit": fit_logit,
         "elastic-net": fit_elastic_net,
         "logitboost": fit_logitboost,
         "neural-net": fit_neural_net,
-    }
-    if kind not in fits:
-        raise ValueError(f"unknown learner {kind!r}")
-    return fits[kind]
+    }[kind]
 
 
 def learner_keywords(kind: str) -> dict:
     """The learner_params keys learner `kind` accepts, each with its declared
     type: the keywords of its fit function that fit_learner does not set."""
     fit = _fit_function(kind)
-    types = typing.get_type_hints(fit)
+    types = typing.get_type_hints(fit, include_extras=True)
     return {
         name: types[name]
         for name in inspect.signature(fit).parameters
@@ -635,16 +624,15 @@ def cv_folds(y, folds: int, seed: int) -> np.ndarray:
 
 
 def _geometric_extension(values, side):
-    """Next grid point past the boundary, spaced like the existing grid."""
+    """Next grid point past the boundary, spaced like the existing grid; a
+    zero leaves no ratio to space by, so the boundary comes back."""
     if all(float(v).is_integer() for v in values):
         if side == "low":
             return max(1, int(values[0]) // 2)
         return int(values[-1]) * 2
     if side == "low":
-        ratio = values[1] / values[0]
-        return values[0] / ratio
-    ratio = values[-1] / values[-2]
-    return values[-1] * ratio
+        return values[0] / (values[1] / values[0]) if values[0] else values[0]
+    return values[-1] * (values[-1] / values[-2]) if values[-2] else values[-1]
 
 
 @dataclass
@@ -657,11 +645,12 @@ class TuneResult:
     at_boundary: bool
 
 
+@checked
 def tune(
-    kind: str,
+    kind: Learner,
     train: TrainingSet,
     grid: TuneGrid | None = None,
-    folds: int = 5,
+    folds: Folds = 5,
     seed: int = 0,
 ) -> TuneResult:
     """Pick hyperparameters by stratified k-fold CV on mean validation
@@ -673,8 +662,6 @@ def tune(
     in deterministic grid order. Learners without hyperparameters return
     immediately. Folds shrink as needed so every fold holds both classes;
     fewer than 2 of either class cannot be folded at all."""
-    if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
     grid = grid or TuneGrid()
     space = grid.for_learner(kind)
     if not space:

@@ -13,10 +13,11 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated, Literal
 
 import numpy as np
 
-from .codec import Saved, decode
+from .codec import Bound, Count, Positive, Saved, Share, check_fields, decode
 from .errors import GenerationError
 from .seeding import seed_for
 from .store import (
@@ -40,45 +41,31 @@ class SyntheticSpec(Saved):
     (events per dyad-period); draws outside it are regenerated with a
     fresh derived seed up to max_attempts times."""
 
-    n_nodes: int = 15
-    periods: int = 30
-    n_blocks: int = 2
+    n_nodes: Annotated[int, Bound(2)] = 15
+    periods: Positive = 30
+    n_blocks: Positive = 2
     block_affinity: float = 0.0
-    persistence: float = 0.0
-    base_rate: float = 0.05
-    covariate_effects: dict = field(default_factory=dict)
-    covariate_names: tuple = DEFAULT_SYNTH_COVARIATES
+    persistence: Share = 0.0
+    base_rate: Share = 0.05
+    covariate_effects: dict[str, float] = field(default_factory=dict)
+    covariate_names: tuple[Literal[CANONICAL_COVARIATES], ...] = DEFAULT_SYNTH_COVARIATES
     time_varying_covariates: bool = False
-    initial_edges: tuple = ()
-    rate_band: tuple = (0.0, 1.0)
-    max_attempts: int = 20
+    initial_edges: tuple[tuple[Count, Count], ...] = ()
+    rate_band: tuple[Share, Share] = (0.0, 1.0)
+    max_attempts: Positive = 20
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n_nodes < 2:
-            raise GenerationError("need at least 2 nodes")
-        if self.periods < 1:
-            raise GenerationError("need at least 1 period")
-        if self.n_blocks < 1:
-            raise GenerationError("need at least 1 block")
-        if not 0.0 <= self.persistence <= 1.0:
-            raise GenerationError(f"persistence must be in [0,1], got {self.persistence}")
-        if not 0.0 <= self.base_rate <= 1.0:
-            raise GenerationError(f"base_rate must be in [0,1], got {self.base_rate}")
-        for name in self.covariate_names:
-            if name not in CANONICAL_COVARIATES:
-                raise GenerationError(f"unknown covariate name {name!r}")
+        """Declared types and bounds, then the rules between fields."""
+        check_fields(self, GenerationError)
         for name in self.covariate_effects:
             if name not in self.covariate_names:
                 raise GenerationError(f"effect on unemitted covariate {name!r}")
-        lo, hi = self.rate_band
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise GenerationError(f"rate_band must satisfy 0 <= lo <= hi <= 1, got {self.rate_band}")
+        if self.rate_band[0] > self.rate_band[1]:
+            raise GenerationError(f"rate_band must satisfy lo <= hi, got {self.rate_band}")
         for a, b in self.initial_edges:
-            if not (0 <= a < self.n_nodes and 0 <= b < self.n_nodes) or a == b:
+            if a >= self.n_nodes or b >= self.n_nodes or a == b:
                 raise GenerationError(f"bad initial edge ({a},{b})")
-        if self.max_attempts < 1:
-            raise GenerationError("max_attempts must be >= 1")
 
     @classmethod
     def from_json(cls, obj: dict) -> "SyntheticSpec":

@@ -149,6 +149,22 @@ def mann_whitney_auc(scores, labels):
     return (gt + 0.5 * eq) / (len(pos) * len(neg))
 
 
+def threshold_rates(scores, labels, threshold):
+    """(precision, recall, fpr) when a score >= threshold is predicted
+    positive, by counting. Precision with nothing predicted positive is 1;
+    a rate with an empty denominator is NaN."""
+    tp = fp = fn = tn = 0
+    for s, y in zip(scores, labels):
+        if s >= threshold:
+            tp, fp = tp + (y == 1), fp + (y != 1)
+        else:
+            fn, tn = fn + (y == 1), tn + (y != 1)
+    precision = 1.0 if tp + fp == 0 else tp / (tp + fp)
+    recall = math.nan if tp + fn == 0 else tp / (tp + fn)
+    fpr = math.nan if fp + tn == 0 else fp / (fp + tn)
+    return precision, recall, fpr
+
+
 def average_precision_oracle(scores, labels):
     """Group-by-distinct-score average precision, dict-and-loop style.
 

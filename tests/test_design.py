@@ -141,7 +141,7 @@ def test_requirements_validated():
         build_design(panel_abc(), 3, 2, SPEC_ENDOGENOUS, CFG)
     with pytest.raises(ValueError, match="covariate"):
         build_design(panel_abc(), 3, 2, SPEC_COVARIATES, CFG)
-    with pytest.raises(ValueError, match="spec class"):
+    with pytest.raises(ValueError, match="spec_class"):
         build_design(panel_abc(), 3, 2, "everything", CFG, bundle=bundle_abc())
     with pytest.raises(ValueError, match="lag"):
         build_design(panel_abc(), 3, 0, SPEC_ENDOGENOUS, CFG, bundle=bundle_abc())

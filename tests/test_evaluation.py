@@ -1,5 +1,3 @@
-import io
-import math
 from itertools import combinations
 
 import numpy as np
@@ -14,53 +12,20 @@ from dyadcast import (
     TrainingSet,
     bootstrap_ci,
     coefficient_ratio,
-    contingency,
     fit_elastic_net,
     fit_logit,
-    metrics,
     pr_curve,
     roc_curve,
     rolling_mean,
 )
 from dyadcast.evaluation import SELECTION_THRESHOLD, is_undefined
 
-from helpers import average_precision_oracle, expected_ap_random, mann_whitney_auc
+from helpers import (
+    average_precision_oracle, expected_ap_random, mann_whitney_auc, threshold_rates,
+)
 
 SCORES4 = [0.9, 0.8, 0.3, 0.1]
 LABELS4 = [1, 0, 1, 0]
-
-
-# ----------------------------------------------------------- contingency
-
-def test_contingency_counts():
-    c = contingency(SCORES4, LABELS4, 0.5)
-    assert (c.tp, c.fp, c.fn, c.tn) == (1, 1, 1, 1)
-    assert c.total() == 4
-
-
-def test_contingency_threshold_is_inclusive():
-    c = contingency([0.5, 0.4], [1, 0], 0.5)
-    assert (c.tp, c.fp) == (1, 0)
-
-
-def test_contingency_validation():
-    with pytest.raises(ValueError):
-        contingency([0.5], [1, 0], 0.5)
-    with pytest.raises(ValueError):
-        contingency([0.5], [1], 1.5)
-
-
-def test_metrics_conventions():
-    prec, rec, fpr = metrics(contingency(SCORES4, LABELS4, 0.5))
-    assert (prec, rec, fpr) == (0.5, 0.5, 0.5)
-    # nothing predicted positive: precision 1 by convention
-    prec, rec, fpr = metrics(contingency([0.1, 0.2], [1, 0], 0.9))
-    assert prec == 1.0 and rec == 0.0 and fpr == 0.0
-    # single-class inputs leave the missing rate undefined
-    prec, rec, fpr = metrics(contingency([0.9, 0.1], [0, 0], 0.5))
-    assert math.isnan(rec) and fpr == 0.5
-    prec, rec, fpr = metrics(contingency([0.9, 0.1], [1, 1], 0.5))
-    assert rec == 0.5 and math.isnan(fpr)
 
 
 # ---------------------------------------------------------------- curves
@@ -100,6 +65,53 @@ def test_single_class_rejected():
         roc_curve([0.1, 0.2], [0, 0])
     with pytest.raises(EvaluationError):
         pr_curve([0.1, 0.2], [0, 0])
+
+
+def test_contingency_counts():
+    # the point for threshold 0.8 on SCORES4 counts tp = fp = fn = tn = 1
+    assert roc_curve(SCORES4, LABELS4).points[2] == (0.5, 0.5)
+    assert pr_curve(SCORES4, LABELS4).points[2] == (0.5, 0.5)
+    # one point per distinct score, plus the anchor
+    assert len(roc_curve(SCORES4, LABELS4).points) == len(SCORES4) + 1
+    assert len(pr_curve(SCORES4, LABELS4).points) == len(SCORES4) + 1
+
+
+def test_contingency_threshold_is_inclusive():
+    # the first threshold, 0.5, already counts the score equal to it
+    assert roc_curve([0.5, 0.4], [1, 0]).points[1] == (0.0, 1.0)
+    assert pr_curve([0.5, 0.4], [1, 0]).points[1] == (1.0, 1.0)
+
+
+def test_metrics_conventions():
+    # precision, recall and fpr are all 0.5 at the middle threshold
+    fpr, rec = roc_curve(SCORES4, LABELS4).points[2]
+    rec_pr, prec = pr_curve(SCORES4, LABELS4).points[2]
+    assert (prec, rec, fpr) == (0.5, 0.5, 0.5) and rec_pr == rec
+    # nothing predicted positive: precision 1 by convention, rates 0
+    assert pr_curve([0.1, 0.2], [1, 0]).points[0] == (0.0, 1.0)
+    assert roc_curve([0.1, 0.2], [1, 0]).points[0] == (0.0, 0.0)
+    # without positives recall is undefined, so neither curve exists
+    with pytest.raises(EvaluationError):
+        pr_curve([0.9, 0.1], [0, 0])
+    with pytest.raises(EvaluationError):
+        roc_curve([0.9, 0.1], [0, 0])
+    # without negatives fpr is undefined: no ROC, but PR is defined
+    with pytest.raises(EvaluationError):
+        roc_curve([0.9, 0.1], [1, 1])
+    assert pr_curve([0.9, 0.1], [1, 1]).points[1] == (0.5, 1.0)
+
+
+def test_curve_points_match_threshold_oracle():
+    """Each curve point after the anchor is the rate pair of predicting
+    positive every score at or above one distinct score, taken in
+    descending order, so tied scores enter together."""
+    rng = np.random.default_rng(3)
+    scores = np.concatenate([SCORES4, rng.integers(0, 6, size=30) / 6.0])
+    labels = np.concatenate([LABELS4, (rng.random(30) < 0.3).astype(int)])
+    thresholds = sorted(set(scores.tolist()), reverse=True)
+    rates = [threshold_rates(scores, labels, t) for t in thresholds]
+    assert roc_curve(scores, labels).points[1:] == tuple((f, r) for _, r, f in rates)
+    assert pr_curve(scores, labels).points[1:] == tuple((r, p) for p, r, _ in rates)
 
 
 def test_curve_anchors_and_monotone_axes():
@@ -361,14 +373,3 @@ def test_ratio_series_smoothing():
         (3, "f", 6.0, 4.5, True),
         (1, "g", 1.0, 1.0, True),
     ]
-
-
-# ------------------------------------------------------------- curve csv
-
-def test_curve_write_csv():
-    buf = io.StringIO()
-    roc_curve(SCORES4, LABELS4).write_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "x,y"
-    assert lines[1] == "0.0,0.0"
-    assert len(lines) == 1 + len(roc_curve(SCORES4, LABELS4).points)

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import typing
 
 import numpy as np
 import pytest
@@ -14,8 +18,11 @@ from dyadcast import (
     CellResult,
     ExperimentConfig,
     FeatureConfig,
+    GenerationError,
     LatentConfig,
     SyntheticSpec,
+    TrainingSet,
+    TuneGrid,
     ValidationError,
     aggregate_rows,
     generate_synthetic,
@@ -28,8 +35,9 @@ from dyadcast import (
     write_outputs,
 )
 from dyadcast.cli import main
+from dyadcast.codec import Bound
 from dyadcast.harness import AGGREGATE_HEADER, CELLS_HEADER, RATIOS_HEADER
-from dyadcast.learners import LEARNERS, learner_keywords
+from dyadcast.learners import LEARNERS, _fit_function, learner_keywords
 
 from helpers import make_panel
 
@@ -378,6 +386,13 @@ def test_config_json_round_trip():
         {"tune_folds": 1},
         {"bootstrap_replicates": 0},
         {"bootstrap_level": 1.0},
+        {"lags": ("a",)},
+        {"tune_grid": TuneGrid(boost_rounds=(-1, 5))},
+        {"tune_grid": TuneGrid(nn_hidden=())},
+        {"features": FeatureConfig(covariate_offset=0)},
+        {"features": FeatureConfig(max_missing=1.5)},
+        {"features": FeatureConfig(latent=LatentConfig(walk_length=0))},
+        {"learner_params": {"logitboost": {"rounds": -1}}},
     ],
 )
 def test_config_validation(patch):
@@ -533,6 +548,26 @@ def test_cli_unknown_nested_keys_exit_2(tmp_path, capsys, bad):
         ({"tune_grid": {"boost_rounds": 10}}, "tune_grid.boost_rounds must be a list, got 10"),
         ({"events": 3}, "events must be a string, got 3"),
         ({"learner_params": []}, "learner_params must be an object, got []"),
+        ({"lags": ["a"]}, "lags[0] must be an integer, got 'a'"),
+        ({"tune_grid": {"boost_rounds": [-1, 5]}},
+         "tune_grid.boost_rounds[0] must be >= 0, got -1"),
+        ({"tune_grid": {"enet_lambda": [-1.0, 0.1]}},
+         "tune_grid.enet_lambda[0] must be >= 0, got -1.0"),
+        ({"tune_grid": {"nn_hidden": [0, 2]}}, "tune_grid.nn_hidden[0] must be >= 1, got 0"),
+        ({"tune_grid": {"nn_hidden": []}}, "tune_grid.nn_hidden must have >= 1 items, got 0"),
+        ({"features": {"latent": {"mmsbm_k": 0}}}, "features.latent.mmsbm_k must be >= 1, got 0"),
+        ({"features": {"latent": {"walk_length": 0}}},
+         "features.latent.walk_length must be >= 1, got 0"),
+        ({"features": {"latent": {"mmsbm_restarts": 0}}},
+         "features.latent.mmsbm_restarts must be >= 1, got 0"),
+        ({"features": {"latent": {"latent_starts": 0}}},
+         "features.latent.latent_starts must be >= 1, got 0"),
+        ({"features": {"covariate_offset": -1}}, "features.covariate_offset must be >= 1, got -1"),
+        ({"features": {"covariate_offset": 0}}, "features.covariate_offset must be >= 1, got 0"),
+        ({"features": {"max_missing": 1.5}}, "features.max_missing must be in [0, 1], got 1.5"),
+        ({"spec_classes": ["fancy"]},
+         "spec_classes[0] must be one of ['endogenous-only', 'covariates-only', 'combined'], "
+         "got 'fancy'"),
     ],
 )
 def test_cli_mistyped_config_values_exit_2(tmp_path, capsys, bad, message):
@@ -563,6 +598,9 @@ def test_config_value_types_follow_the_fields():
          "learner_params.elastic-net.lam must be a number, got True"),
         ({"logit": {"rounds": 5}}, "unknown learner_params.logit keys: ['rounds']; accepted: []"),
         ({"elastic-net": 0.01}, "learner_params.elastic-net must be an object, got 0.01"),
+        ({"logitboost": {"rounds": -1}}, "learner_params.logitboost.rounds must be >= 0, got -1"),
+        ({"neural-net": {"hidden": 0, "decay": 0.1}},
+         "learner_params.neural-net.hidden must be >= 1, got 0"),
     ],
 )
 def test_cli_bad_learner_params_exit_2_before_reading_data(
@@ -593,6 +631,128 @@ def test_learner_params_accept_the_fit_keywords():
     }
     fast_config(learner_params={"logitboost": {"rounds": None},
                                 "neural-net": {"decay": 1, "grad_tol": 1e-4}}).validate()
+
+
+# ---------------------------------------------------------- declared bounds
+
+def bound_sites(tp, path=()):
+    """(path, Bound, bounded type) for every Bound declared in tp, through
+    X | None, nested dataclass fields and tuple elements."""
+    if typing.get_origin(tp) is typing.Annotated:
+        tp, *marks = typing.get_args(tp)
+        yield from ((path, m, tp) for m in marks if isinstance(m, Bound))
+    args = typing.get_args(tp)
+    if type(None) in args:
+        (tp,) = (a for a in args if a is not type(None))
+        yield from bound_sites(tp, path)
+    elif dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp, include_extras=True)
+        for f in dataclasses.fields(tp):
+            yield from bound_sites(hints[f.name], path + (f.name,))
+    elif typing.get_origin(tp) is tuple:
+        for k, arg in enumerate(args[:1] if args[-1] is Ellipsis else args):
+            yield from bound_sites(arg, path + (k,))
+
+
+def edge_and_past(bound, tp, current):
+    """(accepted, rejected) at each finite end of bound: the last value
+    inside it and the first one past it. On a tuple the bound counts items,
+    made by repeating the current first item."""
+    for end, inward in ((bound.lo, 1), (bound.hi, -1)):
+        if math.isinf(end):
+            continue
+        if tp is float:
+            inside = math.nextafter(end, inward * math.inf)
+            outside = math.nextafter(end, -inward * math.inf)
+            end = float(end)
+        else:
+            inside, outside = end + inward, end - inward
+        pair = (inside, end) if bound.open else (end, outside)
+        if typing.get_origin(tp) is tuple:
+            pair = tuple(tuple(current[:1]) * n for n in pair)
+        yield pair
+
+
+def put(obj, path, value):
+    """obj with the value at path (field names and tuple positions) replaced."""
+    if not path:
+        return value
+    head, *rest = path
+    if isinstance(head, int):
+        items = list(obj)
+        items[head] = put(obj[head], rest, value)
+        return tuple(items)
+    return dataclasses.replace(obj, **{head: put(getattr(obj, head), rest, value)})
+
+
+def get(obj, path):
+    for head in path:
+        obj = obj[head] if isinstance(head, int) else getattr(obj, head)
+    return obj
+
+
+def label(path):
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+
+
+# a valid value to vary for the fields whose default is empty
+SWEEP_SAMPLES = {"initial_edges": ((1, 2),)}
+
+
+@pytest.mark.parametrize(
+    "cls,error,from_json",
+    [
+        (ExperimentConfig, ValidationError, ExperimentConfig.from_json),
+        (SyntheticSpec, GenerationError,
+         lambda doc: SyntheticSpec.from_json(doc).validate()),
+    ],
+)
+def test_every_declared_bound_holds_at_its_edge(cls, error, from_json):
+    """Each bound accepts its edge value and rejects the first value past
+    it, naming the field path, both on a value built in Python (validate)
+    and on its JSON form (decode)."""
+    seen = []
+    for path, bound, tp in bound_sites(cls):
+        base = cls()
+        if path[0] in SWEEP_SAMPLES:
+            base = put(base, path[:1], SWEEP_SAMPLES[path[0]])
+        for ok, bad in edge_and_past(bound, tp, get(base, path)):
+            accepted = put(base, path, ok)
+            accepted.validate()
+            from_json(accepted.to_json())
+            rejected = put(base, path, bad)
+            pattern = f"^{re.escape(label(path))} must"
+            with pytest.raises(error, match=pattern):
+                rejected.validate()
+            with pytest.raises(error, match=pattern):
+                from_json(rejected.to_json())
+        seen.append(label(path))
+    expected = {
+        ExperimentConfig: {"lags", "lags[0]", "tune_folds", "tune_grid.nn_hidden[0]",
+                           "features.covariate_offset", "features.latent.mmsbm_k",
+                           "bootstrap_level"},
+        SyntheticSpec: {"n_nodes", "rate_band[1]", "initial_edges[0][1]", "max_attempts"},
+    }[cls]
+    assert expected <= set(seen)
+
+
+@pytest.mark.parametrize("kind", LEARNERS)
+def test_every_learner_keyword_bound_holds_at_its_edge(kind):
+    """The same sweep over each fit keyword: learner_params accepts the
+    edge value and rejects the first value past it, and so does a direct
+    call of the fit function."""
+    X = np.arange(12.0)[:, None]
+    train = TrainingSet.build(X, (X[:, 0] % 2 == 0).astype(float), ("x",))
+    for name, tp in learner_keywords(kind).items():
+        for _, bound, bounded in bound_sites(tp):
+            for ok, bad in edge_and_past(bound, bounded, ()):
+                ExperimentConfig(learner_params={kind: {name: ok}}).validate()
+                ExperimentConfig.from_json({"learner_params": {kind: {name: ok}}})
+                path = f"learner_params.{kind}.{name}"
+                with pytest.raises(ValidationError, match=f"^{re.escape(path)} must"):
+                    ExperimentConfig.from_json({"learner_params": {kind: {name: bad}}})
+                with pytest.raises(ValueError, match=f"^{name} must"):
+                    _fit_function(kind)(train, **{name: bad})
 
 
 def test_cli_rejects_undeclared_covariate_names(tmp_path, capsys):

@@ -262,6 +262,15 @@ def test_latent_single_node():
     assert fit.alpha == 0.0
 
 
+@pytest.mark.parametrize(
+    "fit,keyword", [(fit_mmsbm, "restarts"), (fit_latent_space, "starts")]
+)
+def test_latent_fits_need_a_start(fit, keyword):
+    """Zero starts would leave no fit to return."""
+    with pytest.raises(ValueError, match=f"^{keyword} must be >= 1, got 0"):
+        fit(make_net([("a", "b"), ("b", "c")]), **{keyword: 0})
+
+
 def test_latent_empty_node_set():
     with pytest.raises(ValueError):
         fit_latent_space(make_net([], nodes=[]))

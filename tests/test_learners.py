@@ -21,7 +21,6 @@ from dyadcast import (
     fit_logitboost,
     fit_neural_net,
     generate_synthetic,
-    predict,
     run_experiment,
     tune,
 )
@@ -525,6 +524,12 @@ def test_nn_hidden_validation():
         fit_neural_net(TrainingSet.build(X, y, NAMES3), hidden=0, decay=0.1)
 
 
+def test_nn_restarts_validation():
+    X, y = logistic_sample()
+    with pytest.raises(ValueError, match="^restarts must be >= 1, got 0"):
+        fit_neural_net(TrainingSet.build(X, y, NAMES3), hidden=2, decay=0.1, restarts=0)
+
+
 # --------------------------------------------------- shared model behavior
 
 ALL_PARAMS = [
@@ -580,13 +585,13 @@ def test_predict_schema_mismatch():
     X, y = logistic_sample()
     model = fit_logit(TrainingSet.build(X, y, NAMES3))
     with pytest.raises(SchemaError):
-        predict(model, X, ("a", "b", "wrong"))
+        model.predict_proba(X, ("a", "b", "wrong"))
 
 
 def test_predict_on_constant_model():
     X, y = logistic_sample()
     model = fit_logitboost(TrainingSet.build(X, y, NAMES3), rounds=0)
-    assert np.allclose(predict(model, X, NAMES3), y.mean(), atol=1e-12)
+    assert np.allclose(model.predict_proba(X, NAMES3), y.mean(), atol=1e-12)
 
 
 def test_coefficients_only_for_linear_models():
@@ -657,6 +662,17 @@ def test_tune_boundary_extension_metadata():
     assert result.at_boundary
     assert result.params["lam"] <= 0.01
     assert all(isinstance(entry, tuple) and len(entry) == 2 for entry in result.table)
+
+
+def test_tune_grid_with_zero_does_not_extend():
+    """A zero penalty is a valid grid point, but no geometric step leads
+    past it or away from it."""
+    X, y = logistic_sample(seed=3)
+    result = tune(
+        "elastic-net", TrainingSet.build(X, y, NAMES3), TuneGrid(enet_lambda=(0.0, 0.1)),
+        folds=3, seed=0,
+    )
+    assert result.extensions == 0 and result.at_boundary
 
 
 def test_tune_selects_useful_rounds():

@@ -169,6 +169,11 @@ def test_easy_band_accepts_first_attempt():
         {"initial_edges": ((0, 0),)},
         {"initial_edges": ((0, 99),)},
         {"max_attempts": 0},
+        {"rate_band": (-0.1, 0.5)},
+        {"rate_band": (0.1,)},
+        {"initial_edges": ((-1, 0),)},
+        {"covariate_names": ("contiguity", 5)},
+        {"n_nodes": 2.5},
     ],
 )
 def test_spec_validation(kwargs):
@@ -198,6 +203,8 @@ def test_spec_from_json_rejects_unknown_keys():
         ({"covariate_names": "contiguity"}, "covariate_names must be a list"),
         ({"covariate_effects": [1.0]}, "covariate_effects must be an object"),
         ({"time_varying_covariates": 1}, "time_varying_covariates must be a boolean"),
+        ({"covariate_effects": {"contiguity": "x"}},
+         "covariate_effects.contiguity must be a number, got 'x'"),
     ],
 )
 def test_spec_from_json_checks_value_types(bad, message):
