@@ -6,6 +6,12 @@ zero-variance columns dropped and recorded. Coefficients are reported on
 the standardized scale; the elastic net also reports the original scale.
 Probability outputs are used as ranking scores downstream, so every
 learner ends in a sigmoid.
+
+The fit functions only fit: each takes its hyperparameters as required
+keywords. ``fit_learner`` settles them. It passes the hyperparameters a
+caller sets straight through and chooses the others with one ``tune``
+call, whose cross-validation fits are ``fit_learner`` calls with every
+keyword set.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import inspect
 import itertools
 import operator
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -28,9 +34,6 @@ COEF_CAP = 30.0
 IRLS_MAX_ITER = 100
 IRLS_GRAD_TOL = 1e-8
 TUNE_MAX_EXTENSIONS = 3
-
-LEARNERS = ("logit", "elastic-net", "logitboost", "neural-net")
-Learner = Literal[LEARNERS]
 
 
 @dataclass
@@ -188,8 +191,9 @@ def _irls(Z, y):
     return beta, converged, capped, it
 
 
-def fit_logit(train: TrainingSet) -> FittedModel:
-    """Maximum-likelihood logistic regression via IRLS."""
+def fit_logit(train: TrainingSet, seed: int = 0) -> FittedModel:
+    """Maximum-likelihood logistic regression via IRLS. IRLS draws nothing
+    at random; seed is taken so that every fit function is called alike."""
     _require_both_classes(train.y)
     beta, converged, capped, it = _irls(train.Z, train.y)
     return FittedModel(
@@ -208,24 +212,11 @@ def _soft_threshold(value, threshold):
     return 0.0
 
 
-def _tune_meta(result: "TuneResult") -> dict:
-    """The diagnostics entry of a fit whose hyperparameters were tuned."""
-    return {"tuning": {
-        "params": result.params,
-        "score": result.score,
-        "folds": result.folds_used,
-        "extensions": result.extensions,
-        "at_boundary": result.at_boundary,
-    }}
-
-
 @checked
 def fit_elastic_net(
     train: TrainingSet,
-    grid: "TuneGrid | None" = None,
-    folds: Folds = 5,
+    lam: NonNegative,
     seed: int = 0,
-    lam: NonNegative | None = None,
     max_outer: Count = 100,
 ) -> FittedModel:
     """Penalized logistic regression minimizing
@@ -235,11 +226,11 @@ def fit_elastic_net(
     over standardized non-intercept coefficients; the ridge weight is
     twice the lasso weight once the square is differentiated. Outer IRLS
     quadratic approximations, inner cyclic coordinate descent with soft
-    thresholding; the intercept is never penalized. When lam is None it is
-    chosen by cross-validated tuning. Coefficients on the original feature
-    scale are reported alongside the standardized ones. The diagnostics
-    count the outer steps (``n_outer``) and the inner loops that stopped at
-    their 1000-sweep cap short of the 1e-11 tolerance (``capped_inner``).
+    thresholding; the intercept is never penalized. Coefficients on the
+    original feature scale are reported alongside the standardized ones.
+    The diagnostics count the outer steps (``n_outer``) and the inner
+    loops that stopped at their 1000-sweep cap short of the 1e-11
+    tolerance (``capped_inner``).
 
     The inner loop uses covariance updates (Friedman, Hastie & Tibshirani
     2010): each IRLS step forms the weighted Gram matrix ZᵀWZ and the
@@ -249,11 +240,6 @@ def fit_elastic_net(
     the fitted coefficients do not depend on the BLAS thread count.
     """
     _require_both_classes(train.y)
-    tuning = {}
-    if lam is None:
-        result = tune("elastic-net", train, grid, folds, seed)
-        lam = result.params["lam"]
-        tuning = _tune_meta(result)
     Z, yv = train.Z, train.y
     p = Z.shape[1]
     beta0 = 0.0
@@ -306,7 +292,6 @@ def fit_elastic_net(
         "n_outer": outer,
         "capped_inner": capped_inner,
         "seed": seed,
-        **tuning,
     }
     return FittedModel(
         kind="elastic-net",
@@ -368,13 +353,7 @@ def _nll(F, y):
 
 
 @checked
-def fit_logitboost(
-    train: TrainingSet,
-    grid: "TuneGrid | None" = None,
-    folds: Folds = 5,
-    seed: int = 0,
-    rounds: Count | None = None,
-) -> FittedModel:
+def fit_logitboost(train: TrainingSet, rounds: Count, seed: int = 0) -> FittedModel:
     """Additive stumps fitted on the log-odds scale.
 
     Starts from the base-rate log odds; each round computes working
@@ -382,14 +361,8 @@ def fit_logitboost(
     [1e-5, 1-1e-5]), fits the best single-split stump by weighted least
     squares, and adds it. A stump that would raise the training loss is
     halved until it no longer does, so training loss never increases.
-    Zero rounds yield the base-rate constant; rounds=None tunes the count
-    by cross-validation."""
+    Zero rounds yield the base-rate constant."""
     _require_both_classes(train.y)
-    tuning = {}
-    if rounds is None:
-        result = tune("logitboost", train, grid, folds, seed)
-        rounds = result.params["rounds"]
-        tuning = _tune_meta(result)
     Z, yv = train.Z, train.y
     orders = [np.argsort(Z[:, k], kind="stable") for k in range(Z.shape[1])]
     base = float(yv.mean())
@@ -425,7 +398,6 @@ def fit_logitboost(
         "final_loss": loss,
         "degenerate_stop": degenerate,
         "seed": seed,
-        **tuning,
     }
     return FittedModel(
         kind="logitboost",
@@ -457,31 +429,17 @@ def nn_loss_and_grads(Z, y, W1, b1, w2, b2, decay):
 @checked
 def fit_neural_net(
     train: TrainingSet,
-    grid: "TuneGrid | None" = None,
-    folds: Folds = 5,
+    hidden: Positive,
+    decay: NonNegative,
     seed: int = 0,
-    hidden: Positive | None = None,
-    decay: NonNegative | None = None,
     max_iter: Count = 2000,
     restarts: Positive = 3,
     grad_tol: NonNegative = 1e-5,
 ) -> FittedModel:
     """Single-hidden-layer logistic network by full-batch gradient descent
     with backtracking step control; best of `restarts` random starts by
-    penalized training loss. Unset hidden/decay are chosen by
-    cross-validated tuning."""
+    penalized training loss."""
     _require_both_classes(train.y)
-    tuning = {}
-    if hidden is None or decay is None:
-        g = grid or TuneGrid()
-        if hidden is not None:
-            g = replace(g, nn_hidden=(hidden,))
-        if decay is not None:
-            g = replace(g, nn_decay=(decay,))
-        result = tune("neural-net", train, g, folds, seed)
-        hidden = result.params["hidden"]
-        decay = result.params["decay"]
-        tuning = _tune_meta(result)
     Z, yv = train.Z, train.y
     p = Z.shape[1]
 
@@ -544,7 +502,6 @@ def fit_neural_net(
         "loss": loss,
         "failed_starts": failed_starts,
         "seed": seed,
-        **tuning,
     }
     return FittedModel(
         kind="neural-net",
@@ -552,6 +509,16 @@ def fit_neural_net(
         params={"W1": W1, "b1": b1, "w2": w2, "b2": float(b2), "hidden": hidden, "decay": decay},
         diagnostics=diagnostics,
     )
+
+
+FIT_FUNCTIONS = {
+    "logit": fit_logit,
+    "elastic-net": fit_elastic_net,
+    "logitboost": fit_logitboost,
+    "neural-net": fit_neural_net,
+}
+LEARNERS = tuple(FIT_FUNCTIONS)
+Learner = Literal[LEARNERS]
 
 
 @dataclass(frozen=True)
@@ -581,32 +548,38 @@ def fit_learner(
     grid: "TuneGrid | None" = None,
     folds: Folds = 5,
 ) -> FittedModel:
-    """Dispatch to one of the four learners; unset hyperparameters are
-    tuned internally."""
-    fit = _fit_function(kind)
-    if kind == "logit":
-        return fit(train)
-    return fit(train, grid=grid, folds=folds, seed=seed, **dict(params or {}))
-
-
-def _fit_function(kind: str):
-    return {
-        "logit": fit_logit,
-        "elastic-net": fit_elastic_net,
-        "logitboost": fit_logitboost,
-        "neural-net": fit_neural_net,
-    }[kind]
+    """Fit learner `kind` with the keywords in params. The hyperparameters
+    (the axes of grid.for_learner(kind)) that params leaves unset or None
+    are first chosen by one tune() call, which hands every other key of
+    params to its cross-validation fits; diagnostics["tuning"] records
+    the choice."""
+    params = {k: v for k, v in (params or {}).items() if v is not None}
+    fit = FIT_FUNCTIONS[kind]
+    if set((grid or TuneGrid()).for_learner(kind)) <= set(params):
+        return fit(train, seed=seed, **params)
+    result = tune(kind, train, grid, folds, seed, params)
+    model = fit(train, seed=seed, **{**params, **result.params})
+    model.diagnostics["tuning"] = {
+        "params": result.params,
+        "score": result.score,
+        "folds": result.folds_used,
+        "extensions": result.extensions,
+        "at_boundary": result.at_boundary,
+    }
+    return model
 
 
 def learner_keywords(kind: str) -> dict:
     """The learner_params keys learner `kind` accepts, each with its declared
-    type: the keywords of its fit function that fit_learner does not set."""
-    fit = _fit_function(kind)
+    type: the keywords of its fit function but train and seed, where the
+    hyperparameters fit_learner can tune also take None."""
+    fit = FIT_FUNCTIONS[kind]
     types = typing.get_type_hints(fit, include_extras=True)
+    axes = TuneGrid().for_learner(kind)
     return {
-        name: types[name]
+        name: types[name] | None if name in axes else types[name]
         for name in inspect.signature(fit).parameters
-        if name not in ("train", "grid", "folds", "seed")
+        if name not in ("train", "seed")
     }
 
 
@@ -652,6 +625,7 @@ def tune(
     grid: TuneGrid | None = None,
     folds: Folds = 5,
     seed: int = 0,
+    params: dict | None = None,
 ) -> TuneResult:
     """Pick hyperparameters by stratified k-fold CV on mean validation
     area under the precision-recall curve.
@@ -659,11 +633,16 @@ def tune(
     A winner sitting on a grid boundary triggers a geometric extension of
     that axis (at most TUNE_MAX_EXTENSIONS times overall; still-boundary
     results are accepted and flagged). Ties prefer the earliest candidate
-    in deterministic grid order. Learners without hyperparameters return
+    in deterministic grid order. An axis that params sets (not None) is
+    searched at that one value, and every key of params reaches every
+    cross-validation fit. Learners without hyperparameters return
     immediately. Folds shrink as needed so every fold holds both classes;
     fewer than 2 of either class cannot be folded at all."""
-    grid = grid or TuneGrid()
-    space = grid.for_learner(kind)
+    params = {k: v for k, v in (params or {}).items() if v is not None}
+    space = {
+        a: [params[a]] if a in params else vals
+        for a, vals in (grid or TuneGrid()).for_learner(kind).items()
+    }
     if not space:
         return TuneResult({}, float("nan"), [], 0, 0, False)
 
@@ -685,8 +664,8 @@ def tune(
 
     scores: dict = {}
 
-    def score_candidate(params):
-        key = tuple(params[a] for a in axes)
+    def score_candidate(cand):
+        key = tuple(cand[a] for a in axes)
         if key in scores:
             return scores[key]
         vals = []
@@ -694,7 +673,7 @@ def tune(
             tr_idx, val_idx = assign != f, assign == f
             try:
                 model = fit_learner(
-                    kind, train.subset(tr_idx), params,
+                    kind, train.subset(tr_idx), {**params, **cand},
                     seed=seed_for(seed, "cv-fit", f),
                 )
                 p = _sigmoid(model.decision(train.Z[val_idx]))

@@ -37,7 +37,7 @@ from dyadcast import (
 from dyadcast.cli import main
 from dyadcast.codec import Bound
 from dyadcast.harness import AGGREGATE_HEADER, CELLS_HEADER, RATIOS_HEADER
-from dyadcast.learners import LEARNERS, _fit_function, learner_keywords
+from dyadcast.learners import FIT_FUNCTIONS, LEARNERS, learner_keywords
 
 from helpers import make_panel
 
@@ -740,9 +740,12 @@ def test_every_declared_bound_holds_at_its_edge(cls, error, from_json):
 def test_every_learner_keyword_bound_holds_at_its_edge(kind):
     """The same sweep over each fit keyword: learner_params accepts the
     edge value and rejects the first value past it, and so does a direct
-    call of the fit function."""
+    call of the fit function, given valid values of its other
+    hyperparameters."""
     X = np.arange(12.0)[:, None]
     train = TrainingSet.build(X, (X[:, 0] % 2 == 0).astype(float), ("x",))
+    valid = {"lam": 0.1, "rounds": 1, "hidden": 1, "decay": 0.1}
+    required = {k: v for k, v in valid.items() if k in learner_keywords(kind)}
     for name, tp in learner_keywords(kind).items():
         for _, bound, bounded in bound_sites(tp):
             for ok, bad in edge_and_past(bound, bounded, ()):
@@ -752,7 +755,7 @@ def test_every_learner_keyword_bound_holds_at_its_edge(kind):
                 with pytest.raises(ValidationError, match=f"^{re.escape(path)} must"):
                     ExperimentConfig.from_json({"learner_params": {kind: {name: bad}}})
                 with pytest.raises(ValueError, match=f"^{name} must"):
-                    _fit_function(kind)(train, **{name: bad})
+                    FIT_FUNCTIONS[kind](train, **{**required, name: bad})
 
 
 def test_cli_rejects_undeclared_covariate_names(tmp_path, capsys):

@@ -688,9 +688,62 @@ def test_tune_selects_useful_rounds():
 def test_fit_learner_tunes_when_params_absent():
     X, y = logistic_sample(n=60, seed=19)
     train = TrainingSet.build(X, y, NAMES3)
-    model = fit_elastic_net(train, grid=TuneGrid(enet_lambda=(0.01, 0.1)), folds=2, seed=0)
+    model = fit_learner(
+        "elastic-net", train, grid=TuneGrid(enet_lambda=(0.01, 0.1)), folds=2, seed=0
+    )
     assert "tuning" in model.diagnostics
     assert model.params["lam"] in {0.01, 0.1} or model.diagnostics["tuning"]["extensions"] > 0
+
+
+def test_cv_fits_get_the_cells_other_keywords(monkeypatch):
+    """A pinned axis is searched at its one value, and the keywords that
+    are no axis reach every cross-validation fit, not only the final one."""
+    X, y = logistic_sample(n=60, seed=19)
+    seen = []
+
+    def recording(kind, train, params=None, **kwargs):
+        seen.append(dict(params))
+        return fit_learner(kind, train, params, **kwargs)
+
+    monkeypatch.setattr(learners, "fit_learner", recording)
+    model = fit_learner(
+        "neural-net", TrainingSet.build(X, y, NAMES3), params={"hidden": 2, "max_iter": 5},
+        folds=2, grid=TuneGrid(nn_hidden=(4, 8), nn_decay=(0.1, 1.0)),
+    )
+    assert seen and all(p["hidden"] == 2 and p.get("max_iter") == 5 for p in seen)
+    assert model.diagnostics["tuning"]["params"] == {"decay": model.params["decay"], "hidden": 2}
+
+
+@pytest.mark.parametrize("kind,params", ALL_PARAMS[1:])
+def test_one_tune_call_per_tuned_fit(kind, params, monkeypatch):
+    """A tuned fit calls tune once, whose cross-validation fits are flat
+    module-level fit_learner calls, one per fold and scored candidate;
+    a fit with every axis pinned calls neither."""
+    X, y = logistic_sample(n=60, seed=19)
+    train = TrainingSet.build(X, y, NAMES3)
+    grid = TuneGrid(enet_lambda=(0.01, 0.1), nn_hidden=(2, 3), nn_decay=(0.1,),
+                    boost_rounds=(2, 4))
+    tunes, fits = [], []
+
+    def counting_tune(*args, **kwargs):
+        tunes.append(tune(*args, **kwargs))
+        return tunes[-1]
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args[0])
+        return fit_learner(*args, **kwargs)
+
+    monkeypatch.setattr(learners, "tune", counting_tune)
+    monkeypatch.setattr(learners, "fit_learner", counting_fit)
+    model = fit_learner(kind, train, grid=grid, folds=3, seed=0)
+    (result,) = tunes
+    assert len(fits) == result.folds_used * len(result.table) > 0
+    assert model.diagnostics["tuning"]["params"] == result.params
+
+    tunes.clear()
+    fits.clear()
+    model = fit_learner(kind, train, params=params, grid=grid, folds=3, seed=0)
+    assert tunes == [] and fits == [] and "tuning" not in model.diagnostics
 
 
 # ------------------------------------------------------------ serializer
