@@ -111,7 +111,6 @@ def build_design(
     ``bundle`` must hold latent-structure fits for the window [period-lag,
     period-1]; it is required whenever endogenous features are in play.
     """
-    net = aggregate_window(panel, period - lag, period - 1)
     dyads = eligible_dyads(panel, period)
 
     events_now = panel.events_at(period)
@@ -123,6 +122,7 @@ def build_design(
     if spec_class in (SPEC_ENDOGENOUS, SPEC_COMBINED):
         if bundle is None:
             raise ValueError("endogenous features require a latent bundle")
+        net = aggregate_window(panel, period - lag, period - 1)
         blocks.append(
             feature_block(
                 net, dyads, bundle, exclude_focal_flow=config.exclude_focal_flow

@@ -240,6 +240,7 @@ def run_experiment(
                         raise SchemaError(
                             f"test features {test_design.feature_names} != training {names}"
                         )
+                    train = TrainingSet.build(X_tr, y_tr, names)
                 except (DyadcastError, ValueError) as exc:
                     for kind in config.learners:
                         cells.append(
@@ -259,7 +260,6 @@ def run_experiment(
                         )
                         continue
                     try:
-                        train = TrainingSet.build(X_tr, y_tr, names)
                         model = fit_learner(
                             kind,
                             train,
@@ -277,7 +277,8 @@ def run_experiment(
 
                     models[(t, lag, spec, kind)] = model
                     if kind == "elastic-net":
-                        companion = fit_logit(train)
+                        # the logit cell, when already fitted, is the same model
+                        companion = models.get((t, lag, spec, "logit")) or fit_logit(train)
                         entries = coefficient_ratio(model, companion)
                         ratios.setdefault((lag, spec), RatioSeries(rows=[])).add(t, entries)
 

@@ -116,8 +116,15 @@ def walktrap(net: LaggedNetwork, walk_length: Positive = 4) -> CommunityPartitio
         adj[a].add(b)
         adj[b].add(a)
 
+    # modularity of each stage on the original graph, updated as it merges
+    m = len(und_edges)
+    D = dict(enumerate(A.sum(axis=1).tolist()))
+    q = best_q = -sum((D[k] / (2 * m)) ** 2 for k in range(n)) if m else 0.0
+    best_stage = 0
+
     alive = set(range(n))
     ds = {}
+    links = dict.fromkeys(und_edges, 1)  # edges between adjacent communities, keyed like ds
     heap = []
     for a, b in und_edges:
         val = _dsigma(1, phat[a], 1, phat[b], d, n)
@@ -157,35 +164,14 @@ def walktrap(net: LaggedNetwork, walk_length: Positive = 4) -> CommunityPartitio
                 nv = _dsigma(size[new], phat[new], size[x], phat[x], d, n)
             key = (min(new, x), max(new, x))
             ds[key] = nv
+            links[key] = links.get(key_ax, 0) + links.get(key_bx, 0)
             heapq.heappush(heap, (nv, key[0], key[1]))
         merges.append((a, b, new))
-
-    # replay the merge sequence and keep the stage with max modularity
-    members = {k: {k} for k in range(n)}
-    und_nb = {k: set() for k in range(n)}
-    for a, b in und_edges:
-        und_nb[a].add(b)
-        und_nb[b].add(a)
-    best_stage = 0
-    if und_edges:
-        m = len(und_edges)
-        deg = A.sum(axis=1)
-        D = {k: float(deg[k]) for k in range(n)}
-        L = {k: 0.0 for k in range(n)}
-        q = sum(L[c] / m - (D[c] / (2 * m)) ** 2 for c in members)
-        best_q = q
-        replay = {k: set(members[k]) for k in range(n)}
-        for stage, (a, b, new) in enumerate(merges, start=1):
-            small, big = (a, b) if len(replay[a]) <= len(replay[b]) else (b, a)
-            between = sum(
-                1 for u in replay[small] for v in und_nb[u] if v in replay[big]
-            )
-            q += between / m - 2.0 * (D[a] / (2 * m)) * (D[b] / (2 * m))
-            replay[new] = replay.pop(a) | replay.pop(b)
-            D[new] = D[a] + D[b]
-            if q > best_q + 1e-12:
-                best_q = q
-                best_stage = stage
+        q += links[(a, b)] / m - 2.0 * (D[a] / (2 * m)) * (D[b] / (2 * m))
+        D[new] = D[a] + D[b]
+        if q > best_q + 1e-12:
+            best_q = q
+            best_stage = len(merges)
 
     current = {k: {k} for k in range(n)}
     for a, b, new in merges[:best_stage]:

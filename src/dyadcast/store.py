@@ -6,6 +6,7 @@ caller before ingestion.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -164,6 +165,7 @@ class CovariateTable:
     def __post_init__(self):
         self.declared = CANONICAL_COVARIATES + tuple(self.extra_names)
         indicators = INDICATOR_COVARIATES | self.indicator_extras
+        seen = set()
         for (period, i, j, name), value in self.entries.items():
             if name not in self.declared:
                 raise ValidationError(f"undeclared covariate name {name!r}")
@@ -172,48 +174,51 @@ class CovariateTable:
                     f"indicator covariate {name!r} has non-binary value {value} "
                     f"at ({period},{i},{j})"
                 )
+            seen.add(name)
+        self._present = [n for n in self.declared if n in seen]
 
     def value(self, period: int, i: str, j: str, name: str):
         return self.entries.get((period, i, j, name))
 
     def names_present(self) -> list[str]:
         """Declared names with at least one entry, in declaration order."""
-        seen = {key[3] for key in self.entries}
-        return [n for n in self.declared if n in seen]
+        return list(self._present)
 
 
 def _open_text(source):
-    """Accept a path, bytes, or a file-like object; return a text stream."""
+    """Accept a path, bytes, or a file-like object; return a context manager
+    giving a text stream. Only a file opened here is closed on exit."""
     if isinstance(source, (str, os.PathLike)):
         return open(source, "r", newline="")
     if isinstance(source, bytes):
         return io.StringIO(source.decode())
-    return source
+    return contextlib.nullcontext(source)
 
 
 def _read_rows(source, expected_header, label):
-    stream = _open_text(source)
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(f"{label}: empty input, expected header {expected_header}")
-    header = [h.strip() for h in header]
-    if header != list(expected_header):
-        raise ParseError(
-            f"{label}: line 1: expected header {','.join(expected_header)}, "
-            f"got {','.join(header)}"
-        )
-    rows = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(expected_header):
+    """Yield (line number, stripped fields) for each non-blank data row, so a
+    malformed row is reported only after every earlier row was consumed."""
+    with _open_text(source) as stream:
+        reader = csv.reader(stream)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{label}: empty input, expected header {expected_header}")
+        header = [h.strip() for h in header]
+        if header != list(expected_header):
             raise ParseError(
-                f"{label}: line {line_no}: expected {len(expected_header)} fields, got {len(row)}"
+                f"{label}: line 1: expected header {','.join(expected_header)}, "
+                f"got {','.join(header)}"
             )
-        rows.append((line_no, [f.strip() for f in row]))
-    return rows
+        for line_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(expected_header):
+                raise ParseError(
+                    f"{label}: line {line_no}: expected {len(expected_header)} fields, "
+                    f"got {len(row)}"
+                )
+            yield line_no, [f.strip() for f in row]
 
 
 def _parse_int(text, label, line_no, what):

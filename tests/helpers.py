@@ -5,6 +5,7 @@ no reuse of library internals) so that agreement between a library
 routine and its oracle is meaningful evidence.
 """
 
+import heapq
 import math
 from collections import Counter
 
@@ -13,6 +14,7 @@ import numpy as np
 from dyadcast import (
     CommunityPartition, EventPanel, LaggedNetwork, LatentConfig, LatentSpaceFit,
 )
+from dyadcast.latent import modularity
 from dyadcast.learners import COEF_CAP
 
 
@@ -347,6 +349,129 @@ def partition_as_groups(labels):
     for node, lab in labels.items():
         groups.setdefault(lab, set()).add(node)
     return frozenset(frozenset(g) for g in groups.values())
+
+
+def _dsigma(size1, phat1, size2, phat2, d, n):
+    r2 = float(np.sum((phat1 - phat2) ** 2 / d))
+    return (size1 * size2) / (size1 + size2) / n * r2
+
+
+def walktrap_oracle(net, walk_length=4):
+    """Reference for ``walktrap``: the merge loop only records the
+    dendrogram, and a second pass replays it over member sets to score the
+    modularity of every stage. Agglomerative short-random-walk clustering,
+    cut at max modularity.
+
+    The walk runs on the lazy chain (unit self-loops added), communities
+    merge greedily by smallest squared walk-distance increase, and only
+    pairs joined by at least one original edge are mergeable. The merge
+    sequence is cut at the stage of maximum modularity computed on the
+    original graph; ties keep the earliest (least merged) stage. Nodes in
+    separate components are never merged together.
+    """
+    nodes = net.node_list()
+    A = np.maximum(net.adjacency, net.adjacency.T)
+    und_edges = [tuple(e) for e in np.argwhere(np.triu(A, 1)).tolist()]
+    n = len(nodes)
+    if n == 0:
+        raise ValueError("cannot partition an empty node set")
+
+    lazy = A + np.eye(n)
+    d = lazy.sum(axis=1)
+    P = lazy / d[:, None]
+    Pt = np.linalg.matrix_power(P, walk_length)
+
+    size = {k: 1 for k in range(n)}
+    phat = {k: Pt[k].copy() for k in range(n)}
+    adj = {k: set() for k in range(n)}
+    for a, b in und_edges:
+        adj[a].add(b)
+        adj[b].add(a)
+
+    alive = set(range(n))
+    ds = {}
+    heap = []
+    for a, b in und_edges:
+        val = _dsigma(1, phat[a], 1, phat[b], d, n)
+        ds[(a, b)] = val
+        heapq.heappush(heap, (val, a, b))
+
+    merges = []
+    next_label = n
+    while heap:
+        val, a, b = heapq.heappop(heap)
+        if a not in alive or b not in alive:
+            continue
+        new = next_label
+        next_label += 1
+        nbrs = (adj[a] | adj[b]) - {a, b}
+        alive.discard(a)
+        alive.discard(b)
+        alive.add(new)
+        size[new] = size[a] + size[b]
+        phat[new] = (size[a] * phat[a] + size[b] * phat[b]) / size[new]
+        adj[new] = set()
+        for x in sorted(nbrs):
+            adj[x].discard(a)
+            adj[x].discard(b)
+            adj[x].add(new)
+            adj[new].add(x)
+            key_ax = (min(a, x), max(a, x))
+            key_bx = (min(b, x), max(b, x))
+            if key_ax in ds and key_bx in ds:
+                # merged distance from the two known ones, no phat pass
+                nv = (
+                    (size[a] + size[x]) * ds[key_ax]
+                    + (size[b] + size[x]) * ds[key_bx]
+                    - size[x] * val
+                ) / (size[new] + size[x])
+            else:
+                nv = _dsigma(size[new], phat[new], size[x], phat[x], d, n)
+            key = (min(new, x), max(new, x))
+            ds[key] = nv
+            heapq.heappush(heap, (nv, key[0], key[1]))
+        merges.append((a, b, new))
+
+    # replay the merge sequence and keep the stage with max modularity
+    members = {k: {k} for k in range(n)}
+    und_nb = {k: set() for k in range(n)}
+    for a, b in und_edges:
+        und_nb[a].add(b)
+        und_nb[b].add(a)
+    best_stage = 0
+    if und_edges:
+        m = len(und_edges)
+        deg = A.sum(axis=1)
+        D = {k: float(deg[k]) for k in range(n)}
+        L = {k: 0.0 for k in range(n)}
+        q = sum(L[c] / m - (D[c] / (2 * m)) ** 2 for c in members)
+        best_q = q
+        replay = {k: set(members[k]) for k in range(n)}
+        for stage, (a, b, new) in enumerate(merges, start=1):
+            small, big = (a, b) if len(replay[a]) <= len(replay[b]) else (b, a)
+            between = sum(
+                1 for u in replay[small] for v in und_nb[u] if v in replay[big]
+            )
+            q += between / m - 2.0 * (D[a] / (2 * m)) * (D[b] / (2 * m))
+            replay[new] = replay.pop(a) | replay.pop(b)
+            D[new] = D[a] + D[b]
+            if q > best_q + 1e-12:
+                best_q = q
+                best_stage = stage
+
+    current = {k: {k} for k in range(n)}
+    for a, b, new in merges[:best_stage]:
+        current[new] = current.pop(a) | current.pop(b)
+    groups = sorted((sorted(g) for g in current.values()), key=lambda g: g[0])
+    labels_idx = {}
+    for cid, group in enumerate(groups):
+        for k in group:
+            labels_idx[k] = cid
+    q_final = modularity(nodes, und_edges, labels_idx)
+    labels = {nodes[k]: labels_idx[k] for k in range(n)}
+    return CommunityPartition(
+        labels=labels, modularity=q_final, walk_length=walk_length, merges=tuple(merges)
+    )
 
 
 # ------------------------------------------------------------- rankings

@@ -93,6 +93,20 @@ def test_combined_concatenates_blocks():
     assert d.X.shape == (6, 12)
 
 
+def test_only_endogenous_blocks_aggregate_the_window(monkeypatch):
+    import dyadcast.design as dz
+
+    calls = []
+    original = dz.aggregate_window
+    monkeypatch.setattr(dz, "aggregate_window", lambda *a: calls.append(a) or original(*a))
+    build_design(panel_abc(), 3, 2, SPEC_COVARIATES, CFG, covariates=table_abc())
+    assert calls == []
+    build_design(
+        panel_abc(), 3, 2, SPEC_COMBINED, CFG, bundle=bundle_abc(), covariates=table_abc()
+    )
+    assert [a[1:] for a in calls] == [(1, 2)]
+
+
 def test_missing_covariate_imputed_and_flagged():
     entries = {}
     for i in NODES:

@@ -208,6 +208,36 @@ def test_run_deterministic_byte_identical(world, tmp_path):
         assert a == b, name
 
 
+def test_elastic_net_ratios_reuse_the_fitted_logit_cell(world, tmp_path, monkeypatch):
+    import dyadcast.harness as hz
+
+    panel, table = world
+    cfg = fast_config(first_period=5, last_period=7, learners=("elastic-net",))
+    write_outputs(run_experiment(cfg, panel, table), tmp_path / "alone")
+
+    def refit(*args, **kwargs):
+        raise AssertionError("the logit cell of the group was fitted already")
+
+    monkeypatch.setattr(hz, "fit_logit", refit)
+    both = dataclasses.replace(cfg, learners=("logit", "elastic-net"))
+    write_outputs(run_experiment(both, panel, table), tmp_path / "both")
+    alone, joint = ((tmp_path / d / "ratios.csv").read_bytes() for d in ("alone", "both"))
+    assert alone == joint
+
+
+def test_one_training_set_per_period_lag_and_spec(world, monkeypatch):
+    panel, table = world
+    builds = []
+    original = TrainingSet.build
+    monkeypatch.setattr(
+        TrainingSet, "build", staticmethod(lambda *a: builds.append(a) or original(*a))
+    )
+    result = run_experiment(fast_config(first_period=5, last_period=7), panel, table)
+    fitted = {key[:3] for key in result.models}
+    assert len(fitted) == 3 * 3
+    assert len(builds) == len(fitted)
+
+
 def test_run_outputs_identical_across_hash_seeds(tmp_path):
     """Two `dyadcast run` processes with different PYTHONHASHSEED values
     write the same bytes: no output depends on set or dict order."""
@@ -288,10 +318,10 @@ def test_aggregate_group_with_no_ok_cells_is_na():
 
 def test_output_files_and_headers(full_run, tmp_path):
     paths = write_outputs(full_run, tmp_path / "out")
-    assert open(paths["cells"]).readline().rstrip("\n") == ",".join(CELLS_HEADER)
-    assert open(paths["aggregate"]).readline().rstrip("\n") == ",".join(AGGREGATE_HEADER)
-    assert open(paths["ratios"]).readline().rstrip("\n") == ",".join(RATIOS_HEADER)
-    cfg = json.load(open(paths["config"]))
+    assert Path(paths["cells"]).read_text().splitlines()[0] == ",".join(CELLS_HEADER)
+    assert Path(paths["aggregate"]).read_text().splitlines()[0] == ",".join(AGGREGATE_HEADER)
+    assert Path(paths["ratios"]).read_text().splitlines()[0] == ",".join(RATIOS_HEADER)
+    cfg = json.loads(Path(paths["config"]).read_text())
     assert cfg == full_run.config.to_json()
 
 
@@ -356,7 +386,7 @@ def test_dump_models_writes_model_json(world, tmp_path):
     assert model_file.exists()
     from dyadcast import FittedModel
 
-    model = FittedModel.from_json(json.load(open(model_file)))
+    model = FittedModel.from_json(json.loads(model_file.read_text()))
     assert model.kind == "logit"
 
 
@@ -482,7 +512,7 @@ def test_cli_synth_run_summarize(cli_world, tmp_path, capsys):
 def test_cli_run_reports_cell_errors(cli_world, tmp_path, capsys):
     paths, data_dir = cli_world
     # drop early covariate periods so one computable period cannot build
-    lines = open(paths["covariates"]).read().splitlines()
+    lines = Path(paths["covariates"]).read_text().splitlines()
     kept = [lines[0]] + [ln for ln in lines[1:] if int(ln.split(",")[0]) >= 3]
     trimmed = data_dir / "covariates-late.csv"
     trimmed.write_text("\n".join(kept) + "\n")

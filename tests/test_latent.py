@@ -22,6 +22,7 @@ from helpers import (
     partition_as_groups,
     spearman,
     tiny_latent_config,
+    walktrap_oracle,
 )
 
 
@@ -107,6 +108,23 @@ def test_walktrap_relabel_invariant_grouping():
 def test_walktrap_merge_count():
     part = walktrap(two_cliques_bridge())
     assert len(part.merges) == len(two_cliques_bridge().nodes) - 1  # connected
+
+
+def test_walktrap_matches_replay_oracle_on_random_graphs():
+    # stages scored inside the merge loop give the same cut, dendrogram and
+    # modularity, bit for bit, as replaying the merges afterwards
+    rng = np.random.default_rng(20061)
+    for _ in range(1000):
+        n = int(rng.integers(1, 16))
+        nodes = [f"n{k:02d}" for k in range(n)]
+        density = rng.uniform(0.05, 0.8)
+        edges = [(i, j) for i in nodes for j in nodes if i != j and rng.random() < density]
+        net = make_net(edges, nodes=nodes)
+        walk_length = int(rng.integers(1, 6))
+        got, want = walktrap(net, walk_length), walktrap_oracle(net, walk_length)
+        assert got.labels == want.labels
+        assert got.merges == want.merges
+        assert got.modularity == want.modularity
 
 
 def test_walktrap_validation():

@@ -1,4 +1,6 @@
+import gc
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +213,32 @@ def test_load_events_field_count_carries_line_number():
 def test_load_events_non_integer_year():
     with pytest.raises(ParseError, match="line 2"):
         load_events(io.StringIO("sender,receiver,year\na,b,soon\n"))
+
+
+def test_first_malformed_line_in_file_order_is_reported():
+    # a bad year on line 2 is found before the short row on line 3 is read
+    with pytest.raises(ParseError, match="line 2"):
+        load_events(io.StringIO("sender,receiver,year\na,b,soon\na,b\n"))
+
+
+def test_loading_closes_the_files_it_opens_and_no_others(tmp_path):
+    (tmp_path / "events.csv").write_text(EVENTS_CSV)
+    (tmp_path / "registry.csv").write_text(
+        "node,first_year,last_year\na,1980,1995\nb,1980,1995\n"
+    )
+    (tmp_path / "cov.csv").write_text(COV_CSV)
+    (tmp_path / "bad.csv").write_text("sender,receiver,year\na,b,soon\na,b,1990\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_events(tmp_path / "events.csv", str(tmp_path / "registry.csv"))
+        load_covariates(tmp_path / "cov.csv")
+        with pytest.raises(ParseError, match="line 2"):
+            load_events(tmp_path / "bad.csv")
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    stream = io.StringIO(EVENTS_CSV)
+    load_events(stream)
+    assert not stream.closed
 
 
 def test_load_events_blank_node():
