@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,23 +23,18 @@ from .harness import (
 from .synth import SyntheticSpec, generate_synthetic, save_synthetic
 
 
-def _print_aggregate(rows, out=None) -> None:
-    out = out if out is not None else sys.stdout
-
+def _print_aggregate(rows) -> None:
     def cell(x):
-        import math
-
         return "NA" if isinstance(x, float) and math.isnan(x) else f"{x:.4f}"
 
     header = f"{'lag':>3} {'spec':<16} {'learner':<12} {'n':>3} "
     header += f"{'auc_pr':>8} {'pr_lo':>8} {'pr_hi':>8} {'auc_roc':>8} {'roc_lo':>8} {'roc_hi':>8}"
-    print(header, file=out)
+    print(header)
     for r in rows:
         print(
             f"{r.lag:>3} {r.spec_class:<16} {r.learner:<12} {r.n_periods:>3} "
             f"{cell(r.mean_auc_pr):>8} {cell(r.pr_lo):>8} {cell(r.pr_hi):>8} "
-            f"{cell(r.mean_auc_roc):>8} {cell(r.roc_lo):>8} {cell(r.roc_hi):>8}",
-            file=out,
+            f"{cell(r.mean_auc_roc):>8} {cell(r.roc_lo):>8} {cell(r.roc_hi):>8}"
         )
 
 
@@ -56,7 +52,7 @@ def _cmd_run(args) -> int:
     )
     for c in result.cells:
         if c.status == "error":
-            print(f"error {c.key()}: {c.reason}", file=sys.stderr)
+            print(f"error {'-'.join(map(str, c.key()))}: {c.reason}", file=sys.stderr)
     _print_aggregate(summarize(result))
     print("outputs: " + ", ".join(paths[k] for k in ("cells", "aggregate", "ratios")))
     return 1 if result.errored() else 0

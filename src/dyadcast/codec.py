@@ -17,6 +17,7 @@ import functools
 import inspect
 import math
 import numbers
+import sys
 import types
 import typing
 from dataclasses import dataclass, fields, is_dataclass
@@ -120,8 +121,9 @@ _KINDS = {
 
 def check(tp, value, error, path):
     """Raise error, naming path, unless value matches the declared type tp:
-    its kind (a bool is no number), each tuple element and dict value, the
-    members of a Literal and each Bound; ``X | None`` also takes None."""
+    its kind (a bool is no number, a float is finite), each tuple element
+    and dict value, the members of a Literal and each Bound; ``X | None``
+    also takes None."""
     tp, bounds, optional = _unwrap(tp)
     if value is None and optional:
         return
@@ -139,6 +141,8 @@ def check(tp, value, error, path):
         accepted, name = _KINDS[origin]
         if not isinstance(value, accepted) or (isinstance(value, bool) and origin is not bool):
             raise error(f"{path} must be {name}, got {value!r}")
+    if origin is float and not abs(value) <= sys.float_info.max:
+        raise error(f"{path} must be finite, got {value!r}")
     if origin is tuple and args:
         if args[-1] is not Ellipsis and len(args) != len(value):
             raise error(f"{path} must have {len(args)} items, got {len(value)}")

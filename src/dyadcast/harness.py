@@ -470,8 +470,7 @@ def write_outputs(result: RunResult, out_dir=None) -> dict:
         model_dir = out / "models"
         model_dir.mkdir(exist_ok=True)
         for key in sorted(result.models):
-            t, lag, spec, kind = key
-            with open(model_dir / f"{t}-{lag}-{spec}-{kind}.json", "w") as fh:
+            with open(model_dir / f"{'-'.join(map(str, key))}.json", "w") as fh:
                 json.dump(result.models[key].to_json(), fh)
         paths["models"] = model_dir
     return {k: str(v) for k, v in paths.items()}

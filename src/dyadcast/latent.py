@@ -4,7 +4,8 @@ Three complementary summaries of who fights whom:
 
 * random-walk community detection (agglomerative, modularity cut),
 * a mixed-membership blockmodel fitted by penalized EM,
-* a Euclidean latent-space model fitted by penalized gradient ascent.
+* a Euclidean latent-space model fitted by backtracking gradient descent
+  on its negated penalized log likelihood (``descent.descend``).
 
 All three consume the undirected or directed binary adjacency of one
 lagged window and are bundled together behind a content-addressed cache,
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import Count, NonNegative, Positive, Saved, checked, encode
+from .descent import descend
 from .errors import FitError
 from .seeding import seed_for
 from .store import LaggedNetwork
@@ -248,22 +250,21 @@ def fit_mmsbm(
     mask = 1.0 - np.eye(n)
     eps = MMSBM_EPS
 
-    def objective(pi, B):
+    def objective(pi, B):  # and the edge probabilities the next E step reads
         P1 = np.clip(pi @ B @ pi.T, 1e-300, 1.0 - 1e-16)
         ll = np.sum(mask * (Y * np.log(P1) + (1.0 - Y) * np.log(1.0 - P1)))
-        return ll + eps * np.sum(np.log(pi)) + eps * np.sum(np.log(B) + np.log(1.0 - B))
+        return ll + eps * np.sum(np.log(pi)) + eps * np.sum(np.log(B) + np.log(1.0 - B)), P1
 
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(seed_for(seed, "mmsbm-restart", r))
         pi = rng.dirichlet(np.ones(K), size=n)
         B = rng.uniform(0.1, 0.9, size=(K, K))
-        prev = objective(pi, B)
+        prev, P1 = objective(pi, B)
         history = []
         converged = False
         it = 0
         for it in range(1, max_iter + 1):
-            P1 = np.clip(pi @ B @ pi.T, 1e-300, 1.0 - 1e-16)
             W1 = mask * Y / P1
             W0 = mask * (1.0 - Y) / (1.0 - P1)
             N1 = B * (pi.T @ W1 @ pi)
@@ -273,7 +274,7 @@ def fit_mmsbm(
             B = (N1 + eps) / (N1 + N0 + 2.0 * eps)
             pi = counts + eps
             pi /= pi.sum(axis=1, keepdims=True)
-            obj = objective(pi, B)
+            obj, P1 = objective(pi, B)
             if obj < prev - 1e-6:
                 raise FitError(
                     f"EM objective decreased from {prev} to {obj} at iteration {it}"
@@ -328,9 +329,10 @@ def fit_latent_space(
 
     A ridge penalty tau*sum(||z||^2) on positions (never the intercept)
     pins the translation/rotation freedom enough for optimization.
-    Gradient ascent with backtracking step halving, stopping once every
-    gradient entry is below LATENT_GRAD_TOL; best of `starts`
-    random starts by penalized objective. Empty and complete graphs get a
+    ``descend`` minimizes the negated objective from step 0.1, reusing
+    each accepted point's distance matrix for its gradient, and stops once
+    every gradient entry is below LATENT_GRAD_TOL; best of `starts` random
+    starts by penalized objective. Empty and complete graphs get a
     closed-form degenerate fit: all positions at the origin and alpha at
     -+ALPHA_CAP.
     """
@@ -351,25 +353,23 @@ def fit_latent_space(
         ll = float(np.sum(mask * (Y * (-np.logaddexp(0.0, -m)) + (1.0 - Y) * (-np.logaddexp(0.0, m)))))
         return LatentSpaceFit(nodes, z, alpha, ll, True, True, 0)
 
-    def dist_matrix(z):
-        diff = z[:, None, :] - z[None, :, :]
-        return np.sqrt(np.sum(diff**2, axis=2) + 1e-18)
-
-    def objective(z, alpha):
-        m = alpha - dist_matrix(z)
-        ll = np.sum(mask * (Y * (-np.logaddexp(0.0, -m)) + (1.0 - Y) * (-np.logaddexp(0.0, m))))
-        return float(ll - tau * np.sum(z**2))
-
-    def gradients(z, alpha):
-        dmat = dist_matrix(z)
+    def value(x):
+        z, alpha = x
+        dmat = np.sqrt(np.sum((z[:, None, :] - z[None, :, :]) ** 2, axis=2) + 1e-18)
         m = alpha - dmat
-        p = 1.0 / (1.0 + np.exp(-np.clip(m, -500, 500)))
+        ll = np.sum(mask * (Y * (-np.logaddexp(0.0, -m)) + (1.0 - Y) * (-np.logaddexp(0.0, m))))
+        return -float(ll - tau * np.sum(z**2)), dmat
+
+    def gradient(x, dmat):
+        z, alpha = x
+        p = 1.0 / (1.0 + np.exp(-np.clip(alpha - dmat, -500, 500)))
         E = mask * (Y - p)
-        g_alpha = float(E.sum())
         S = (E + E.T) / dmat
         np.fill_diagonal(S, 0.0)
-        g_z = -(S.sum(axis=1)[:, None] * z - S @ z) - 2.0 * tau * z
-        return g_z, g_alpha
+        return (S.sum(axis=1)[:, None] * z - S @ z) + 2.0 * tau * z, -float(E.sum())
+
+    def project(x):
+        return x[0], float(np.clip(x[1], -ALPHA_CAP, ALPHA_CAP))
 
     density = n_edges / n_dyads
     alpha0 = float(np.clip(np.log(density / (1.0 - density)), -ALPHA_CAP, ALPHA_CAP))
@@ -378,32 +378,11 @@ def fit_latent_space(
     for s in range(starts):
         rng = np.random.default_rng(seed_for(seed, "latent-start", s))
         z = rng.normal(0.0, 1.0, size=(n, dim))
-        alpha = alpha0
-        obj = objective(z, alpha)
-        step = 0.1
-        converged = False
-        it = 0
-        for it in range(1, max_iter + 1):
-            g_z, g_alpha = gradients(z, alpha)
-            if max(np.max(np.abs(g_z)), abs(g_alpha)) < LATENT_GRAD_TOL:
-                converged = True
-                break
-            accepted = False
-            while step >= 1e-14:
-                z_try = z + step * g_z
-                a_try = float(np.clip(alpha + step * g_alpha, -ALPHA_CAP, ALPHA_CAP))
-                o_try = objective(z_try, a_try)
-                if np.isfinite(o_try) and o_try > obj:
-                    z, alpha, obj = z_try, a_try, o_try
-                    step = min(step * 1.5, 10.0)
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                converged = True
-                break
-        if best is None or obj > best.objective:
-            best = LatentSpaceFit(nodes, z, alpha, obj, converged, False, it)
+        (z, alpha), v, converged, it = descend(
+            (z, alpha0), value, gradient, 0.1, max_iter, LATENT_GRAD_TOL, project
+        )
+        if best is None or -v > best.objective:
+            best = LatentSpaceFit(nodes, z, alpha, -v, converged, False, it)
     return best
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import operator
+import sys
 import typing
 from dataclasses import dataclass, field
 from typing import Literal
@@ -26,6 +27,7 @@ from typing import Literal
 import numpy as np
 
 from .codec import Count, Folds, NonEmpty, NonNegative, Positive, Saved, checked
+from .descent import descend
 from .errors import EvaluationError, FitError, SchemaError, TuningError
 from .evaluation import pr_curve
 from .seeding import seed_for
@@ -407,8 +409,8 @@ def fit_logitboost(train: TrainingSet, rounds: Count, seed: int = 0) -> FittedMo
     )
 
 
-def nn_loss_and_grads(Z, y, W1, b1, w2, b2, decay):
-    """Penalized cross-entropy and its exact gradients.
+def nn_loss(Z, y, W1, b1, w2, b2, decay):
+    """Penalized cross-entropy, and the (A, f) that nn_grads reads.
 
     Loss = sum CE + decay*(||W1||^2 + ||w2||^2); biases are never
     penalized, so in the large-decay limit the network collapses to the
@@ -417,13 +419,24 @@ def nn_loss_and_grads(Z, y, W1, b1, w2, b2, decay):
     f = A @ w2 + b2
     loss = float(np.sum(np.logaddexp(0.0, f) - y * f))
     loss += decay * (float(np.sum(W1**2)) + float(np.sum(w2**2)))
+    return loss, (A, f)
+
+
+def nn_grads(Z, y, W1, w2, decay, A, f):
+    """Exact gradients (W1, b1, w2, b2) of nn_loss from its (A, f)."""
     delta = _sigmoid(f) - y
     g_w2 = A.T @ delta + 2.0 * decay * w2
     g_b2 = float(delta.sum())
     dh = np.outer(delta, w2) * A * (1.0 - A)
     g_W1 = Z.T @ dh + 2.0 * decay * W1
     g_b1 = dh.sum(axis=0)
-    return loss, g_W1, g_b1, g_w2, g_b2
+    return g_W1, g_b1, g_w2, g_b2
+
+
+def nn_loss_and_grads(Z, y, W1, b1, w2, b2, decay):
+    """nn_loss and its nn_grads, as (loss, g_W1, g_b1, g_w2, g_b2)."""
+    loss, (A, f) = nn_loss(Z, y, W1, b1, w2, b2, decay)
+    return (loss, *nn_grads(Z, y, W1, w2, decay, A, f))
 
 
 @checked
@@ -437,62 +450,36 @@ def fit_neural_net(
     grad_tol: NonNegative = 1e-5,
 ) -> FittedModel:
     """Single-hidden-layer logistic network by full-batch gradient descent
-    with backtracking step control; best of `restarts` random starts by
-    penalized training loss."""
+    with backtracking step control (``descend`` from step 0.01); best of
+    `restarts` random starts by penalized training loss. A start whose loss
+    is not finite has its weights scaled by 0.1, up to 5 times."""
     _require_both_classes(train.y)
     Z, yv = train.Z, train.y
     p = Z.shape[1]
+
+    def value(x):
+        return nn_loss(Z, yv, *x, decay)
+
+    def gradient(x, aux):
+        return nn_grads(Z, yv, x[0], x[2], decay, *aux)
 
     best = None
     failed_starts = 0
     for r in range(restarts):
         rng = np.random.default_rng(seed_for(seed, "nn-restart", r))
         W1 = rng.normal(0.0, 1.0 / np.sqrt(max(p, 1)), size=(p, hidden))
-        b1 = np.zeros(hidden)
         w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=hidden)
-        b2 = 0.0
-        loss, g_W1, g_b1, g_w2, g_b2 = nn_loss_and_grads(Z, yv, W1, b1, w2, b2, decay)
-        for _ in range(5):
-            if np.isfinite(loss):
+        x = (W1, np.zeros(hidden), w2, 0.0)
+        for _ in range(6):
+            if np.isfinite(value(x)[0]):
                 break
-            W1, w2 = 0.1 * W1, 0.1 * w2
-            loss, g_W1, g_b1, g_w2, g_b2 = nn_loss_and_grads(Z, yv, W1, b1, w2, b2, decay)
-        if not np.isfinite(loss):
+            x = (0.1 * x[0], x[1], 0.1 * x[2], x[3])
+        else:
             failed_starts += 1
             continue
-        step = 0.01
-        converged = False
-        for _ in range(max_iter):
-            gnorm = max(
-                np.max(np.abs(g_W1)) if g_W1.size else 0.0,
-                np.max(np.abs(g_b1)),
-                np.max(np.abs(g_w2)),
-                abs(g_b2),
-            )
-            if gnorm < grad_tol:
-                converged = True
-                break
-            accepted = False
-            while step >= 1e-14:
-                trial = (
-                    W1 - step * g_W1,
-                    b1 - step * g_b1,
-                    w2 - step * g_w2,
-                    b2 - step * g_b2,
-                )
-                out = nn_loss_and_grads(Z, yv, *trial, decay)
-                if np.isfinite(out[0]) and out[0] < loss:
-                    (W1, b1, w2, b2) = trial
-                    loss, g_W1, g_b1, g_w2, g_b2 = out
-                    step = min(step * 1.5, 10.0)
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                converged = True
-                break
+        x, loss, converged, _ = descend(x, value, gradient, 0.01, max_iter, grad_tol)
         if best is None or loss < best[0]:
-            best = (loss, W1, b1, w2, b2, converged)
+            best = (loss, *x, converged)
 
     if best is None:
         raise FitError("neural net produced non-finite loss from every start")
@@ -598,14 +585,17 @@ def cv_folds(y, folds: int, seed: int) -> np.ndarray:
 
 def _geometric_extension(values, side):
     """Next grid point past the boundary, spaced like the existing grid; a
-    zero leaves no ratio to space by, so the boundary comes back."""
+    zero leaves no ratio to space by and a point past the largest float is
+    none, so in both cases the boundary comes back."""
     if all(float(v).is_integer() for v in values):
         if side == "low":
             return max(1, int(values[0]) // 2)
-        return int(values[-1]) * 2
-    if side == "low":
+        high = int(values[-1]) * 2
+    elif side == "low":
         return values[0] / (values[1] / values[0]) if values[0] else values[0]
-    return values[-1] * (values[-1] / values[-2]) if values[-2] else values[-1]
+    else:
+        high = values[-1] * (values[-1] / values[-2]) if values[-2] else values[-1]
+    return high if abs(high) <= sys.float_info.max else values[-1]
 
 
 @dataclass

@@ -12,10 +12,13 @@ from collections import Counter
 import numpy as np
 
 from dyadcast import (
-    CommunityPartition, EventPanel, LaggedNetwork, LatentConfig, LatentSpaceFit,
+    CommunityPartition, EventPanel, FitError, FittedModel, LaggedNetwork, LatentConfig,
+    LatentSpaceFit, MMSBMFit, TrainingSet,
 )
-from dyadcast.latent import modularity
-from dyadcast.learners import COEF_CAP
+from dyadcast.codec import Count, NonNegative, Positive
+from dyadcast.latent import ALPHA_CAP, LATENT_GRAD_TOL, MMSBM_EPS, modularity
+from dyadcast.learners import COEF_CAP, _require_both_classes, nn_loss_and_grads
+from dyadcast.seeding import seed_for
 
 
 def make_net(edges, nodes=(), window=(1, 1)):
@@ -471,6 +474,258 @@ def walktrap_oracle(net, walk_length=4):
     labels = {nodes[k]: labels_idx[k] for k in range(n)}
     return CommunityPartition(
         labels=labels, modularity=q_final, walk_length=walk_length, merges=tuple(merges)
+    )
+
+
+# ------------------------------------------------------ iterative fits
+# The three fits as they were before the latent space and the neural net
+# shared ``descent.descend`` and MMSBM reused its objective's edge
+# probabilities: hand-written backtracking loops that compute a gradient
+# at every trial point and rebuild what the objective already built.
+
+def fit_mmsbm_oracle(
+    net: LaggedNetwork,
+    K: Positive = 4,
+    restarts: Positive = 5,
+    max_iter: Count = 300,
+    tol: NonNegative = 1e-7,
+    seed: int = 0,
+) -> MMSBMFit:
+    """Penalized EM for sender/receiver role mixtures.
+
+    Each ordered dyad draws a sender role from the sender's mixture and a
+    receiver role from the receiver's, then an edge with the block
+    probability for that role pair. Dirichlet/Beta smoothing with weight
+    eps = MMSBM_EPS keeps every parameter interior, which makes the penalized
+    log likelihood
+
+        loglik + eps*sum(log pi) + eps*sum(log B + log(1-B))
+
+    non-decreasing across iterations. The best of `restarts` random
+    initializations wins by that objective.
+    """
+    nodes = tuple(net.node_list())
+    n = len(nodes)
+    if n < K:
+        raise ValueError(f"need at least K={K} nodes, have {n}")
+
+    Y = net.adjacency
+    mask = 1.0 - np.eye(n)
+    eps = MMSBM_EPS
+
+    def objective(pi, B):
+        P1 = np.clip(pi @ B @ pi.T, 1e-300, 1.0 - 1e-16)
+        ll = np.sum(mask * (Y * np.log(P1) + (1.0 - Y) * np.log(1.0 - P1)))
+        return ll + eps * np.sum(np.log(pi)) + eps * np.sum(np.log(B) + np.log(1.0 - B))
+
+    best = None
+    for r in range(restarts):
+        rng = np.random.default_rng(seed_for(seed, "mmsbm-restart", r))
+        pi = rng.dirichlet(np.ones(K), size=n)
+        B = rng.uniform(0.1, 0.9, size=(K, K))
+        prev = objective(pi, B)
+        history = []
+        converged = False
+        it = 0
+        for it in range(1, max_iter + 1):
+            P1 = np.clip(pi @ B @ pi.T, 1e-300, 1.0 - 1e-16)
+            W1 = mask * Y / P1
+            W0 = mask * (1.0 - Y) / (1.0 - P1)
+            N1 = B * (pi.T @ W1 @ pi)
+            N0 = (1.0 - B) * (pi.T @ W0 @ pi)
+            counts = pi * (W1 @ (pi @ B.T) + W0 @ (pi @ (1.0 - B).T))
+            counts += pi * (W1.T @ (pi @ B) + W0.T @ (pi @ (1.0 - B)))
+            B = (N1 + eps) / (N1 + N0 + 2.0 * eps)
+            pi = counts + eps
+            pi /= pi.sum(axis=1, keepdims=True)
+            obj = objective(pi, B)
+            if obj < prev - 1e-6:
+                raise FitError(
+                    f"EM objective decreased from {prev} to {obj} at iteration {it}"
+                )
+            history.append(obj)
+            if abs(obj - prev) < tol * (1.0 + abs(obj)):
+                converged = True
+                prev = obj
+                break
+            prev = obj
+        if best is None or prev > best.objective:
+            best = MMSBMFit(nodes, pi, B, prev, converged, it, tuple(history))
+    return best
+
+
+def fit_latent_space_oracle(
+    net: LaggedNetwork,
+    dim: Positive = 2,
+    tau: NonNegative = 0.1,
+    starts: Positive = 3,
+    max_iter: Count = 500,
+    seed: int = 0,
+) -> LatentSpaceFit:
+    """MAP fit of P(i->j) = sigmoid(alpha - ||z_i - z_j||).
+
+    A ridge penalty tau*sum(||z||^2) on positions (never the intercept)
+    pins the translation/rotation freedom enough for optimization.
+    Gradient ascent with backtracking step halving, stopping once every
+    gradient entry is below LATENT_GRAD_TOL; best of `starts`
+    random starts by penalized objective. Empty and complete graphs get a
+    closed-form degenerate fit: all positions at the origin and alpha at
+    -+ALPHA_CAP.
+    """
+    nodes = tuple(net.node_list())
+    n = len(nodes)
+    if n == 0:
+        raise ValueError("cannot fit a latent space on an empty node set")
+    n_dyads = n * (n - 1)
+
+    Y = net.adjacency
+    mask = 1.0 - np.eye(n)
+    n_edges = int(Y.sum())
+
+    if n < 2 or n_edges == 0 or n_edges == n_dyads:
+        alpha = 0.0 if n < 2 else (-ALPHA_CAP if n_edges == 0 else ALPHA_CAP)
+        z = np.zeros((n, dim))
+        m = alpha * mask
+        ll = float(np.sum(mask * (Y * (-np.logaddexp(0.0, -m)) + (1.0 - Y) * (-np.logaddexp(0.0, m)))))
+        return LatentSpaceFit(nodes, z, alpha, ll, True, True, 0)
+
+    def dist_matrix(z):
+        diff = z[:, None, :] - z[None, :, :]
+        return np.sqrt(np.sum(diff**2, axis=2) + 1e-18)
+
+    def objective(z, alpha):
+        m = alpha - dist_matrix(z)
+        ll = np.sum(mask * (Y * (-np.logaddexp(0.0, -m)) + (1.0 - Y) * (-np.logaddexp(0.0, m))))
+        return float(ll - tau * np.sum(z**2))
+
+    def gradients(z, alpha):
+        dmat = dist_matrix(z)
+        m = alpha - dmat
+        p = 1.0 / (1.0 + np.exp(-np.clip(m, -500, 500)))
+        E = mask * (Y - p)
+        g_alpha = float(E.sum())
+        S = (E + E.T) / dmat
+        np.fill_diagonal(S, 0.0)
+        g_z = -(S.sum(axis=1)[:, None] * z - S @ z) - 2.0 * tau * z
+        return g_z, g_alpha
+
+    density = n_edges / n_dyads
+    alpha0 = float(np.clip(np.log(density / (1.0 - density)), -ALPHA_CAP, ALPHA_CAP))
+
+    best = None
+    for s in range(starts):
+        rng = np.random.default_rng(seed_for(seed, "latent-start", s))
+        z = rng.normal(0.0, 1.0, size=(n, dim))
+        alpha = alpha0
+        obj = objective(z, alpha)
+        step = 0.1
+        converged = False
+        it = 0
+        for it in range(1, max_iter + 1):
+            g_z, g_alpha = gradients(z, alpha)
+            if max(np.max(np.abs(g_z)), abs(g_alpha)) < LATENT_GRAD_TOL:
+                converged = True
+                break
+            accepted = False
+            while step >= 1e-14:
+                z_try = z + step * g_z
+                a_try = float(np.clip(alpha + step * g_alpha, -ALPHA_CAP, ALPHA_CAP))
+                o_try = objective(z_try, a_try)
+                if np.isfinite(o_try) and o_try > obj:
+                    z, alpha, obj = z_try, a_try, o_try
+                    step = min(step * 1.5, 10.0)
+                    accepted = True
+                    break
+                step *= 0.5
+            if not accepted:
+                converged = True
+                break
+        if best is None or obj > best.objective:
+            best = LatentSpaceFit(nodes, z, alpha, obj, converged, False, it)
+    return best
+
+
+def fit_neural_net_oracle(
+    train: TrainingSet,
+    hidden: Positive,
+    decay: NonNegative,
+    seed: int = 0,
+    max_iter: Count = 2000,
+    restarts: Positive = 3,
+    grad_tol: NonNegative = 1e-5,
+) -> FittedModel:
+    """Single-hidden-layer logistic network by full-batch gradient descent
+    with backtracking step control; best of `restarts` random starts by
+    penalized training loss."""
+    _require_both_classes(train.y)
+    Z, yv = train.Z, train.y
+    p = Z.shape[1]
+
+    best = None
+    failed_starts = 0
+    for r in range(restarts):
+        rng = np.random.default_rng(seed_for(seed, "nn-restart", r))
+        W1 = rng.normal(0.0, 1.0 / np.sqrt(max(p, 1)), size=(p, hidden))
+        b1 = np.zeros(hidden)
+        w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=hidden)
+        b2 = 0.0
+        loss, g_W1, g_b1, g_w2, g_b2 = nn_loss_and_grads(Z, yv, W1, b1, w2, b2, decay)
+        for _ in range(5):
+            if np.isfinite(loss):
+                break
+            W1, w2 = 0.1 * W1, 0.1 * w2
+            loss, g_W1, g_b1, g_w2, g_b2 = nn_loss_and_grads(Z, yv, W1, b1, w2, b2, decay)
+        if not np.isfinite(loss):
+            failed_starts += 1
+            continue
+        step = 0.01
+        converged = False
+        for _ in range(max_iter):
+            gnorm = max(
+                np.max(np.abs(g_W1)) if g_W1.size else 0.0,
+                np.max(np.abs(g_b1)),
+                np.max(np.abs(g_w2)),
+                abs(g_b2),
+            )
+            if gnorm < grad_tol:
+                converged = True
+                break
+            accepted = False
+            while step >= 1e-14:
+                trial = (
+                    W1 - step * g_W1,
+                    b1 - step * g_b1,
+                    w2 - step * g_w2,
+                    b2 - step * g_b2,
+                )
+                out = nn_loss_and_grads(Z, yv, *trial, decay)
+                if np.isfinite(out[0]) and out[0] < loss:
+                    (W1, b1, w2, b2) = trial
+                    loss, g_W1, g_b1, g_w2, g_b2 = out
+                    step = min(step * 1.5, 10.0)
+                    accepted = True
+                    break
+                step *= 0.5
+            if not accepted:
+                converged = True
+                break
+        if best is None or loss < best[0]:
+            best = (loss, W1, b1, w2, b2, converged)
+
+    if best is None:
+        raise FitError("neural net produced non-finite loss from every start")
+    loss, W1, b1, w2, b2, converged = best
+    diagnostics = {
+        "converged": converged,
+        "loss": loss,
+        "failed_starts": failed_starts,
+        "seed": seed,
+    }
+    return FittedModel(
+        kind="neural-net",
+        standardizer=train.standardizer,
+        params={"W1": W1, "b1": b1, "w2": w2, "b2": float(b2), "hidden": hidden, "decay": decay},
+        diagnostics=diagnostics,
     )
 
 

@@ -431,6 +431,26 @@ def test_config_validation(patch):
         cfg.validate()
 
 
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ({"features": {"latent": {"latent_tau": math.inf}}},
+         "features.latent.latent_tau must be finite, got inf"),
+        ({"tune_grid": {"nn_decay": [math.inf]}}, "tune_grid.nn_decay[0] must be finite, got inf"),
+        ({"tune_grid": {"enet_lambda": [0.1, math.nan]}},
+         "tune_grid.enet_lambda[1] must be finite, got nan"),
+        ({"learner_params": {"neural-net": {"grad_tol": math.inf}}},
+         "learner_params.neural-net.grad_tol must be finite, got inf"),
+        ({"features": {"max_missing": -math.inf}}, "features.max_missing must be finite, got -inf"),
+    ],
+)
+def test_config_from_json_rejects_non_finite_numbers(bad, message):
+    """NaN and +-Infinity, which Python's json module reads, are no value
+    of a number field, whatever its bounds."""
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        ExperimentConfig.from_json(json.loads(json.dumps(bad)))
+
+
 def test_config_from_json_rejects_unknown_keys():
     with pytest.raises(ValidationError, match="unknown"):
         ExperimentConfig.from_json({"first_period": 1, "frobnicate": True})
@@ -529,7 +549,25 @@ def test_cli_run_reports_cell_errors(cli_world, tmp_path, capsys):
     )
     assert main(["run", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
-    assert "error" in err and "missing" in err
+    # the README's `error {period}-{lag}-{spec}-{learner}: reason`
+    assert err == (
+        "error 4-2-covariates-only-logit: "
+        "covariate 'joint-democracy' missing for 100% of dyads at period 2\n"
+    )
+    assert (tmp_path / "run" / "cells.csv").exists()
+
+
+def test_cli_run_rejects_a_non_finite_config_value(cli_world, tmp_path, capsys):
+    paths, _ = cli_world
+    cfg = cli_config_json(paths, tmp_path / "run")
+    cfg["features"]["latent"]["latent_tau"] = math.inf
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert "Infinity" in cfg_path.read_text()
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: features.latent.latent_tau must be finite, got inf\n"
+    assert captured.out == "" and not (tmp_path / "run").exists()
 
 
 def test_cli_run_aggregates_once(cli_world, tmp_path, capsys, monkeypatch):

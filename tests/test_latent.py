@@ -18,6 +18,8 @@ from dyadcast import (
 )
 from helpers import (
     best_modularity_partition,
+    fit_latent_space_oracle,
+    fit_mmsbm_oracle,
     make_net,
     partition_as_groups,
     spearman,
@@ -399,3 +401,50 @@ def test_bundle_cache_distinguishes_seed_and_config(tmp_path):
     cache.get(net, cfg, 1)
     cache.get(net, LatentConfig(), 0)
     assert len(list(tmp_path.iterdir())) == 3
+
+
+# ------------------------------------------- loop oracles (before descend)
+
+def random_net(rng, n):
+    """A random directed graph on n nodes, density itself drawn in (0, 0.7)."""
+    nodes = [f"v{k:02d}" for k in range(n)]
+    density = rng.uniform(0.0, 0.7)
+    edges = [(a, b) for a in nodes for b in nodes if a != b and rng.random() < density]
+    return make_net(edges, nodes)
+
+
+def test_latent_space_matches_loop_oracle_on_random_nets():
+    for case in range(60):
+        rng = np.random.default_rng(case)
+        net = random_net(rng, int(rng.integers(2, 16)))
+        kw = dict(
+            dim=int(rng.integers(1, 4)),
+            tau=float(rng.choice([0.0, 0.1, 1.0])),
+            starts=int(rng.integers(1, 3)),
+            max_iter=int(rng.choice([0, 1, 40, 200])),
+            seed=case,
+        )
+        fit, ref = fit_latent_space(net, **kw), fit_latent_space_oracle(net, **kw)
+        assert np.array_equal(fit.positions, ref.positions), (case, kw)
+        assert (fit.alpha, fit.objective, fit.converged, fit.degenerate, fit.n_iter) == (
+            ref.alpha, ref.objective, ref.converged, ref.degenerate, ref.n_iter
+        ), (case, kw)
+
+
+def test_mmsbm_matches_loop_oracle_on_random_nets():
+    for case in range(20):
+        rng = np.random.default_rng(1000 + case)
+        K = int(rng.integers(1, 4))
+        net = random_net(rng, int(rng.integers(K, 13)))
+        kw = dict(
+            K=K,
+            restarts=int(rng.integers(1, 3)),
+            max_iter=int(rng.choice([0, 1, 20, 80])),
+            tol=float(rng.choice([0.0, 1e-7])),
+            seed=case,
+        )
+        fit, ref = fit_mmsbm(net, **kw), fit_mmsbm_oracle(net, **kw)
+        assert np.array_equal(fit.pi, ref.pi) and np.array_equal(fit.B, ref.B), (case, kw)
+        assert (fit.objective, fit.converged, fit.n_iter, fit.history) == (
+            ref.objective, ref.converged, ref.n_iter, ref.history
+        ), (case, kw)

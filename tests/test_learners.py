@@ -27,7 +27,9 @@ from dyadcast import (
 from dyadcast.learners import _best_stump, _sigmoid, nn_loss_and_grads
 from dyadcast.store import CANONICAL_COVARIATES
 
-from helpers import best_stump_oracle, elastic_net_objective, elastic_net_residual_oracle
+from helpers import (
+    best_stump_oracle, elastic_net_objective, elastic_net_residual_oracle, fit_neural_net_oracle,
+)
 
 
 def logistic_sample(n=80, beta=(1.5, -2.0, 0.7), seed=3):
@@ -243,6 +245,13 @@ def test_elastic_net_negative_lam_rejected():
     X, y = logistic_sample()
     with pytest.raises(ValueError):
         fit_elastic_net(TrainingSet.build(X, y, NAMES3), lam=-1.0)
+
+
+@pytest.mark.parametrize("lam", [np.inf, np.nan, 2 * 10**308])
+def test_elastic_net_penalty_past_the_largest_float_rejected(lam):
+    X, y = logistic_sample()
+    with pytest.raises(ValueError, match=f"^lam must be finite, got {lam}$"):
+        fit_elastic_net(TrainingSet.build(X, y, NAMES3), lam=lam)
 
 
 # ------------------------------------------------------------ logitboost
@@ -524,6 +533,36 @@ def test_nn_hidden_validation():
         fit_neural_net(TrainingSet.build(X, y, NAMES3), hidden=0, decay=0.1)
 
 
+def same_values(a, b) -> bool:
+    """a and b equal bit for bit: dict keys and types, arrays, floats."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_values(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+def test_nn_matches_loop_oracle_on_random_designs():
+    for case in range(40):
+        rng = np.random.default_rng(2000 + case)
+        n, p = int(rng.integers(6, 40)), int(rng.integers(1, 5))
+        X = rng.normal(size=(n, p))
+        y = np.zeros(n)
+        y[rng.permutation(n)[: int(rng.integers(1, n))]] = 1.0
+        train = TrainingSet.build(X, y, [f"x{k}" for k in range(p)])
+        kw = dict(
+            hidden=int(rng.integers(1, 5)),
+            decay=float(rng.choice([0.0, 0.01, 1.0])),
+            seed=case,
+            max_iter=int(rng.choice([0, 1, 50, 300])),
+            restarts=int(rng.integers(1, 4)),
+            grad_tol=float(rng.choice([0.0, 1e-5, 1e-2])),
+        )
+        fit, ref = fit_neural_net(train, **kw), fit_neural_net_oracle(train, **kw)
+        assert same_values(fit.params, ref.params), (case, kw)
+        assert same_values(fit.diagnostics, ref.diagnostics), (case, kw)
+
+
 def test_nn_restarts_validation():
     X, y = logistic_sample()
     with pytest.raises(ValueError, match="^restarts must be >= 1, got 0"):
@@ -673,6 +712,25 @@ def test_tune_grid_with_zero_does_not_extend():
         folds=3, seed=0,
     )
     assert result.extensions == 0 and result.at_boundary
+
+
+@pytest.mark.parametrize("grid", [(0.5, 1e200), (1.0, 1e308)])
+def test_tune_does_not_extend_a_grid_past_the_largest_float(grid):
+    """The top of the grid wins, and the next point of its geometric
+    spacing (infinite, or a whole number past the largest float) is no
+    penalty: the axis stops growing and the winner stays on its boundary."""
+    y = np.tile([1.0, 0.0], 10)
+    assign = learners.cv_folds(y, 2, 0)
+    # x tracks y in fold 0 and opposes it in fold 1, so every model fitted
+    # on one fold ranks the other backwards and only the null model is safe
+    x = np.where(assign == 0, 1.0, -1.0) * (2.0 * y - 1.0) + np.linspace(0, 0.1, 20)
+    train = TrainingSet.build(x[:, None], y, ("x",))
+    result = tune("elastic-net", train, TuneGrid(enet_lambda=grid), folds=2, seed=0)
+    assert result.params == {"lam": grid[1]}
+    assert result.extensions == 0 and result.at_boundary
+    assert [entry[0]["lam"] for entry in result.table] == list(grid)
+    model = fit_learner("elastic-net", train, seed=0, grid=TuneGrid(enet_lambda=grid), folds=2)
+    assert model.params["lam"] == grid[1] and model.diagnostics["tuning"]["at_boundary"]
 
 
 def test_tune_selects_useful_rounds():

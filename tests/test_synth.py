@@ -205,11 +205,14 @@ def test_spec_from_json_rejects_unknown_keys():
         ({"time_varying_covariates": 1}, "time_varying_covariates must be a boolean"),
         ({"covariate_effects": {"contiguity": "x"}},
          "covariate_effects.contiguity must be a number, got 'x'"),
+        ({"block_affinity": float("nan")}, "block_affinity must be finite, got nan"),
+        ({"covariate_effects": {"contiguity": float("inf")}},
+         "covariate_effects.contiguity must be finite, got inf"),
     ],
 )
 def test_spec_from_json_checks_value_types(bad, message):
     with pytest.raises(GenerationError, match=message):
-        SyntheticSpec.from_json(bad)
+        SyntheticSpec.from_json(json.loads(json.dumps(bad)))
 
 
 def test_save_and_reload_round_trip(tmp_path):
