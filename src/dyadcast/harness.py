@@ -43,6 +43,7 @@ from .learners import (
 )
 from .seeding import seed_for
 from .store import CovariateTable, EventPanel, aggregate_window, load_covariates, load_events
+from .store import _parse_float, _parse_int, _read_rows
 
 CELLS_HEADER = ("period", "lag", "spec", "learner", "auc_pr", "auc_roc", "skip", "error")
 AGGREGATE_HEADER = (
@@ -400,27 +401,19 @@ def write_cells_csv(path, cells) -> None:
 def read_cells_csv(path) -> list:
     """Inverse of write_cells_csv, close enough for re-summarizing."""
     cells = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(CELLS_HEADER):
-            raise ValidationError(f"unexpected cells.csv header: {header}")
-        for row in reader:
-            period, lag, spec, kind, pr, roc, skip, error = row
-            if error:
-                status, reason = "error", error
-            elif skip:
-                status, reason = "skip", skip
-            else:
-                status, reason = "ok", ""
-            cells.append(
-                CellResult(
-                    int(period), int(lag), spec, kind, status,
-                    auc_pr=float("nan") if pr == "NA" else float(pr),
-                    auc_roc=float("nan") if roc == "NA" else float(roc),
-                    reason=reason,
-                )
+    for line_no, (period, lag, spec, kind, pr, roc, skip, error) in _read_rows(
+        path, CELLS_HEADER, "cells"
+    ):
+        pr, roc = (math.nan if v == "NA" else _parse_float(v, "cells", line_no, what)
+                   for v, what in ((pr, "auc_pr"), (roc, "auc_roc")))
+        status, reason = ("error", error) if error else ("skip", skip) if skip else ("ok", "")
+        cells.append(
+            CellResult(
+                _parse_int(period, "cells", line_no, "period"),
+                _parse_int(lag, "cells", line_no, "lag"),
+                spec, kind, status, auc_pr=pr, auc_roc=roc, reason=reason,
             )
+        )
     return cells
 
 

@@ -16,9 +16,9 @@ actually changes.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,21 +39,14 @@ def modularity(nodes, und_edges, labels) -> float:
     m = len(und_edges)
     if m == 0:
         return 0.0
-    L = {}
-    D = {}
-    deg = {}
-    for a, b in und_edges:
-        deg[a] = deg.get(a, 0) + 1
-        deg[b] = deg.get(b, 0) + 1
-        if labels[a] == labels[b]:
-            L[labels[a]] = L.get(labels[a], 0) + 1
-    for k in range(len(nodes)):
-        c = labels[k]
-        D[c] = D.get(c, 0) + deg.get(k, 0)
-    q = 0.0
-    for c in D:
-        q += L.get(c, 0) / m - (D[c] / (2.0 * m)) ** 2
-    return q
+    _, first, comm = np.unique(
+        [labels[k] for k in range(len(nodes))], return_index=True, return_inverse=True
+    )
+    ends = comm[np.array(list(und_edges))]
+    within = np.bincount(ends[ends[:, 0] == ends[:, 1], 0], minlength=len(first)).tolist()
+    degree = np.bincount(ends.ravel(), minlength=len(first)).tolist()
+    # summed in each community's order of first node
+    return sum(within[c] / m - (degree[c] / (2.0 * m)) ** 2 for c in np.argsort(first).tolist())
 
 
 @dataclass(frozen=True)
@@ -83,11 +76,6 @@ class CommunityPartition(Saved):
         return len(set(self.labels.values()))
 
 
-def _dsigma(size1, phat1, size2, phat2, d, n):
-    r2 = float(np.sum((phat1 - phat2) ** 2 / d))
-    return (size1 * size2) / (size1 + size2) / n * r2
-
-
 @checked
 def walktrap(net: LaggedNetwork, walk_length: Positive = 4) -> CommunityPartition:
     """Agglomerative short-random-walk clustering, cut at max modularity.
@@ -98,10 +86,16 @@ def walktrap(net: LaggedNetwork, walk_length: Positive = 4) -> CommunityPartitio
     sequence is cut at the stage of maximum modularity computed on the
     original graph; ties keep the earliest (least merged) stage. Nodes in
     separate components are never merged together.
+
+    Community labels index dense arrays: 0..n-1 are the nodes and merge k
+    creates label n+k. ds holds the distance increase of every live
+    adjacent pair and inf elsewhere, so the first argmin in row-major order
+    is the smallest increase with ties to the lowest label pair.
     """
     nodes = net.node_list()
     A = np.maximum(net.adjacency, net.adjacency.T)
-    und_edges = [tuple(e) for e in np.argwhere(np.triu(A, 1)).tolist()]
+    ea, eb = np.nonzero(np.triu(A, 1))
+    und_edges = list(zip(ea.tolist(), eb.tolist()))
     n = len(nodes)
     if n == 0:
         raise ValueError("cannot partition an empty node set")
@@ -111,78 +105,60 @@ def walktrap(net: LaggedNetwork, walk_length: Positive = 4) -> CommunityPartitio
     P = lazy / d[:, None]
     Pt = np.linalg.matrix_power(P, walk_length)
 
-    size = {k: 1 for k in range(n)}
-    phat = {k: Pt[k].copy() for k in range(n)}
-    adj = {k: set() for k in range(n)}
-    for a, b in und_edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    def dsigma(size1, phat1, size2, phat2):
+        return (size1 * size2) / (size1 + size2) / n * np.sum((phat1 - phat2) ** 2 / d, axis=-1)
+
+    N = 2 * n - 1
+    size = np.zeros(N, dtype=int)
+    size[:n] = 1
+    degree = np.zeros(N)
+    degree[:n] = A.sum(axis=1)
+    phat = np.zeros((N, n))
+    phat[:n] = Pt
+    links = np.zeros((N, N))  # edges between two communities
+    links[:n, :n] = A
+    ds = np.full((N, N), np.inf)
+    ds[ea, eb] = ds[eb, ea] = dsigma(1, phat[ea], 1, phat[eb])
 
     # modularity of each stage on the original graph, updated as it merges
     m = len(und_edges)
-    D = dict(enumerate(A.sum(axis=1).tolist()))
-    q = best_q = -sum((D[k] / (2 * m)) ** 2 for k in range(n)) if m else 0.0
+    q = best_q = -sum((x / (2 * m)) ** 2 for x in degree[:n].tolist()) if m else 0.0
     best_stage = 0
 
-    alive = set(range(n))
-    ds = {}
-    links = dict.fromkeys(und_edges, 1)  # edges between adjacent communities, keyed like ds
-    heap = []
-    for a, b in und_edges:
-        val = _dsigma(1, phat[a], 1, phat[b], d, n)
-        ds[(a, b)] = val
-        heapq.heappush(heap, (val, a, b))
-
     merges = []
-    next_label = n
-    while heap:
-        val, a, b = heapq.heappop(heap)
-        if a not in alive or b not in alive:
-            continue
-        new = next_label
-        next_label += 1
-        nbrs = (adj[a] | adj[b]) - {a, b}
-        alive.discard(a)
-        alive.discard(b)
-        alive.add(new)
-        size[new] = size[a] + size[b]
-        phat[new] = (size[a] * phat[a] + size[b] * phat[b]) / size[new]
-        adj[new] = set()
-        for x in sorted(nbrs):
-            adj[x].discard(a)
-            adj[x].discard(b)
-            adj[x].add(new)
-            adj[new].add(x)
-            key_ax = (min(a, x), max(a, x))
-            key_bx = (min(b, x), max(b, x))
-            if key_ax in ds and key_bx in ds:
-                # merged distance from the two known ones, no phat pass
-                nv = (
-                    (size[a] + size[x]) * ds[key_ax]
-                    + (size[b] + size[x]) * ds[key_bx]
-                    - size[x] * val
-                ) / (size[new] + size[x])
-            else:
-                nv = _dsigma(size[new], phat[new], size[x], phat[x], d, n)
-            key = (min(new, x), max(new, x))
-            ds[key] = nv
-            links[key] = links.get(key_ax, 0) + links.get(key_bx, 0)
-            heapq.heappush(heap, (nv, key[0], key[1]))
+    for new in range(n, N):
+        a, b = divmod(int(np.argmin(ds)), N)
+        val = ds[a, b]
+        if val == np.inf:
+            break
+        near_a, near_b = ds[a] < np.inf, ds[b] < np.inf
+        near_a[b] = near_b[a] = False
+        X = np.flatnonzero(near_a | near_b)
+        both = near_a[X] & near_b[X]
+        sa, sb, sx = size[a], size[b], size[X]
+        size[new] = sa + sb
+        phat[new] = (sa * phat[a] + sb * phat[b]) / size[new]
+        # merged distance from the two known ones where both exist, no phat pass
+        xb, sxb = X[both], sx[both]
+        ds[new, xb] = (
+            (sa + sxb) * ds[a, xb] + (sb + sxb) * ds[b, xb] - sxb * val
+        ) / (size[new] + sxb)
+        ds[new, X[~both]] = dsigma(size[new], phat[new], sx[~both], phat[X[~both]])
+        ds[X, new] = ds[new, X]
+        ds[[a, b]] = ds[:, [a, b]] = np.inf
+        links[new] = links[:, new] = links[a] + links[b]
         merges.append((a, b, new))
-        q += links[(a, b)] / m - 2.0 * (D[a] / (2 * m)) * (D[b] / (2 * m))
-        D[new] = D[a] + D[b]
+        q += links[a, b] / m - 2.0 * (degree[a] / (2 * m)) * (degree[b] / (2 * m))
+        degree[new] = degree[a] + degree[b]
         if q > best_q + 1e-12:
             best_q = q
             best_stage = len(merges)
 
-    current = {k: {k} for k in range(n)}
+    root = np.arange(n)
     for a, b, new in merges[:best_stage]:
-        current[new] = current.pop(a) | current.pop(b)
-    groups = sorted((sorted(g) for g in current.values()), key=lambda g: g[0])
-    labels_idx = {}
-    for cid, group in enumerate(groups):
-        for k in group:
-            labels_idx[k] = cid
+        root[(root == a) | (root == b)] = new
+    ids = {}  # communities numbered in order of their first node
+    labels_idx = [ids.setdefault(r, len(ids)) for r in root.tolist()]
     q_final = modularity(nodes, und_edges, labels_idx)
     labels = {nodes[k]: labels_idx[k] for k in range(n)}
     return CommunityPartition(
@@ -252,7 +228,7 @@ def fit_mmsbm(
 
     def objective(pi, B):  # and the edge probabilities the next E step reads
         P1 = np.clip(pi @ B @ pi.T, 1e-300, 1.0 - 1e-16)
-        ll = np.sum(mask * (Y * np.log(P1) + (1.0 - Y) * np.log(1.0 - P1)))
+        ll = np.sum(mask * np.log(np.where(Y == 1, P1, 1.0 - P1)))
         return ll + eps * np.sum(np.log(pi)) + eps * np.sum(np.log(B) + np.log(1.0 - B)), P1
 
     best = None
@@ -316,6 +292,11 @@ ALPHA_CAP = 30.0
 LATENT_GRAD_TOL = 1e-5
 
 
+def _edge_loglik(Y, mask, m):
+    """Masked Bernoulli log likelihood of Y under P(edge) = sigmoid(m)."""
+    return -np.sum(mask * np.logaddexp(0.0, np.where(Y == 1, -m, m)))
+
+
 @checked
 def fit_latent_space(
     net: LaggedNetwork,
@@ -349,15 +330,13 @@ def fit_latent_space(
     if n < 2 or n_edges == 0 or n_edges == n_dyads:
         alpha = 0.0 if n < 2 else (-ALPHA_CAP if n_edges == 0 else ALPHA_CAP)
         z = np.zeros((n, dim))
-        m = alpha * mask
-        ll = float(np.sum(mask * (Y * (-np.logaddexp(0.0, -m)) + (1.0 - Y) * (-np.logaddexp(0.0, m)))))
+        ll = float(_edge_loglik(Y, mask, alpha * mask))
         return LatentSpaceFit(nodes, z, alpha, ll, True, True, 0)
 
     def value(x):
         z, alpha = x
         dmat = np.sqrt(np.sum((z[:, None, :] - z[None, :, :]) ** 2, axis=2) + 1e-18)
-        m = alpha - dmat
-        ll = np.sum(mask * (Y * (-np.logaddexp(0.0, -m)) + (1.0 - Y) * (-np.logaddexp(0.0, m))))
+        ll = _edge_loglik(Y, mask, alpha - dmat)
         return -float(ll - tau * np.sum(z**2)), dmat
 
     def gradient(x, dmat):
@@ -467,9 +446,8 @@ class BundleCache:
                 return bundle
         bundle = fit_bundle(net, config, master_seed)
         self._mem[key] = bundle
-        if path:
-            tmp = path + ".tmp"
-            with open(tmp, "w") as fh:
+        if path:  # a temporary file of this writer's own, so writers never collide
+            with tempfile.NamedTemporaryFile("w", dir=self.cache_dir, delete=False) as fh:
                 json.dump(bundle.to_json(), fh)
-            os.replace(tmp, path)
+            os.replace(fh.name, path)
         return bundle

@@ -20,6 +20,7 @@ from dyadcast import (
     FeatureConfig,
     GenerationError,
     LatentConfig,
+    ParseError,
     SyntheticSpec,
     TrainingSet,
     TuneGrid,
@@ -370,8 +371,41 @@ def test_undefined_values_are_written_as_na(tmp_path):
 def test_read_cells_rejects_wrong_header(tmp_path):
     p = tmp_path / "cells.csv"
     p.write_text("period,lag\n1,2\n")
-    with pytest.raises(ValidationError, match="header"):
+    with pytest.raises(ParseError, match="header"):
         read_cells_csv(p)
+
+
+CELLS_LINE_1 = ",".join(CELLS_HEADER) + "\n"
+BAD_CELL_ROWS = [
+    ("1,2,combined,logit,0.5,abc,,\n", "cells: line 2: auc_roc 'abc' is not a number"),
+    ("1,2,combined\n", "cells: line 2: expected 8 fields, got 3"),
+]
+
+
+def test_read_cells_reads_na_as_nan(tmp_path):
+    p = tmp_path / "cells.csv"
+    p.write_text(CELLS_LINE_1 + "3,2,combined,logit,NA,0.25,too few events,\n")
+    (cell,) = read_cells_csv(p)
+    assert (cell.period, cell.lag, cell.status, cell.reason) == (3, 2, "skip", "too few events")
+    assert math.isnan(cell.auc_pr) and cell.auc_roc == 0.25
+
+
+@pytest.mark.parametrize("row,message", BAD_CELL_ROWS, ids=["bad-number", "short-row"])
+def test_read_cells_rejects_a_malformed_row(tmp_path, row, message):
+    p = tmp_path / "cells.csv"
+    p.write_text(CELLS_LINE_1 + row)
+    with pytest.raises(ParseError, match=re.escape(message)):
+        read_cells_csv(p)
+
+
+@pytest.mark.parametrize("row,message", BAD_CELL_ROWS, ids=["bad-number", "short-row"])
+def test_cli_summarize_malformed_cells_exit_2(tmp_path, capsys, row, message):
+    (tmp_path / "config.json").write_text(json.dumps(ExperimentConfig().to_json()))
+    (tmp_path / "cells.csv").write_text(CELLS_LINE_1 + row)
+    assert main(["summarize", "--in", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not (tmp_path / "aggregate.csv").exists()
 
 
 def test_dump_models_writes_model_json(world, tmp_path):

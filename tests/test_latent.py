@@ -21,6 +21,7 @@ from helpers import (
     fit_latent_space_oracle,
     fit_mmsbm_oracle,
     make_net,
+    modularity_dict_oracle,
     partition_as_groups,
     spearman,
     tiny_latent_config,
@@ -116,8 +117,9 @@ def test_walktrap_matches_replay_oracle_on_random_graphs():
     # stages scored inside the merge loop give the same cut, dendrogram and
     # modularity, bit for bit, as replaying the merges afterwards
     rng = np.random.default_rng(20061)
-    for _ in range(1000):
-        n = int(rng.integers(1, 16))
+    sizes = [int(rng.integers(1, 16)) for _ in range(1000)]
+    sizes += [int(rng.integers(16, 91)) for _ in range(200)]
+    for n in sizes:
         nodes = [f"n{k:02d}" for k in range(n)]
         density = rng.uniform(0.05, 0.8)
         edges = [(i, j) for i in nodes for j in nodes if i != j and rng.random() < density]
@@ -127,6 +129,22 @@ def test_walktrap_matches_replay_oracle_on_random_graphs():
         assert got.labels == want.labels
         assert got.merges == want.merges
         assert got.modularity == want.modularity
+
+
+def test_modularity_matches_dict_oracle_on_random_partitions():
+    # bincount sums give the dict loop's value bit for bit, for edges given
+    # as a list or a set and for community ids that are not 0..k-1
+    rng = np.random.default_rng(2006)
+    for _ in range(1000):
+        n = int(rng.integers(1, 40))
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.7), 1)
+        und_edges = [tuple(e) for e in np.argwhere(upper).tolist()]
+        k = int(rng.integers(1, n + 1))
+        labels = {v: 7 * int(rng.integers(0, k)) - 3 for v in range(n)}
+        nodes = list(range(n))
+        want = modularity_dict_oracle(nodes, und_edges, labels)
+        assert modularity(nodes, und_edges, labels) == want
+        assert modularity(nodes, set(und_edges), labels) == want
 
 
 def test_walktrap_validation():
@@ -391,6 +409,27 @@ def test_bundle_cache_disk_layer(tmp_path):
     c2 = BundleCache(cache_dir=str(tmp_path))  # fresh memory, same disk
     b2 = c2.get(net, cfg, 3)
     assert b2.to_json() == b1.to_json()
+
+
+def test_bundle_cache_concurrent_writers_of_one_key(tmp_path, monkeypatch):
+    # a second cache writes the same bundle while the first is mid-write
+    net = two_cliques_bridge()
+    cfg = tiny_latent_config()
+    second = BundleCache(cache_dir=str(tmp_path))
+    real_dump = json.dump
+    inner = []
+
+    def dump_interleaved(obj, fh):
+        if not inner:
+            monkeypatch.setattr(json, "dump", real_dump)
+            inner.append(second.get(net, cfg, 0))
+        real_dump(obj, fh)
+
+    monkeypatch.setattr(json, "dump", dump_interleaved)
+    outer = BundleCache(cache_dir=str(tmp_path)).get(net, cfg, 0)
+    assert outer.to_json() == inner[0].to_json()
+    (path,) = tmp_path.iterdir()
+    assert LatentBundle.from_json(json.loads(path.read_text())).to_json() == outer.to_json()
 
 
 def test_bundle_cache_distinguishes_seed_and_config(tmp_path):
