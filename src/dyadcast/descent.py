@@ -3,17 +3,19 @@
 import numpy as np
 
 
-def descend(x, value, gradient, step, max_iter, grad_tol, project=lambda x: x):
+def descend(x, start, value, gradient, step, max_iter, grad_tol, project=lambda x: x):
     """Minimize value from x, a tuple of arrays and floats.
 
-    value(x) returns (v, aux); gradient(x, aux) returns the partials at x,
-    reusing aux, and is called only at accepted points. An iteration stops
-    as converged once every gradient entry is below grad_tol, and otherwise
-    tries project(x - step * g) until a finite, strictly lower value is
-    accepted (the step then grows 1.5x, to at most 10) or the halved step
-    falls below 1e-14 (converged). Returns (x, v, converged, iterations),
+    value(x) returns (v, aux); start is value(x) at the starting x, which
+    the caller has already computed, so value is called only at trial
+    points. gradient(x, aux) returns the partials at x, reusing aux, and is
+    called only at accepted points. An iteration stops as converged once
+    every gradient entry is below grad_tol, and otherwise tries
+    project(x - step * g) until a finite, strictly lower value is accepted
+    (the step then grows 1.5x, to at most 10) or the halved step falls
+    below 1e-14 (converged). Returns (x, v, converged, iterations),
     iterations counting the gradients computed, at most max_iter."""
-    v, aux = value(x)
+    v, aux = start
     for it in range(1, max_iter + 1):
         g = gradient(x, aux)
         if max(np.max(np.abs(gi)) if np.size(gi) else 0.0 for gi in g) < grad_tol:

@@ -9,7 +9,6 @@ callers can carry them through tables; genuinely unanswerable requests
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,7 +180,3 @@ class RatioSeries:
                 out.append((period, feature, ratio, smoothed[period], selected))
         out.sort(key=lambda row: (row[1], row[0]))
         return out
-
-
-def is_undefined(x) -> bool:
-    return isinstance(x, float) and math.isnan(x)

@@ -46,18 +46,18 @@ def feature_block(net: LaggedNetwork, dyads, bundle, exclude_focal_flow: bool = 
       each stripped of the other dyad member; 0 when the union is empty.
 
     bundle carries the latent-structure fits (community partition, block
-    model, latent space) already computed on this same network; they fill
-    the last three columns (mmsbm-prob per dyad: any vector form of
-    ``pi[i] @ B @ pi[j]`` rounds differently). A self-pair, or a
-    latent-space fit on other nodes, raises ValueError.
+    model, latent space) already computed on this same network, each read
+    by position at the dyads' ``net.index`` rows; they fill the last three
+    columns (mmsbm-prob per dyad: any vector form of ``pi[i] @ B @ pi[j]``
+    rounds differently). A self-pair, or a bundle whose nodes are not the
+    window's, raises ValueError.
     """
     I = np.array([net.index[i] for i, _ in dyads], dtype=np.intp)
     J = np.array([net.index[j] for _, j in dyads], dtype=np.intp)
     if np.any(I == J):
         raise ValueError("dyadic statistics are undefined on a self-pair")
-    nodes = tuple(net.node_list())
-    if bundle.latent.nodes != nodes:
-        raise ValueError("the latent-space fit was made on a different node set")
+    if bundle.nodes != tuple(net.node_list()):
+        raise ValueError("the latent bundle was fitted on a different node set")
     A = net.adjacency
     U = np.maximum(A, A.T)
     deg = U.sum(axis=1)
@@ -77,9 +77,10 @@ def feature_block(net: LaggedNetwork, dyads, bundle, exclude_focal_flow: bool = 
     out[:, 2] = common
     out[:, 3] = np.einsum("ik,k,jk->ij", U, w, U)[I, J]
     out[:, 4] = np.divide(common, union, out=np.zeros(len(dyads)), where=union > 0)
-    community = np.array([bundle.partition.labels[node] for node in nodes])
+    community = np.array(bundle.partition.labels)
     out[:, 5] = community[I] == community[J]
-    out[:, 6] = [bundle.mmsbm.prob(i, j) for i, j in dyads]
+    pi, B = bundle.mmsbm.pi, bundle.mmsbm.B
+    out[:, 6] = [float(pi[a] @ B @ pi[b]) for a, b in zip(I.tolist(), J.tolist())]
     Z = bundle.latent.positions
     out[:, 7] = np.sqrt(np.sum((Z[I] - Z[J]) ** 2, axis=1))
     return out

@@ -10,7 +10,8 @@ Three complementary summaries of who fights whom:
 All three consume the undirected or directed binary adjacency of one
 lagged window and are bundled together behind a content-addressed cache,
 so re-fitting only happens when the window's node or edge content
-actually changes.
+actually changes. The bundle holds the window's sorted node tuple once;
+every fit inside it is positional in that order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,27 +53,17 @@ def modularity(nodes, und_edges, labels) -> float:
 class CommunityPartition(Saved):
     """Hard community assignment with the modularity of the chosen cut.
 
-    merges is the full agglomeration dendrogram as (a, b, new) label
-    triples over integer labels; labels 0..n-1 are nodes in sorted-id
-    order, merged communities get fresh labels n, n+1, ... The labels dict
-    itself is kept in sorted node order.
+    labels[k] is the community id of the k-th node in sorted-id order,
+    communities numbered in order of their first node. merges is the full
+    agglomeration dendrogram as (a, b, new) label triples over integer
+    labels; labels 0..n-1 are the nodes, merged communities get fresh
+    labels n, n+1, ...
     """
 
-    labels: dict
+    labels: tuple
     modularity: float
     walk_length: int
     merges: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", dict(sorted(self.labels.items())))
-
-    def same_community(self, i: str, j: str) -> bool:
-        if i not in self.labels or j not in self.labels:
-            raise ValueError(f"node not in partition: {i if i not in self.labels else j!r}")
-        return self.labels[i] == self.labels[j]
-
-    def n_communities(self) -> int:
-        return len(set(self.labels.values()))
 
 
 @checked
@@ -160,36 +150,20 @@ def walktrap(net: LaggedNetwork, walk_length: Positive = 4) -> CommunityPartitio
     ids = {}  # communities numbered in order of their first node
     labels_idx = [ids.setdefault(r, len(ids)) for r in root.tolist()]
     q_final = modularity(nodes, und_edges, labels_idx)
-    labels = {nodes[k]: labels_idx[k] for k in range(n)}
-    return CommunityPartition(
-        labels=labels, modularity=q_final, walk_length=walk_length, merges=tuple(merges)
-    )
+    return CommunityPartition(tuple(labels_idx), q_final, walk_length, tuple(merges))
 
 
 @dataclass
 class MMSBMFit(Saved):
-    """Point estimates of a mixed-membership blockmodel.
+    """Point estimates of a mixed-membership blockmodel: pi[k] is the role
+    mixture of the k-th node in sorted-id order, B the block probabilities,
+    so P(i->j) = pi[i] @ B @ pi[j]."""
 
-    history holds the penalized objective after each EM iteration of the
-    winning restart; it is non-decreasing by construction.
-    """
-
-    nodes: tuple
     pi: np.ndarray
     B: np.ndarray
     objective: float
     converged: bool
     n_iter: int
-    history: tuple = ()
-
-    def __post_init__(self):
-        self._index = {node: k for k, node in enumerate(self.nodes)}
-
-    def prob(self, i: str, j: str) -> float:
-        if i not in self._index or j not in self._index:
-            raise ValueError(f"node not in fit: {i if i not in self._index else j!r}")
-        p = self.pi[self._index[i]] @ self.B @ self.pi[self._index[j]]
-        return float(p)
 
 
 MMSBM_EPS = 1e-6
@@ -214,11 +188,11 @@ def fit_mmsbm(
 
         loglik + eps*sum(log pi) + eps*sum(log B + log(1-B))
 
-    non-decreasing across iterations. The best of `restarts` random
-    initializations wins by that objective.
+    non-decreasing across iterations; an iteration that lowers it raises
+    FitError. The best of `restarts` random initializations wins by that
+    objective.
     """
-    nodes = tuple(net.node_list())
-    n = len(nodes)
+    n = len(net.nodes)
     if n < K:
         raise ValueError(f"need at least K={K} nodes, have {n}")
 
@@ -237,7 +211,6 @@ def fit_mmsbm(
         pi = rng.dirichlet(np.ones(K), size=n)
         B = rng.uniform(0.1, 0.9, size=(K, K))
         prev, P1 = objective(pi, B)
-        history = []
         converged = False
         it = 0
         for it in range(1, max_iter + 1):
@@ -255,37 +228,27 @@ def fit_mmsbm(
                 raise FitError(
                     f"EM objective decreased from {prev} to {obj} at iteration {it}"
                 )
-            history.append(obj)
             if abs(obj - prev) < tol * (1.0 + abs(obj)):
                 converged = True
                 prev = obj
                 break
             prev = obj
         if best is None or prev > best.objective:
-            best = MMSBMFit(nodes, pi, B, prev, converged, it, tuple(history))
+            best = MMSBMFit(pi, B, prev, converged, it)
     return best
 
 
 @dataclass
 class LatentSpaceFit(Saved):
-    """Positions and intercept of a distance model for directed edges."""
+    """Positions and intercept of a distance model for directed edges;
+    positions[k] belongs to the k-th node in sorted-id order."""
 
-    nodes: tuple
     positions: np.ndarray
     alpha: float
     objective: float
     converged: bool
     degenerate: bool
     n_iter: int = 0
-
-    def __post_init__(self):
-        self._index = {node: k for k, node in enumerate(self.nodes)}
-
-    def distance(self, i: str, j: str) -> float:
-        if i not in self._index or j not in self._index:
-            raise ValueError(f"node not in fit: {i if i not in self._index else j!r}")
-        delta = self.positions[self._index[i]] - self.positions[self._index[j]]
-        return float(np.sqrt(np.sum(delta**2)))
 
 
 ALPHA_CAP = 30.0
@@ -317,8 +280,7 @@ def fit_latent_space(
     closed-form degenerate fit: all positions at the origin and alpha at
     -+ALPHA_CAP.
     """
-    nodes = tuple(net.node_list())
-    n = len(nodes)
+    n = len(net.nodes)
     if n == 0:
         raise ValueError("cannot fit a latent space on an empty node set")
     n_dyads = n * (n - 1)
@@ -331,7 +293,7 @@ def fit_latent_space(
         alpha = 0.0 if n < 2 else (-ALPHA_CAP if n_edges == 0 else ALPHA_CAP)
         z = np.zeros((n, dim))
         ll = float(_edge_loglik(Y, mask, alpha * mask))
-        return LatentSpaceFit(nodes, z, alpha, ll, True, True, 0)
+        return LatentSpaceFit(z, alpha, ll, True, True, 0)
 
     def value(x):
         z, alpha = x
@@ -356,12 +318,12 @@ def fit_latent_space(
     best = None
     for s in range(starts):
         rng = np.random.default_rng(seed_for(seed, "latent-start", s))
-        z = rng.normal(0.0, 1.0, size=(n, dim))
+        x = (rng.normal(0.0, 1.0, size=(n, dim)), alpha0)
         (z, alpha), v, converged, it = descend(
-            (z, alpha0), value, gradient, 0.1, max_iter, LATENT_GRAD_TOL, project
+            x, value(x), value, gradient, 0.1, max_iter, LATENT_GRAD_TOL, project
         )
         if best is None or -v > best.objective:
-            best = LatentSpaceFit(nodes, z, alpha, -v, converged, False, it)
+            best = LatentSpaceFit(z, alpha, -v, converged, False, it)
     return best
 
 
@@ -386,6 +348,10 @@ class LatentConfig:
 
 @dataclass
 class LatentBundle(Saved):
+    """The three fits of one window, each positional in ``nodes``, the
+    window's sorted node tuple."""
+
+    nodes: tuple
     partition: CommunityPartition
     mmsbm: MMSBMFit
     latent: LatentSpaceFit
@@ -413,11 +379,20 @@ def fit_bundle(net: LaggedNetwork, config: LatentConfig, master_seed: int) -> La
         max_iter=config.latent_max_iter,
         seed=seed_for(master_seed, "latent", chash),
     )
-    return LatentBundle(partition=partition, mmsbm=mmsbm, latent=latent, content_hash=chash)
+    return LatentBundle(
+        nodes=tuple(net.node_list()), partition=partition, mmsbm=mmsbm, latent=latent,
+        content_hash=chash,
+    )
+
+
+# Raised by every change to latent fit results or to the bundle format, so
+# that a persistent cache never serves bundles of another version.
+BUNDLE_VERSION = 2
 
 
 class BundleCache:
-    """Memoizes latent bundles by (window content, config, master seed).
+    """Memoizes latent bundles by (BUNDLE_VERSION, window content, config,
+    master seed).
 
     The in-memory layer always applies. Set DYADCAST_CACHE_DIR (or pass
     cache_dir) to also persist bundles as JSON across processes.
@@ -432,7 +407,7 @@ class BundleCache:
             os.makedirs(self.cache_dir, exist_ok=True)
 
     def get(self, net: LaggedNetwork, config: LatentConfig, master_seed: int) -> LatentBundle:
-        key = (net.content_hash(), config.fingerprint(), int(master_seed))
+        key = (f"v{BUNDLE_VERSION}", net.content_hash(), config.fingerprint(), int(master_seed))
         bundle = self._mem.get(key)
         if bundle is not None:
             return bundle
@@ -447,7 +422,12 @@ class BundleCache:
         bundle = fit_bundle(net, config, master_seed)
         self._mem[key] = bundle
         if path:  # a temporary file of this writer's own, so writers never collide
-            with tempfile.NamedTemporaryFile("w", dir=self.cache_dir, delete=False) as fh:
-                json.dump(bundle.to_json(), fh)
-            os.replace(fh.name, path)
+            tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+            with open(tmp, "x") as fh:
+                try:
+                    json.dump(bundle.to_json(), fh)
+                except BaseException:
+                    os.unlink(tmp)
+                    raise
+            os.replace(tmp, path)
         return bundle

@@ -452,7 +452,8 @@ def fit_neural_net(
     """Single-hidden-layer logistic network by full-batch gradient descent
     with backtracking step control (``descend`` from step 0.01); best of
     `restarts` random starts by penalized training loss. A start whose loss
-    is not finite has its weights scaled by 0.1, up to 5 times."""
+    is not finite has its weights scaled by 0.1, up to 5 times; the finite
+    evaluation is where ``descend`` starts."""
     _require_both_classes(train.y)
     Z, yv = train.Z, train.y
     p = Z.shape[1]
@@ -471,13 +472,14 @@ def fit_neural_net(
         w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=hidden)
         x = (W1, np.zeros(hidden), w2, 0.0)
         for _ in range(6):
-            if np.isfinite(value(x)[0]):
+            start = value(x)
+            if np.isfinite(start[0]):
                 break
             x = (0.1 * x[0], x[1], 0.1 * x[2], x[3])
         else:
             failed_starts += 1
             continue
-        x, loss, converged, _ = descend(x, value, gradient, 0.01, max_iter, grad_tol)
+        x, loss, converged, _ = descend(x, start, value, gradient, 0.01, max_iter, grad_tol)
         if best is None or loss < best[0]:
             best = (loss, *x, converged)
 

@@ -12,8 +12,8 @@ from collections import Counter
 import numpy as np
 
 from dyadcast import (
-    CommunityPartition, EventPanel, FitError, FittedModel, LaggedNetwork, LatentConfig,
-    LatentSpaceFit, MMSBMFit, TrainingSet,
+    CommunityPartition, EventPanel, FitError, FittedModel, LaggedNetwork, LatentBundle,
+    LatentConfig, LatentSpaceFit, MMSBMFit, TrainingSet,
 )
 from dyadcast.codec import Count, NonNegative, Positive
 from dyadcast.latent import ALPHA_CAP, LATENT_GRAD_TOL, MMSBM_EPS
@@ -53,27 +53,24 @@ def tiny_latent_config():
     )
 
 
-class StubMMSBM:
-    def __init__(self, probs):
-        self.probs = probs
-
-    def prob(self, i, j):
-        return self.probs[(i, j)]
-
-
-class StubBundle:
-    """Hand-specified latent fits, for pinning column placement: community
-    labels and latent positions per node, block-model probabilities per
-    dyad."""
-
-    def __init__(self, labels, probs, positions):
-        nodes = tuple(sorted(positions))
-        self.partition = CommunityPartition(labels, modularity=0.0, walk_length=1)
-        self.mmsbm = StubMMSBM(probs)
-        self.latent = LatentSpaceFit(
-            nodes, np.array([positions[n] for n in nodes], dtype=float),
+def stub_bundle(labels, probs, positions):
+    """A latent bundle of hand-specified fits, for pinning column placement:
+    community labels and latent positions per node, block-model
+    probabilities per dyad (0 where not given). The nodes are the sorted
+    keys of positions. Each node has a role of its own (pi is the identity),
+    so pi[i] @ B @ pi[j] is B[i, j], the dyad's probability, exactly."""
+    nodes = tuple(sorted(positions))
+    B = np.array([[probs.get((i, j), 0.0) for j in nodes] for i in nodes])
+    return LatentBundle(
+        nodes=nodes,
+        partition=CommunityPartition(tuple(labels[n] for n in nodes), 0.0, 1),
+        mmsbm=MMSBMFit(np.eye(len(nodes)), B, 0.0, True, 0),
+        latent=LatentSpaceFit(
+            np.array([positions[n] for n in nodes], dtype=float),
             alpha=0.0, objective=0.0, converged=True, degenerate=False,
-        )
+        ),
+        content_hash="stub",
+    )
 
 
 # ------------------------------------------------------ network features
@@ -495,9 +492,9 @@ def walktrap_oracle(net, walk_length=4):
         for k in group:
             labels_idx[k] = cid
     q_final = modularity_dict_oracle(nodes, und_edges, labels_idx)
-    labels = {nodes[k]: labels_idx[k] for k in range(n)}
     return CommunityPartition(
-        labels=labels, modularity=q_final, walk_length=walk_length, merges=tuple(merges)
+        labels=tuple(labels_idx[k] for k in range(n)), modularity=q_final,
+        walk_length=walk_length, merges=tuple(merges),
     )
 
 
@@ -514,8 +511,9 @@ def fit_mmsbm_oracle(
     max_iter: Count = 300,
     tol: NonNegative = 1e-7,
     seed: int = 0,
-) -> MMSBMFit:
-    """Penalized EM for sender/receiver role mixtures.
+) -> tuple[MMSBMFit, tuple]:
+    """Penalized EM for sender/receiver role mixtures, and the history of
+    the winning restart: its penalized objective after each iteration.
 
     Each ordered dyad draws a sender role from the sender's mixture and a
     receiver role from the receiver's, then an edge with the block
@@ -573,8 +571,8 @@ def fit_mmsbm_oracle(
                 prev = obj
                 break
             prev = obj
-        if best is None or prev > best.objective:
-            best = MMSBMFit(nodes, pi, B, prev, converged, it, tuple(history))
+        if best is None or prev > best[0].objective:
+            best = MMSBMFit(pi, B, prev, converged, it), tuple(history)
     return best
 
 
@@ -611,7 +609,7 @@ def fit_latent_space_oracle(
         z = np.zeros((n, dim))
         m = alpha * mask
         ll = float(np.sum(mask * (Y * (-np.logaddexp(0.0, -m)) + (1.0 - Y) * (-np.logaddexp(0.0, m)))))
-        return LatentSpaceFit(nodes, z, alpha, ll, True, True, 0)
+        return LatentSpaceFit(z, alpha, ll, True, True, 0)
 
     def dist_matrix(z):
         diff = z[:, None, :] - z[None, :, :]
@@ -665,7 +663,7 @@ def fit_latent_space_oracle(
                 converged = True
                 break
         if best is None or obj > best.objective:
-            best = LatentSpaceFit(nodes, z, alpha, obj, converged, False, it)
+            best = LatentSpaceFit(z, alpha, obj, converged, False, it)
     return best
 
 

@@ -301,8 +301,8 @@ def test_criterion_4_latent_structure(capsys):
         net = LaggedNetwork(window=(1, 1), edges=edges, nodes=nodes)
         part = walktrap(net)
         groups: dict = {}
-        for node in nodes:
-            groups.setdefault(part.labels[node], set()).add(node)
+        for node, label in zip(net.node_list(), part.labels):
+            groups.setdefault(label, set()).add(node)
         found = frozenset(frozenset(g) for g in groups.values())
         best, best_q, unique = best_modularity_partition(
             len(nodes), {(nodes.index(u), nodes.index(v)) for u, v in edges}
@@ -323,12 +323,13 @@ def test_criterion_4_latent_structure(capsys):
                     edges.add((i, j))
         net = LaggedNetwork(window=(1, 1), edges=frozenset(edges), nodes=mm_nodes)
         fit = fit_mmsbm(net, K=2, restarts=3, max_iter=200, tol=1e-6, seed=s)
+        P = fit.pi @ fit.B @ fit.pi.T  # mm_nodes are sorted: rows in their order
         within = np.mean(
-            [fit.prob(i, j) for i in mm_nodes for j in mm_nodes
+            [P[a, b] for a, i in enumerate(mm_nodes) for b, j in enumerate(mm_nodes)
              if i != j and block[i] == block[j]]
         )
         between = np.mean(
-            [fit.prob(i, j) for i in mm_nodes for j in mm_nodes
+            [P[a, b] for a, i in enumerate(mm_nodes) for b, j in enumerate(mm_nodes)
              if i != j and block[i] != block[j]]
         )
         wins += within > between
@@ -346,7 +347,7 @@ def test_criterion_4_latent_structure(capsys):
     d_fit, d_true = [], []
     for a in range(12):
         for b in range(a + 1, 12):
-            d_fit.append(fit.distance(line_nodes[a], line_nodes[b]))
+            d_fit.append(float(np.sqrt(np.sum((fit.positions[a] - fit.positions[b]) ** 2))))
             d_true.append(abs(a - b))
     rho = spearman(d_fit, d_true)
     latent_ok = rho > 0.8

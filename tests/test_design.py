@@ -12,7 +12,7 @@ from dyadcast import (
 from dyadcast.design import SPEC_CLASSES, SPEC_COMBINED, SPEC_COVARIATES, SPEC_ENDOGENOUS
 from dyadcast.features import ENDOGENOUS_FEATURE_NAMES
 
-from helpers import StubBundle, make_panel
+from helpers import make_panel, stub_bundle
 
 NODES = ("a", "b", "c")
 
@@ -24,7 +24,7 @@ def panel_abc(extra=()):
 
 
 def bundle_abc():
-    return StubBundle(
+    return stub_bundle(
         labels={n: 0 for n in NODES},
         probs={(i, j): 0.5 for i in NODES for j in NODES if i != j},
         positions={n: (float(k), 0.0) for k, n in enumerate(NODES)},

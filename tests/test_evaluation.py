@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -18,7 +19,7 @@ from dyadcast import (
     roc_curve,
     rolling_mean,
 )
-from dyadcast.evaluation import SELECTION_THRESHOLD, is_undefined
+from dyadcast.evaluation import SELECTION_THRESHOLD
 
 from helpers import (
     average_precision_oracle, expected_ap_random, mann_whitney_auc, threshold_rates,
@@ -280,7 +281,7 @@ def test_rolling_mean_skips_nan():
 
 def test_rolling_mean_all_nan_window():
     out = rolling_mean([(1, float("nan"))], width=3)
-    assert out[0][0] == 1 and is_undefined(out[0][1])
+    assert out[0][0] == 1 and math.isnan(out[0][1])
 
 
 def test_rolling_mean_width_one_is_identity():
@@ -343,7 +344,7 @@ def test_coefficient_ratio_zero_denominator():
             return dict(self._c)
 
     entries = coefficient_ratio(Fake({"a": 0.5}), Fake({"a": 0.0}))
-    assert is_undefined(entries[0].ratio) and entries[0].selected is None
+    assert math.isnan(entries[0].ratio) and entries[0].selected is None
 
 
 def test_coefficient_ratio_schema_mismatch():

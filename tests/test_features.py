@@ -6,13 +6,13 @@ from hypothesis import given, strategies as st
 
 from dyadcast import ENDOGENOUS_FEATURE_NAMES, feature_block
 from helpers import (
-    StubBundle,
     adamic_adar,
     common_combatants,
     flow,
     jaccard,
     make_net,
     memory,
+    stub_bundle,
 )
 
 NETWORK_COLUMNS = ENDOGENOUS_FEATURE_NAMES[:5]
@@ -23,7 +23,7 @@ def stats(edges, dyads, nodes=(), exclude_focal_flow=False):
     net = make_net(edges, nodes)
     labels = {n: 0 for n in net.nodes}
     origin = {n: (0.0, 0.0) for n in net.nodes}
-    X = feature_block(net, dyads, StubBundle(labels, {d: 0.0 for d in dyads}, origin),
+    X = feature_block(net, dyads, stub_bundle(labels, {d: 0.0 for d in dyads}, origin),
                       exclude_focal_flow)
     return {name: X[:, k].tolist() for k, name in enumerate(NETWORK_COLUMNS)}
 
@@ -93,7 +93,7 @@ def test_self_pair_rejected(fn):
     net = make_net([("a", "b")])
     with pytest.raises(ValueError):
         fn(net, "a", "a")
-    bundle = StubBundle({"a": 0, "b": 0}, {("a", "b"): 0.0}, {"a": (0.0,), "b": (0.0,)})
+    bundle = stub_bundle({"a": 0, "b": 0}, {("a", "b"): 0.0}, {"a": (0.0,), "b": (0.0,)})
     with pytest.raises(ValueError):
         feature_block(net, [("a", "b"), ("a", "a")], bundle)
 
@@ -103,7 +103,7 @@ def test_self_pair_rejected(fn):
 def test_feature_block_column_order_and_values():
     net = make_net([("a", "b"), ("a", "c"), ("d", "b")])
     dyads = [("a", "b"), ("b", "a")]
-    bundle = StubBundle(
+    bundle = stub_bundle(
         labels={"a": 0, "b": 0, "c": 1, "d": 1},
         probs={("a", "b"): 0.25, ("b", "a"): 0.125},
         positions={"a": (0.0, 0.0), "b": (1.2, -1.6), "c": (3.0, 0.0), "d": (0.0, 1.0)},
@@ -131,12 +131,12 @@ def test_feature_block_column_order_and_values():
 
 def test_latent_columns_follow_the_node_index():
     """common-community and latent-distance are read per node from the
-    fits, whatever order the dyads come in; a latent-space fit on another
-    node set is refused."""
+    fits, whatever order the dyads come in; a bundle fitted on other nodes
+    is refused, whether it lacks a node or names one differently."""
     net = make_net([("a", "b"), ("c", "d")])
     dyads = [("d", "a"), ("a", "c"), ("c", "d"), ("b", "a")]
     positions = {"a": (0.0, 0.0), "b": (3.0, 4.0), "c": (6.0, 0.0), "d": (6.0, 8.0)}
-    bundle = StubBundle(
+    bundle = stub_bundle(
         labels={"a": 0, "b": 0, "c": 1, "d": 1},
         probs={d: 0.5 for d in dyads},
         positions=positions,
@@ -144,9 +144,13 @@ def test_latent_columns_follow_the_node_index():
     X = feature_block(net, dyads, bundle)
     assert X[:, 5].tolist() == [0.0, 0.0, 1.0, 1.0]
     assert X[:, 7].tolist() == [10.0, 6.0, 8.0, 5.0]
+    labels = {"a": 0, "b": 0, "c": 1, "d": 1, "e": 1}
     del positions["d"]
     with pytest.raises(ValueError, match="node set"):
-        feature_block(net, dyads, StubBundle(bundle.partition.labels, {}, positions))
+        feature_block(net, dyads, stub_bundle(labels, {}, positions))
+    positions["e"] = (6.0, 8.0)
+    with pytest.raises(ValueError, match="node set"):
+        feature_block(net, dyads, stub_bundle(labels, {}, positions))
 
 
 def test_feature_block_exclude_focal_flow():
@@ -154,7 +158,7 @@ def test_feature_block_exclude_focal_flow():
     no column: only flow changes."""
     net = make_net([("a", "b"), ("a", "c"), ("d", "b")])
     dyads = [("a", "b"), ("a", "c"), ("c", "b")]
-    bundle = StubBundle(
+    bundle = stub_bundle(
         labels={"a": 0, "b": 0, "c": 1, "d": 1},
         probs={d: 0.5 for d in dyads},
         positions={"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (0.0, 1.0), "d": (1.0, 1.0)},
@@ -170,7 +174,7 @@ def test_feature_block_exclude_focal_flow():
 
 def test_feature_block_empty_network():
     net = make_net([], nodes=["a", "b"])
-    bundle = StubBundle(
+    bundle = stub_bundle(
         labels={"a": 0, "b": 1},
         probs={("a", "b"): 0.0},
         positions={"a": (0.0, 0.0), "b": (0.0, 0.0)},

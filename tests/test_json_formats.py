@@ -5,6 +5,8 @@ generator specs are files that other processes and later versions read
 back, so their text must not drift. Each case below is a hand-built
 instance with literal values; its ``json.dumps`` text is compared with a
 literal string, and decoding then re-encoding must give the same text.
+The bundle text is the format of its ``BUNDLE_VERSION``, which is part of
+the cache key: a new text comes with a new version.
 """
 
 import json
@@ -25,28 +27,25 @@ from dyadcast import (
     SyntheticSpec,
     TuneGrid,
 )
+from dyadcast.latent import BUNDLE_VERSION
 
 
 def partition():
-    # labels given out of order: the saved form lists them sorted by node
     return CommunityPartition(
-        labels={"b": 1, "a": 0, "c": 1}, modularity=0.25, walk_length=3,
-        merges=((1, 2, 3), (0, 3, 4)),
+        labels=(0, 1, 1), modularity=0.25, walk_length=3, merges=((1, 2, 3), (0, 3, 4)),
     )
 
 
 def mmsbm():
     return MMSBMFit(
-        nodes=("a", "b", "c"),
         pi=np.array([[0.75, 0.25], [0.5, 0.5], [0.125, 0.875]]),
         B=np.array([[0.875, 0.0625], [0.25, 0.5]]),
-        objective=-4.5, converged=True, n_iter=7, history=(-6.25, -4.5),
+        objective=-4.5, converged=True, n_iter=7,
     )
 
 
 def latent_space():
     return LatentSpaceFit(
-        nodes=("a", "b", "c"),
         positions=np.array([[0.5, -1.0], [0.0, 2.25], [-0.75, 0.125]]),
         alpha=1.5, objective=-3.25, converged=False, degenerate=False, n_iter=12,
     )
@@ -54,7 +53,8 @@ def latent_space():
 
 def bundle():
     return LatentBundle(
-        partition=partition(), mmsbm=mmsbm(), latent=latent_space(), content_hash="c0ffee",
+        nodes=("a", "b", "c"), partition=partition(), mmsbm=mmsbm(), latent=latent_space(),
+        content_hash="c0ffee",
     )
 
 
@@ -148,16 +148,16 @@ def config():
 
 
 PARTITION = (
-    '{"labels": {"a": 0, "b": 1, "c": 1}, "modularity": 0.25, "walk_length": 3, '
+    '{"labels": [0, 1, 1], "modularity": 0.25, "walk_length": 3, '
     '"merges": [[1, 2, 3], [0, 3, 4]]}'
 )
 MMSBM = (
-    '{"nodes": ["a", "b", "c"], "pi": [[0.75, 0.25], [0.5, 0.5], [0.125, 0.875]], '
+    '{"pi": [[0.75, 0.25], [0.5, 0.5], [0.125, 0.875]], '
     '"B": [[0.875, 0.0625], [0.25, 0.5]], "objective": -4.5, "converged": true, '
-    '"n_iter": 7, "history": [-6.25, -4.5]}'
+    '"n_iter": 7}'
 )
 LATENT = (
-    '{"nodes": ["a", "b", "c"], "positions": [[0.5, -1.0], [0.0, 2.25], [-0.75, 0.125]], '
+    '{"positions": [[0.5, -1.0], [0.0, 2.25], [-0.75, 0.125]], '
     '"alpha": 1.5, "objective": -3.25, "converged": false, "degenerate": false, '
     '"n_iter": 12}'
 )
@@ -172,8 +172,8 @@ CASES = {
     "latent-space": (latent_space, LATENT),
     "bundle": (
         bundle,
-        '{"partition": ' + PARTITION + ', "mmsbm": ' + MMSBM + ', "latent": ' + LATENT
-        + ', "content_hash": "c0ffee"}',
+        '{"nodes": ["a", "b", "c"], "partition": ' + PARTITION + ', "mmsbm": ' + MMSBM
+        + ', "latent": ' + LATENT + ', "content_hash": "c0ffee"}',
     ),
     "standardizer": (standardizer, STANDARDIZER),
     "empty-standardizer": (
@@ -269,11 +269,15 @@ def test_json_text_is_pinned(name):
     assert json.dumps(type(obj).from_json(json.loads(text)).to_json()) == text
 
 
+def test_bundle_text_belongs_to_its_version():
+    # re-pinning the bundle text above means raising BUNDLE_VERSION here too
+    assert BUNDLE_VERSION == 2
+
+
 def test_tuple_fields_decode_as_tuples():
     back = decode(bundle())
     assert back.partition.merges == ((1, 2, 3), (0, 3, 4))
-    assert back.mmsbm.nodes == ("a", "b", "c") and back.mmsbm.history == (-6.25, -4.5)
-    assert back.latent.nodes == ("a", "b", "c")
+    assert back.nodes == ("a", "b", "c") and back.partition.labels == (0, 1, 1)
     s = decode(spec())
     assert s == spec()
     assert s.initial_edges == ((0, 1), (2, 3)) and s.rate_band == (0.0, 0.5)
@@ -312,9 +316,6 @@ def test_missing_keys_take_the_field_defaults():
     part = json.loads(PARTITION)
     del part["merges"]
     assert CommunityPartition.from_json(part).merges == ()
-    fit = json.loads(MMSBM)
-    del fit["history"]
-    assert MMSBMFit.from_json(fit).history == ()
     fit = json.loads(LATENT)
     del fit["n_iter"]
     assert LatentSpaceFit.from_json(fit).n_iter == 0

@@ -1,21 +1,26 @@
+import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
 from dyadcast import (
+    ENDOGENOUS_FEATURE_NAMES,
     BundleCache,
     CommunityPartition,
     LatentBundle,
     LatentConfig,
     LatentSpaceFit,
     MMSBMFit,
+    feature_block,
     fit_bundle,
     fit_latent_space,
     fit_mmsbm,
     modularity,
     walktrap,
 )
+from dyadcast import latent
 from helpers import (
     best_modularity_partition,
     fit_latent_space_oracle,
@@ -24,6 +29,7 @@ from helpers import (
     modularity_dict_oracle,
     partition_as_groups,
     spearman,
+    stub_bundle,
     tiny_latent_config,
     walktrap_oracle,
 )
@@ -36,14 +42,34 @@ def two_cliques_bridge():
     return make_net(edges)
 
 
+def communities(net, part):
+    """The partition as a set of frozensets of node names."""
+    return partition_as_groups(dict(zip(net.node_list(), part.labels)))
+
+
+def column(net, dyads, bundle, name):
+    """One column of feature_block, the fits' positional reads."""
+    return feature_block(net, dyads, bundle)[:, ENDOGENOUS_FEATURE_NAMES.index(name)].tolist()
+
+
+def bundle_ab(**fit):
+    """A bundle on nodes a and b holding the given hand-built fit."""
+    stub = stub_bundle({"a": 0, "b": 1}, {}, {"a": (0.0, 0.0), "b": (0.0, 0.0)})
+    return dataclasses.replace(stub, **fit)
+
+
+def distance(fit, k, m):
+    """Latent distance between the k-th and m-th nodes."""
+    return float(np.sqrt(np.sum((fit.positions[k] - fit.positions[m]) ** 2)))
+
+
 # --------------------------------------------------------------- walktrap
 
 def test_walktrap_two_cliques():
-    part = walktrap(two_cliques_bridge())
-    assert part.n_communities() == 2
-    assert part.same_community("x0", "x1")
-    assert part.same_community("y0", "y2")
-    assert not part.same_community("x0", "y0")
+    net = two_cliques_bridge()
+    assert communities(net, walktrap(net)) == {
+        frozenset({"x0", "x1", "x2"}), frozenset({"y0", "y1", "y2"})
+    }
 
 
 def test_walktrap_matches_exhaustive_oracle():
@@ -55,7 +81,7 @@ def test_walktrap_matches_exhaustive_oracle():
     )
     best, best_q, unique = best_modularity_partition(len(net.nodes), und)
     assert unique
-    assert partition_as_groups({n2i[n]: c for n, c in part.labels.items()}) == best
+    assert partition_as_groups(dict(enumerate(part.labels))) == best
     assert part.modularity == pytest.approx(best_q, abs=1e-12)
 
 
@@ -63,21 +89,18 @@ def test_walktrap_complete_graph_single_community():
     nodes = ["a", "b", "c", "d"]
     edges = [(i, j) for i in nodes for j in nodes if i < j]
     part = walktrap(make_net(edges))
-    assert part.n_communities() == 1
+    assert part.labels == (0, 0, 0, 0)
 
 
 def test_walktrap_disconnected_edges():
     part = walktrap(make_net([("a", "b"), ("c", "d")]))
-    assert part.n_communities() == 2
-    assert part.same_community("a", "b")
-    assert not part.same_community("a", "c")
+    assert part.labels == (0, 0, 1, 1)
 
 
 def test_walktrap_isolates_stay_singletons():
     net = make_net([("a", "b"), ("a", "c"), ("b", "c")], nodes=["a", "b", "c", "z"])
     part = walktrap(net)
-    assert not part.same_community("a", "z")
-    assert part.n_communities() == 2
+    assert part.labels == (0, 0, 0, 1)
 
 
 def test_walktrap_reported_modularity_consistent():
@@ -86,13 +109,12 @@ def test_walktrap_reported_modularity_consistent():
         nodes = sorted(net.nodes)
         n2i = {n: k for k, n in enumerate(nodes)}
         und = {(min(n2i[i], n2i[j]), max(n2i[i], n2i[j])) for i, j in net.edges}
-        labels_idx = {n2i[n]: c for n, c in part.labels.items()}
-        assert abs(part.modularity - modularity(nodes, und, labels_idx)) <= 1e-10
+        assert abs(part.modularity - modularity(nodes, und, part.labels)) <= 1e-10
 
 
 def test_walktrap_no_edges_all_singletons():
     part = walktrap(make_net([], nodes=["a", "b", "c"]))
-    assert part.n_communities() == 3
+    assert part.labels == (0, 1, 2)
     assert part.modularity == 0.0
 
 
@@ -101,11 +123,8 @@ def test_walktrap_relabel_invariant_grouping():
     ren = {"x0": "m", "x1": "q", "x2": "b", "y0": "a", "y1": "z", "y2": "k"}
     net1 = two_cliques_bridge()
     net2 = make_net([(ren[i], ren[j]) for i, j in net1.edges])
-    p1, p2 = walktrap(net1), walktrap(net2)
-    for i in net1.nodes:
-        for j in net1.nodes:
-            if i != j:
-                assert p1.same_community(i, j) == p2.same_community(ren[i], ren[j])
+    renamed = {frozenset(ren[n] for n in g) for g in communities(net1, walktrap(net1))}
+    assert communities(net2, walktrap(net2)) == renamed
 
 
 def test_walktrap_merge_count():
@@ -155,11 +174,11 @@ def test_walktrap_validation():
 
 
 def test_common_community():
-    part = walktrap(two_cliques_bridge())
-    assert part.same_community("x0", "x1")
-    assert not part.same_community("x0", "y0")
-    with pytest.raises(ValueError):
-        part.same_community("x0", "nope")
+    # feature_block compares the partition's labels at the dyads' positions
+    net = two_cliques_bridge()
+    bundle = fit_bundle(net, tiny_latent_config(), master_seed=0)
+    dyads = [("x0", "x1"), ("x0", "y0"), ("y2", "y1"), ("y1", "x2")]
+    assert column(net, dyads, bundle, "common-community") == [1.0, 0.0, 1.0, 0.0]
 
 
 def test_partition_json_round_trip():
@@ -175,11 +194,8 @@ def test_partition_json_round_trip():
 def test_mmsbm_k1_predicts_density():
     net = make_net([("a", "b"), ("b", "c"), ("c", "a")], nodes=["a", "b", "c", "d"])
     fit = fit_mmsbm(net, K=1, restarts=1, seed=0)
-    density = 3 / 12
-    for i in "abcd":
-        for j in "abcd":
-            if i != j:
-                assert fit.prob(i, j) == pytest.approx(density, abs=1e-5)
+    P = fit.pi @ fit.B @ fit.pi.T
+    assert np.allclose(P[~np.eye(4, dtype=bool)], 3 / 12, rtol=0.0, atol=1e-5)
 
 
 def test_mmsbm_validation():
@@ -194,9 +210,14 @@ def test_mmsbm_history_non_decreasing_and_simplex():
     rng = np.random.default_rng(7)
     nodes = [f"n{k}" for k in range(10)]
     edges = [(i, j) for i in nodes for j in nodes if i != j and rng.random() < 0.3]
-    fit = fit_mmsbm(make_net(edges, nodes), K=3, restarts=2, max_iter=150, seed=1)
-    hist = np.array(fit.history)
-    assert len(hist) == fit.n_iter
+    net, kw = make_net(edges, nodes), dict(K=3, restarts=2, max_iter=150, seed=1)
+    fit = fit_mmsbm(net, **kw)
+    ref, history = fit_mmsbm_oracle(net, **kw)
+    # the fit is the oracle's bit for bit, so the oracle's history is the fit's
+    assert np.array_equal(fit.pi, ref.pi) and np.array_equal(fit.B, ref.B)
+    assert (fit.objective, fit.n_iter) == (ref.objective, ref.n_iter)
+    hist = np.array(history)
+    assert len(hist) == fit.n_iter and hist[-1] == fit.objective
     assert np.all(np.diff(hist) >= -1e-6)
     assert np.allclose(fit.pi.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(fit.pi >= 0)
@@ -214,9 +235,10 @@ def test_mmsbm_planted_two_blocks():
         if i != j and rng.random() < (0.75 if block[i] == block[j] else 0.05)
     ]
     fit = fit_mmsbm(make_net(edges, nodes), K=2, restarts=3, max_iter=200, seed=3)
-    within = [fit.prob(i, j) for i in nodes for j in nodes if i != j and block[i] == block[j]]
-    between = [fit.prob(i, j) for i in nodes for j in nodes if i != j and block[i] != block[j]]
-    assert np.mean(within) > np.mean(between)
+    P = fit.pi @ fit.B @ fit.pi.T
+    same = np.equal.outer(np.arange(16) % 2, np.arange(16) % 2)
+    off = ~np.eye(16, dtype=bool)
+    assert np.mean(P[same & off]) > np.mean(P[~same])
 
 
 def test_mmsbm_deterministic():
@@ -229,53 +251,42 @@ def test_mmsbm_deterministic():
 
 
 def test_mmsbm_prob_constructed():
-    fit = MMSBMFit(
-        nodes=("a", "b"),
-        pi=np.array([[1.0, 0.0], [0.0, 1.0]]),
-        B=np.array([[0.9, 0.2], [0.3, 0.6]]),
-        objective=0.0,
-        converged=True,
-        n_iter=0,
-    )
-    assert fit.prob("a", "b") == pytest.approx(0.2, abs=1e-15)
-    uniform = MMSBMFit(
-        nodes=("a", "b"),
-        pi=np.full((2, 2), 0.5),
-        B=np.array([[0.9, 0.2], [0.3, 0.6]]),
-        objective=0.0,
-        converged=True,
-        n_iter=0,
-    )
-    assert uniform.prob("a", "b") == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(ValueError):
-        fit.prob("a", "zz")
+    # feature_block reads pi[i] @ B @ pi[j] at the dyads' positions
+    net = make_net([], nodes=["a", "b"])
+    B = np.array([[0.9, 0.2], [0.3, 0.6]])
+    fit = MMSBMFit(pi=np.eye(2), B=B, objective=0.0, converged=True, n_iter=0)
+    probs = column(net, [("a", "b"), ("b", "a")], bundle_ab(mmsbm=fit), "mmsbm-prob")
+    assert probs == pytest.approx([0.2, 0.3], abs=1e-15)
+    uniform = MMSBMFit(pi=np.full((2, 2), 0.5), B=B, objective=0.0, converged=True, n_iter=0)
+    (prob,) = column(net, [("a", "b")], bundle_ab(mmsbm=uniform), "mmsbm-prob")
+    assert prob == pytest.approx(0.5, abs=1e-15)
 
 
 def test_mmsbm_json_round_trip():
     net = make_net([("a", "b"), ("b", "c")])
     fit = fit_mmsbm(net, K=2, restarts=1, max_iter=50, seed=0)
     back = MMSBMFit.from_json(json.loads(json.dumps(fit.to_json())))
-    assert back.nodes == fit.nodes
     assert np.array_equal(back.pi, fit.pi)
     assert np.array_equal(back.B, fit.B)
-    assert back.prob("a", "b") == fit.prob("a", "b")
+    assert (back.objective, back.converged, back.n_iter) == (
+        fit.objective, fit.converged, fit.n_iter
+    )
 
 
 # ---------------------------------------------------------- latent space
 
 def test_latent_distance_is_euclidean():
+    # feature_block reads the positions at the dyads' positions
     fit = LatentSpaceFit(
-        nodes=("a", "b"),
         positions=np.array([[0.0, 0.0], [3.0, 4.0]]),
         alpha=0.0,
         objective=0.0,
         converged=True,
         degenerate=False,
     )
-    assert fit.distance("a", "b") == 5.0
-    assert fit.distance("b", "a") == 5.0
-    with pytest.raises(ValueError):
-        fit.distance("a", "zz")
+    net = make_net([], nodes=["a", "b"])
+    bundle = bundle_ab(latent=fit)
+    assert column(net, [("a", "b"), ("b", "a")], bundle, "latent-distance") == [5.0, 5.0]
 
 
 def test_latent_degenerate_empty_graph():
@@ -318,8 +329,8 @@ def test_latent_reciprocal_pair_sits_close():
     net = make_net([("a", "b"), ("b", "a")], nodes=["a", "b", "c"])
     fit = fit_latent_space(net, seed=0)
     assert not fit.degenerate
-    assert fit.distance("a", "b") < fit.distance("a", "c")
-    assert fit.distance("a", "b") < fit.distance("b", "c")
+    assert distance(fit, 0, 1) < distance(fit, 0, 2)
+    assert distance(fit, 0, 1) < distance(fit, 1, 2)
 
 
 def test_latent_ascent_improves_on_start():
@@ -343,7 +354,7 @@ def test_latent_line_geometry_recovered():
     for i in range(n):
         for j in range(i + 1, n):
             true_d.append(abs(i - j))
-            fit_d.append(fit.distance(nodes[i], nodes[j]))
+            fit_d.append(distance(fit, i, j))
     assert spearman(true_d, fit_d) > 0.8
 
 
@@ -360,8 +371,7 @@ def test_latent_json_round_trip():
     fit = fit_latent_space(net, starts=1, max_iter=50, seed=0)
     back = LatentSpaceFit.from_json(json.loads(json.dumps(fit.to_json())))
     assert np.array_equal(back.positions, fit.positions)
-    assert back.alpha == fit.alpha
-    assert back.distance("a", "c") == fit.distance("a", "c")
+    assert (back.alpha, back.objective, back.n_iter) == (fit.alpha, fit.objective, fit.n_iter)
 
 
 # ---------------------------------------------------------------- bundle
@@ -373,6 +383,13 @@ def test_fit_bundle_deterministic():
     b2 = fit_bundle(net, cfg, master_seed=11)
     assert b1.to_json() == b2.to_json()
     assert b1.content_hash == net.content_hash()
+    assert b1.nodes == tuple(net.node_list())
+
+
+def test_bundle_json_holds_the_nodes_once_and_no_history():
+    text = json.dumps(fit_bundle(two_cliques_bridge(), tiny_latent_config(), 0).to_json())
+    assert [text.count(f'"{n}"') for n in ("x0", "x1", "x2", "y0", "y1", "y2")] == [1] * 6
+    assert "history" not in text
 
 
 def test_bundle_json_round_trip():
@@ -442,6 +459,73 @@ def test_bundle_cache_distinguishes_seed_and_config(tmp_path):
     assert len(list(tmp_path.iterdir())) == 3
 
 
+def old_format(bundle):
+    """The bundle's JSON as written before BUNDLE_VERSION: the nodes in each
+    fit, the labels as a dict and MMSBM's objective history."""
+    obj = bundle.to_json()
+    nodes = obj.pop("nodes")
+    obj["partition"]["labels"] = dict(zip(nodes, obj["partition"]["labels"]))
+    obj["mmsbm"] = {"nodes": nodes, **obj["mmsbm"], "history": [obj["mmsbm"]["objective"]]}
+    obj["latent"] = {"nodes": nodes, **obj["latent"]}
+    return obj
+
+
+def test_bundle_cache_ignores_a_pre_version_file(tmp_path):
+    # a bundle at the unversioned name, in the old format, is neither read
+    # nor changed; the fresh fit goes to the versioned name
+    net, cfg = two_cliques_bridge(), tiny_latent_config()
+    stem = f"{net.content_hash()}-{cfg.fingerprint()}-3"
+    old = tmp_path / f"{stem}.json"
+    old.write_text(json.dumps(old_format(fit_bundle(net, cfg, 3))))
+    with pytest.raises(ValueError, match="labels must be a list"):  # unreadable now
+        LatentBundle.from_json(json.loads(old.read_text()))
+    before = (old.read_bytes(), old.stat().st_mtime_ns)
+    bundle = BundleCache(cache_dir=str(tmp_path)).get(net, cfg, 3)
+    assert (old.read_bytes(), old.stat().st_mtime_ns) == before
+    new = tmp_path / f"v{latent.BUNDLE_VERSION}-{stem}.json"
+    assert sorted(tmp_path.iterdir()) == sorted([old, new])
+    assert json.loads(new.read_text()) == bundle.to_json() == fit_bundle(net, cfg, 3).to_json()
+
+
+def test_bundle_cache_reads_no_bundle_of_another_version(tmp_path, monkeypatch):
+    net, cfg = two_cliques_bridge(), tiny_latent_config()
+    version = latent.BUNDLE_VERSION
+    monkeypatch.setattr(latent, "BUNDLE_VERSION", version - 1)
+    BundleCache(cache_dir=str(tmp_path)).get(net, cfg, 0)
+    (stale,) = tmp_path.iterdir()
+    obj = json.loads(stale.read_text())
+    obj["latent"]["objective"] = 123.0  # as if an older optimizer had fitted it
+    stale.write_text(json.dumps(obj))
+    assert BundleCache(cache_dir=str(tmp_path)).get(net, cfg, 0).latent.objective == 123.0
+    before = stale.read_bytes()
+    monkeypatch.setattr(latent, "BUNDLE_VERSION", version)
+    bundle = BundleCache(cache_dir=str(tmp_path)).get(net, cfg, 0)
+    assert bundle.to_json() == fit_bundle(net, cfg, 0).to_json()
+    assert stale.read_bytes() == before and len(list(tmp_path.iterdir())) == 2
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_bundle_cache_files_follow_the_umask(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        BundleCache(cache_dir=str(tmp_path)).get(two_cliques_bridge(), tiny_latent_config(), 0)
+    finally:
+        os.umask(previous)
+    (path,) = tmp_path.iterdir()
+    assert path.stat().st_mode & 0o777 == mode
+
+
+def test_bundle_cache_failed_dump_leaves_no_temp_file(tmp_path, monkeypatch):
+    def broken_dump(obj, fh):
+        fh.write("{")
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(json, "dump", broken_dump)
+    with pytest.raises(RuntimeError, match="disk full"):
+        BundleCache(cache_dir=str(tmp_path)).get(two_cliques_bridge(), tiny_latent_config(), 0)
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------- loop oracles (before descend)
 
 def random_net(rng, n):
@@ -482,8 +566,8 @@ def test_mmsbm_matches_loop_oracle_on_random_nets():
             tol=float(rng.choice([0.0, 1e-7])),
             seed=case,
         )
-        fit, ref = fit_mmsbm(net, **kw), fit_mmsbm_oracle(net, **kw)
+        fit, (ref, _) = fit_mmsbm(net, **kw), fit_mmsbm_oracle(net, **kw)
         assert np.array_equal(fit.pi, ref.pi) and np.array_equal(fit.B, ref.B), (case, kw)
-        assert (fit.objective, fit.converged, fit.n_iter, fit.history) == (
-            ref.objective, ref.converged, ref.n_iter, ref.history
+        assert (fit.objective, fit.converged, fit.n_iter) == (
+            ref.objective, ref.converged, ref.n_iter
         ), (case, kw)

@@ -563,6 +563,28 @@ def test_nn_matches_loop_oracle_on_random_designs():
         assert same_values(fit.diagnostics, ref.diagnostics), (case, kw)
 
 
+def test_nn_evaluates_each_point_once(monkeypatch):
+    """Each start is evaluated once, by the non-finite rescue loop, and
+    descend reuses that evaluation: as many nn_loss calls as the loop
+    oracle's one per start and per trial, never twice at one point."""
+    X, y = logistic_sample()
+    train = TrainingSet.build(X, y, NAMES3)
+    kw = dict(hidden=2, decay=0.1, restarts=3, max_iter=60, seed=4)
+    real, points = learners.nn_loss, []
+
+    def counted(Z, y, W1, b1, w2, b2, decay):
+        points.append(b"".join(np.asarray(a, dtype=float).tobytes() for a in (W1, b1, w2, b2)))
+        return real(Z, y, W1, b1, w2, b2, decay)
+
+    monkeypatch.setattr(learners, "nn_loss", counted)
+    fit_neural_net(train, **kw)
+    fitted = list(points)
+    points.clear()
+    fit_neural_net_oracle(train, **kw)  # nn_loss_and_grads calls nn_loss
+    assert len(fitted) == len(points) > kw["restarts"]
+    assert len(set(fitted)) == len(fitted)
+
+
 def test_nn_restarts_validation():
     X, y = logistic_sample()
     with pytest.raises(ValueError, match="^restarts must be >= 1, got 0"):
