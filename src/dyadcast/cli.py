@@ -16,7 +16,6 @@ from .harness import (
     load_run_inputs,
     read_cells_csv,
     run_experiment,
-    summarize,
     write_aggregate_csv,
     write_outputs,
 )
@@ -53,7 +52,7 @@ def _cmd_run(args) -> int:
     for c in result.cells:
         if c.status == "error":
             print(f"error {'-'.join(map(str, c.key()))}: {c.reason}", file=sys.stderr)
-    _print_aggregate(summarize(result))
+    _print_aggregate(result.aggregate)
     print("outputs: " + ", ".join(paths[k] for k in ("cells", "aggregate", "ratios")))
     return 1 if result.errored() else 0
 

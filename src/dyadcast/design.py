@@ -46,14 +46,6 @@ class DyadDesign:
     X: np.ndarray
     y: np.ndarray
 
-    @property
-    def n_positive(self) -> int:
-        return int(self.y.sum())
-
-    @property
-    def positive_rate(self) -> float:
-        return float(self.y.mean()) if self.y.size else float("nan")
-
 
 def _covariate_block(
     table: CovariateTable,

@@ -11,7 +11,6 @@ score invariance.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,7 +42,7 @@ from .learners import (
 )
 from .seeding import seed_for
 from .store import CovariateTable, EventPanel, aggregate_window, load_covariates, load_events
-from .store import _parse_float, _parse_int, _read_rows
+from .store import _parse_float, _parse_int, _read_rows, _write_rows
 
 CELLS_HEADER = ("period", "lag", "spec", "learner", "auc_pr", "auc_roc", "skip", "error")
 AGGREGATE_HEADER = (
@@ -84,8 +83,10 @@ class ExperimentConfig(Saved):
             raise ValidationError(
                 f"empty period range {self.first_period}..{self.last_period}"
             )
-        if len(set(self.lags)) != len(self.lags):
-            raise ValidationError(f"duplicate lags in {self.lags}")
+        for name in ("lags", "spec_classes", "learners"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValidationError(f"duplicate {name} in {values}")
         for kind, params in self.learner_params.items():
             if kind not in LEARNERS:
                 raise ValidationError(f"learner_params for unknown learner {kind!r}")
@@ -135,7 +136,6 @@ class CellResult:
     auc_roc: float = float("nan")
     reason: str = ""
     scores: tuple | None = None
-    n_test: int = 0
     n_positive: int = 0
 
     def key(self):
@@ -177,6 +177,43 @@ class RunResult:
         return aggregate_rows(self.config, self.cells)
 
 
+def _history_gap(t: int, lag: int, depth: int, p_min: int, p_max: int) -> str | None:
+    """Why period t has too little data to train and test at this lag, or
+    None when the panel covers it."""
+    if t > p_max:
+        return f"period {t} beyond data range (last period {p_max})"
+    if t - depth - lag < p_min:
+        return (
+            f"insufficient history: period {t} needs data back to "
+            f"{t - depth - lag}, have {p_min}"
+        )
+    return None
+
+
+def _single_class(y) -> str | None:
+    """Why labels y cannot train a classifier, or None when both occur."""
+    n_pos = int(y.sum())
+    n_neg = len(y) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return f"single-class training labels ({n_pos} pos / {n_neg} neg)"
+    return None
+
+
+def _scored_cell(key: tuple, scores, y) -> CellResult:
+    """An ok cell, or a skip with NaN AUCs when the test labels leave a
+    curve undefined; the scores are kept either way."""
+    try:
+        auc_pr, auc_roc = pr_curve(scores, y).auc, roc_curve(scores, y).auc
+        status, reason = "ok", ""
+    except EvaluationError as exc:
+        auc_pr = auc_roc = float("nan")
+        status, reason = "skip", str(exc)
+    return CellResult(
+        *key, status, auc_pr, auc_roc, reason,
+        scores=tuple(float(s) for s in scores), n_positive=int(y.sum()),
+    )
+
+
 def run_experiment(
     config: ExperimentConfig,
     panel: EventPanel,
@@ -212,99 +249,57 @@ def run_experiment(
 
     for lag in config.lags:
         for t in range(config.first_period, config.last_period + 1):
-            if t > p_max:
-                blanket = f"period {t} beyond data range (last period {p_max})"
-            elif t - config.depth - lag < p_min:
-                blanket = (
-                    f"insufficient history: period {t} needs data back to "
-                    f"{t - config.depth - lag}, have {p_min}"
-                )
-            else:
-                blanket = None
-            if blanket is not None:
-                for spec in config.spec_classes:
-                    for kind in config.learners:
-                        cells.append(
-                            CellResult(t, lag, spec, kind, "skip", reason=blanket)
-                        )
-                continue
-
+            gap = _history_gap(t, lag, config.depth, p_min, p_max)
             for spec in config.spec_classes:
-                try:
-                    train_designs = [
-                        design_for(tau, lag, spec) for tau in range(t - config.depth, t)
-                    ]
-                    test_design = design_for(t, lag, spec)
-                    X_tr, y_tr = stack_designs(train_designs)
-                    names = train_designs[0].feature_names
-                    if test_design.feature_names != names:
-                        raise SchemaError(
-                            f"test features {test_design.feature_names} != training {names}"
-                        )
-                    train = TrainingSet.build(X_tr, y_tr, names)
-                except (DyadcastError, ValueError) as exc:
-                    for kind in config.learners:
-                        cells.append(
-                            CellResult(t, lag, spec, kind, "error", reason=str(exc))
-                        )
+                # a reason that is not None is the fate of every learner cell
+                status, reason = "skip", gap
+                if gap is None:
+                    try:
+                        train_designs = [
+                            design_for(tau, lag, spec) for tau in range(t - config.depth, t)
+                        ]
+                        test = design_for(t, lag, spec)
+                        X_tr, y_tr = stack_designs(train_designs)
+                        names = train_designs[0].feature_names
+                        if test.feature_names != names:
+                            raise SchemaError(
+                                f"test features {test.feature_names} != training {names}"
+                            )
+                        train = TrainingSet.build(X_tr, y_tr, names)
+                    except (DyadcastError, ValueError) as exc:
+                        status, reason = "error", str(exc)
+                    else:
+                        reason = _single_class(train.y)
+                if reason is not None:
+                    cells.extend(
+                        CellResult(t, lag, spec, kind, status, reason=reason)
+                        for kind in config.learners
+                    )
                     continue
 
-                n_pos = int(y_tr.sum())
-                n_neg = len(y_tr) - n_pos
                 for kind in config.learners:
-                    if n_pos == 0 or n_neg == 0:
-                        cells.append(
-                            CellResult(
-                                t, lag, spec, kind, "skip",
-                                reason=f"single-class training labels ({n_pos} pos / {n_neg} neg)",
-                            )
-                        )
-                        continue
+                    key = (t, lag, spec, kind)
                     try:
                         model = fit_learner(
                             kind,
                             train,
                             params=config.learner_params.get(kind),
-                            seed=seed_for(config.master_seed, "cell", t, lag, spec, kind),
+                            seed=seed_for(config.master_seed, "cell", *key),
                             grid=config.tune_grid,
                             folds=config.tune_folds,
                         )
-                        scores = model.predict_proba(test_design.X, names)
+                        scores = model.predict_proba(test.X, names)
                     except (FitError, TuningError) as exc:
-                        cells.append(
-                            CellResult(t, lag, spec, kind, "error", reason=str(exc))
-                        )
+                        cells.append(CellResult(*key, "error", reason=str(exc)))
                         continue
 
-                    models[(t, lag, spec, kind)] = model
+                    models[key] = model
                     if kind == "elastic-net":
                         # the logit cell, when already fitted, is the same model
                         companion = models.get((t, lag, spec, "logit")) or fit_logit(train)
                         entries = coefficient_ratio(model, companion)
                         ratios.setdefault((lag, spec), RatioSeries(rows=[])).add(t, entries)
-
-                    score_tuple = tuple(float(s) for s in scores)
-                    base = dict(
-                        scores=score_tuple,
-                        n_test=len(score_tuple),
-                        n_positive=int(test_design.y.sum()),
-                    )
-                    try:
-                        auc_pr = pr_curve(scores, test_design.y).auc
-                        auc_roc = roc_curve(scores, test_design.y).auc
-                    except EvaluationError as exc:
-                        cells.append(
-                            CellResult(
-                                t, lag, spec, kind, "skip", reason=str(exc), **base
-                            )
-                        )
-                        continue
-                    cells.append(
-                        CellResult(
-                            t, lag, spec, kind, "ok",
-                            auc_pr=auc_pr, auc_roc=auc_roc, **base,
-                        )
-                    )
+                    cells.append(_scored_cell(key, scores, test.y))
 
     result = RunResult(config=config, cells=cells, ratios=ratios, models=models)
     result.verify_complete()
@@ -338,36 +333,21 @@ def aggregate_rows(config: ExperimentConfig, cells) -> list:
         for spec in config.spec_classes:
             for kind in config.learners:
                 members = sorted(groups.get((lag, spec, kind), []), key=lambda c: c.period)
-                prs = [c.auc_pr for c in members]
-                rocs = [c.auc_roc for c in members]
-                nan = float("nan")
-                mean_pr = sum(prs) / len(prs) if prs else nan
-                mean_roc = sum(rocs) / len(rocs) if rocs else nan
-                pr_lo = pr_hi = roc_lo = roc_hi = nan
-                if len(members) >= 2:
-                    pr_lo, pr_hi = bootstrap_ci(
-                        prs,
-                        replicates=config.bootstrap_replicates,
-                        seed=seed_for(config.master_seed, "ci", lag, spec, kind, "pr"),
-                        level=config.bootstrap_level,
-                    )
-                    roc_lo, roc_hi = bootstrap_ci(
-                        rocs,
-                        replicates=config.bootstrap_replicates,
-                        seed=seed_for(config.master_seed, "ci", lag, spec, kind, "roc"),
-                        level=config.bootstrap_level,
-                    )
-                rows.append(
-                    AggregateRow(
-                        lag, spec, kind, len(members),
-                        mean_pr, pr_lo, pr_hi, mean_roc, roc_lo, roc_hi,
-                    )
-                )
+                row = [lag, spec, kind, len(members)]
+                for metric in ("pr", "roc"):
+                    values = [getattr(c, f"auc_{metric}") for c in members]
+                    mean = sum(values) / len(values) if values else float("nan")
+                    lo = hi = float("nan")
+                    if len(values) >= 2:
+                        lo, hi = bootstrap_ci(
+                            values,
+                            replicates=config.bootstrap_replicates,
+                            seed=seed_for(config.master_seed, "ci", lag, spec, kind, metric),
+                            level=config.bootstrap_level,
+                        )
+                    row += [mean, lo, hi]
+                rows.append(AggregateRow(*row))
     return rows
-
-
-def summarize(result: RunResult) -> list:
-    return list(result.aggregate)
 
 
 def _fmt(x) -> str:
@@ -384,18 +364,15 @@ def _fmt_flag(selected) -> str:
 
 
 def write_cells_csv(path, cells) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CELLS_HEADER)
-        for c in sorted(cells, key=lambda c: c.key()):
-            w.writerow(
-                [
-                    c.period, c.lag, c.spec_class, c.learner,
-                    _fmt(c.auc_pr), _fmt(c.auc_roc),
-                    c.reason if c.status == "skip" else "",
-                    c.reason if c.status == "error" else "",
-                ]
-            )
+    _write_rows(path, CELLS_HEADER, (
+        [
+            c.period, c.lag, c.spec_class, c.learner,
+            _fmt(c.auc_pr), _fmt(c.auc_roc),
+            c.reason if c.status == "skip" else "",
+            c.reason if c.status == "error" else "",
+        ]
+        for c in sorted(cells, key=lambda c: c.key())
+    ))
 
 
 def read_cells_csv(path) -> list:
@@ -418,28 +395,22 @@ def read_cells_csv(path) -> list:
 
 
 def write_aggregate_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(AGGREGATE_HEADER)
-        for r in rows:
-            w.writerow(
-                [
-                    r.lag, r.spec_class, r.learner,
-                    _fmt(r.mean_auc_pr), _fmt(r.pr_lo), _fmt(r.pr_hi),
-                    _fmt(r.mean_auc_roc), _fmt(r.roc_lo), _fmt(r.roc_hi),
-                ]
-            )
+    _write_rows(path, AGGREGATE_HEADER, (
+        [
+            r.lag, r.spec_class, r.learner,
+            _fmt(r.mean_auc_pr), _fmt(r.pr_lo), _fmt(r.pr_hi),
+            _fmt(r.mean_auc_roc), _fmt(r.roc_lo), _fmt(r.roc_hi),
+        ]
+        for r in rows
+    ))
 
 
 def write_ratios_csv(path, ratios: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(RATIOS_HEADER)
-        for (lag, spec) in sorted(ratios):
-            for period, feature, ratio, smoothed, selected in ratios[(lag, spec)].with_smoothing():
-                w.writerow(
-                    [lag, spec, period, feature, _fmt(ratio), _fmt(smoothed), _fmt_flag(selected)]
-                )
+    _write_rows(path, RATIOS_HEADER, (
+        [lag, spec, period, feature, _fmt(ratio), _fmt(smoothed), _fmt_flag(selected)]
+        for (lag, spec) in sorted(ratios)
+        for period, feature, ratio, smoothed, selected in ratios[(lag, spec)].with_smoothing()
+    ))
 
 
 def write_outputs(result: RunResult, out_dir=None) -> dict:
@@ -454,7 +425,7 @@ def write_outputs(result: RunResult, out_dir=None) -> dict:
         "config": out / "config.json",
     }
     write_cells_csv(paths["cells"], result.cells)
-    write_aggregate_csv(paths["aggregate"], summarize(result))
+    write_aggregate_csv(paths["aggregate"], result.aggregate)
     write_ratios_csv(paths["ratios"], result.ratios)
     with open(paths["config"], "w") as fh:
         json.dump(result.config.to_json(), fh, indent=2, sort_keys=True)

@@ -106,13 +106,6 @@ class TrainingSet:
     def subset(self, idx) -> "TrainingSet":
         return TrainingSet(Z=self.Z[idx], y=self.y[idx], standardizer=self.standardizer)
 
-    def kept_names(self) -> tuple:
-        return self.standardizer.kept_names()
-
-    @property
-    def n_positive(self) -> int:
-        return int((self.y == 1).sum())
-
 
 def _require_both_classes(y: np.ndarray) -> None:
     if len(y) == 0 or y.min() == y.max():
@@ -431,12 +424,6 @@ def nn_grads(Z, y, W1, w2, decay, A, f):
     g_W1 = Z.T @ dh + 2.0 * decay * W1
     g_b1 = dh.sum(axis=0)
     return g_W1, g_b1, g_w2, g_b2
-
-
-def nn_loss_and_grads(Z, y, W1, b1, w2, b2, decay):
-    """nn_loss and its nn_grads, as (loss, g_W1, g_b1, g_w2, g_b2)."""
-    loss, (A, f) = nn_loss(Z, y, W1, b1, w2, b2, decay)
-    return (loss, *nn_grads(Z, y, W1, w2, decay, A, f))
 
 
 @checked

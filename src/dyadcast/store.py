@@ -221,6 +221,14 @@ def _read_rows(source, expected_header, label):
             yield line_no, [f.strip() for f in row]
 
 
+def _write_rows(path, header, rows) -> None:
+    """Write the header and then each row, in the dialect _read_rows reads."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _parse_int(text, label, line_no, what):
     try:
         return int(text)

@@ -9,7 +9,6 @@ eligibility never depends on inferred activity.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +24,7 @@ from .store import (
     INDICATOR_COVARIATES,
     CovariateTable,
     EventPanel,
+    _write_rows,
 )
 
 DEFAULT_SYNTH_COVARIATES = (
@@ -199,21 +199,13 @@ def save_synthetic(panel: EventPanel, table: CovariateTable, out_dir) -> dict:
         "registry": out / "registry.csv",
         "covariates": out / "covariates.csv",
     }
-    with open(paths["events"], "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["sender", "receiver", "year"])
-        for s, r, p in panel.events:
-            w.writerow([s, r, p])
-    with open(paths["registry"], "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["node", "first_year", "last_year"])
-        for node in sorted(panel.registry):
-            lo, hi = panel.registry[node]
-            w.writerow([node, lo, hi])
-    with open(paths["covariates"], "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["year", "i", "j", "name", "value"])
-        for key in sorted(table.entries):
-            p, i, j, name = key
-            w.writerow([p, i, j, name, repr(table.entries[key])])
+    _write_rows(paths["events"], ("sender", "receiver", "year"), panel.events)
+    _write_rows(
+        paths["registry"], ("node", "first_year", "last_year"),
+        ((node, *panel.registry[node]) for node in sorted(panel.registry)),
+    )
+    _write_rows(
+        paths["covariates"], ("year", "i", "j", "name", "value"),
+        ((*key, repr(table.entries[key])) for key in sorted(table.entries)),
+    )
     return {k: str(v) for k, v in paths.items()}

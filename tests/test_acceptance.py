@@ -32,18 +32,18 @@ from dyadcast import (
     roc_curve,
     rolling_mean,
     run_experiment,
-    summarize,
     walktrap,
     write_outputs,
 )
 from dyadcast.evaluation import RatioEntry, coefficient_ratio
-from dyadcast.learners import _sigmoid, nn_loss_and_grads
+from dyadcast.learners import _sigmoid
 
 from helpers import (
     average_precision_oracle,
     best_modularity_partition,
     expected_ap_random,
     mann_whitney_auc,
+    nn_loss_and_grads,
     spearman,
 )
 
@@ -471,7 +471,7 @@ def test_criterion_6_signal_recovery(capsys):
             features=FeatureConfig(latent=latent), master_seed=11,
         )
         result = run_experiment(config, panel, table)
-        return {r.spec_class: r for r in summarize(result)}
+        return {r.spec_class: r for r in result.aggregate}
 
     endo_world = world_rows(
         SyntheticSpec(

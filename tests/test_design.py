@@ -61,8 +61,7 @@ def test_labels_come_from_focal_period():
     lab = dict(zip(d.dyads, d.y))
     assert lab[("a", "b")] == 1.0
     assert sum(d.y) == 1
-    assert d.n_positive == 1
-    assert d.positive_rate == pytest.approx(1.0 / 6.0)
+    assert d.y.mean() == pytest.approx(1.0 / 6.0)
 
 
 def test_covariate_design_schema_and_values():

@@ -32,7 +32,6 @@ from dyadcast import (
     read_cells_csv,
     run_experiment,
     save_synthetic,
-    summarize,
     write_outputs,
 )
 from dyadcast.cli import main
@@ -93,8 +92,8 @@ def test_ok_cells_carry_scores_and_finite_aucs(full_run):
     assert len(ok) == 9 * 3 * 4
     for c in ok:
         assert math.isfinite(c.auc_pr) and math.isfinite(c.auc_roc)
-        assert c.scores is not None and len(c.scores) == c.n_test == 56
-        assert 0 < c.n_positive < c.n_test
+        assert c.scores is not None and len(c.scores) == 56
+        assert 0 < c.n_positive < 56
         assert c.reason == ""
 
 
@@ -161,7 +160,7 @@ def test_zero_positive_test_period_keeps_scores():
     cell = res.cells[0]
     assert cell.status == "skip"
     assert "positives" in cell.reason
-    assert cell.scores is not None and cell.n_test == 6
+    assert cell.scores is not None and len(cell.scores) == 6
     assert math.isnan(cell.auc_pr)
 
 
@@ -721,6 +720,17 @@ def test_cli_bad_learner_params_exit_2_before_reading_data(
     assert main(["run", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert reads == []
+
+
+@pytest.mark.parametrize(
+    "key,values",
+    [("lags", [1, 1]), ("spec_classes", ["combined", "combined"]), ("learners", ["logit", "logit"])],
+)
+def test_cli_duplicate_list_entries_exit_2_before_reading_data(tmp_path, capsys, key, values):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"events": str(tmp_path / "absent.csv"), key: values}))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: duplicate {key} in {tuple(values)}\n"
 
 
 def test_learner_params_accept_the_fit_keywords():

@@ -24,11 +24,12 @@ from dyadcast import (
     run_experiment,
     tune,
 )
-from dyadcast.learners import _best_stump, _sigmoid, nn_loss_and_grads
+from dyadcast.learners import _best_stump, _sigmoid
 from dyadcast.store import CANONICAL_COVARIATES
 
 from helpers import (
     best_stump_oracle, elastic_net_objective, elastic_net_residual_oracle, fit_neural_net_oracle,
+    nn_loss_and_grads,
 )
 
 
@@ -57,7 +58,7 @@ def test_training_set_drops_constant_columns():
     y = np.array([0, 1] * 5, dtype=float)
     train = TrainingSet.build(X, y, ("const", "x"))
     assert train.standardizer.dropped == ("const",)
-    assert train.kept_names() == ("x",)
+    assert train.standardizer.kept_names() == ("x",)
     assert train.Z.shape == (10, 1)
 
 
