@@ -1,6 +1,13 @@
 """Backtracking gradient descent, shared by the latent-space and neural-net fits."""
 
+import math
+
 import numpy as np
+
+
+def _largest(gi):
+    """The largest absolute entry of one gradient part, 0 for an empty array."""
+    return abs(gi) if isinstance(gi, float) else np.max(np.abs(gi), initial=0.0)
 
 
 def descend(x, start, value, gradient, step, max_iter, grad_tol, project=lambda x: x):
@@ -18,12 +25,12 @@ def descend(x, start, value, gradient, step, max_iter, grad_tol, project=lambda 
     v, aux = start
     for it in range(1, max_iter + 1):
         g = gradient(x, aux)
-        if max(np.max(np.abs(gi)) if np.size(gi) else 0.0 for gi in g) < grad_tol:
+        if max(_largest(gi) for gi in g) < grad_tol:
             return x, v, True, it
         while step >= 1e-14:
             trial = project(tuple(xi - step * gi for xi, gi in zip(x, g)))
             v_try, aux_try = value(trial)
-            if np.isfinite(v_try) and v_try < v:
+            if math.isfinite(v_try) and v_try < v:
                 x, v, aux = trial, v_try, aux_try
                 step = min(step * 1.5, 10.0)
                 break

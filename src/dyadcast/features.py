@@ -80,7 +80,8 @@ def feature_block(net: LaggedNetwork, dyads, bundle, exclude_focal_flow: bool = 
     community = np.array(bundle.partition.labels)
     out[:, 5] = community[I] == community[J]
     pi, B = bundle.mmsbm.pi, bundle.mmsbm.B
-    out[:, 6] = [float(pi[a] @ B @ pi[b]) for a, b in zip(I.tolist(), J.tolist())]
+    sends = [pi[a] @ B for a in range(len(pi))]  # each node's pi[a] @ B, once
+    out[:, 6] = [float(sends[a] @ pi[b]) for a, b in zip(I.tolist(), J.tolist())]
     Z = bundle.latent.positions
     out[:, 7] = np.sqrt(np.sum((Z[I] - Z[J]) ** 2, axis=1))
     return out

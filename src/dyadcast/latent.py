@@ -7,6 +7,12 @@ Three complementary summaries of who fights whom:
 * a Euclidean latent-space model fitted by backtracking gradient descent
   on its negated penalized log likelihood (``descent.descend``).
 
+Each iterative fit is pinned bit for bit to the loop it replaced (kept as
+an oracle in ``tests/helpers.py``), so its kernel saves only work that
+leaves every float the same: the latent space builds its distance matrix
+one coordinate at a time, in the order numpy's reduce over a 3-D
+difference array sums it, and MMSBM computes 1 - B and 1 - P once each.
+
 All three consume the undirected or directed binary adjacency of one
 lagged window and are bundled together behind a content-addressed cache,
 so re-fitting only happens when the window's node or edge content
@@ -115,12 +121,16 @@ def walktrap(net: LaggedNetwork, walk_length: Positive = 4) -> CommunityPartitio
     q = best_q = -sum((x / (2 * m)) ** 2 for x in degree[:n].tolist()) if m else 0.0
     best_stage = 0
 
+    # each row's minimum and first argmin: the first row holding the least
+    # minimum, at its argmin, is the row-major first argmin of ds
+    row_min, row_arg = ds.min(axis=1), ds.argmin(axis=1)
     merges = []
     for new in range(n, N):
-        a, b = divmod(int(np.argmin(ds)), N)
-        val = ds[a, b]
+        a = int(np.argmin(row_min))
+        val = row_min[a]
         if val == np.inf:
             break
+        b = int(row_arg[a])
         near_a, near_b = ds[a] < np.inf, ds[b] < np.inf
         near_a[b] = near_b[a] = False
         X = np.flatnonzero(near_a | near_b)
@@ -136,6 +146,16 @@ def walktrap(net: LaggedNetwork, walk_length: Positive = 4) -> CommunityPartitio
         ds[new, X[~both]] = dsigma(size[new], phat[new], sx[~both], phat[X[~both]])
         ds[X, new] = ds[new, X]
         ds[[a, b]] = ds[:, [a, b]] = np.inf
+        row_min[a] = row_min[b] = np.inf
+        # every neighbour's minimum meets the new column, the highest label,
+        # which wins no tie; the rows whose minimum was merged away, and the
+        # new row, are rescanned
+        old_arg = row_arg[X]
+        closer = X[ds[new, X] < row_min[X]]
+        row_min[closer], row_arg[closer] = ds[new, closer], new
+        for r in [*X[(old_arg == a) | (old_arg == b)].tolist(), new]:
+            row_arg[r] = j = ds[r].argmin()
+            row_min[r] = ds[r, j]
         links[new] = links[:, new] = links[a] + links[b]
         merges.append((a, b, new))
         q += links[a, b] / m - 2.0 * (degree[a] / (2 * m)) * (degree[b] / (2 * m))
@@ -198,32 +218,38 @@ def fit_mmsbm(
 
     Y = net.adjacency
     mask = 1.0 - np.eye(n)
+    edge = Y == 1
+    mask_y, mask_not_y = mask * Y, mask * (1.0 - Y)
     eps = MMSBM_EPS
 
-    def objective(pi, B):  # and the edge probabilities the next E step reads
-        P1 = np.clip(pi @ B @ pi.T, 1e-300, 1.0 - 1e-16)
-        ll = np.sum(mask * np.log(np.where(Y == 1, P1, 1.0 - P1)))
-        return ll + eps * np.sum(np.log(pi)) + eps * np.sum(np.log(B) + np.log(1.0 - B)), P1
+    def objective(pi, B, C):  # C = 1 - B; and the P1, 1 - P1 the next E step reads
+        # np.clip's result without its wrapper's overhead
+        P1 = np.minimum(np.maximum(pi @ B @ pi.T, 1e-300), 1.0 - 1e-16)
+        P0 = 1.0 - P1
+        ll = (mask * np.log(np.where(edge, P1, P0))).sum()
+        return ll + eps * np.log(pi).sum() + eps * (np.log(B) + np.log(C)).sum(), P1, P0
 
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(seed_for(seed, "mmsbm-restart", r))
         pi = rng.dirichlet(np.ones(K), size=n)
         B = rng.uniform(0.1, 0.9, size=(K, K))
-        prev, P1 = objective(pi, B)
+        C = 1.0 - B
+        prev, P1, P0 = objective(pi, B, C)
         converged = False
         it = 0
         for it in range(1, max_iter + 1):
-            W1 = mask * Y / P1
-            W0 = mask * (1.0 - Y) / (1.0 - P1)
+            W1 = mask_y / P1
+            W0 = mask_not_y / P0
             N1 = B * (pi.T @ W1 @ pi)
-            N0 = (1.0 - B) * (pi.T @ W0 @ pi)
-            counts = pi * (W1 @ (pi @ B.T) + W0 @ (pi @ (1.0 - B).T))
-            counts += pi * (W1.T @ (pi @ B) + W0.T @ (pi @ (1.0 - B)))
+            N0 = C * (pi.T @ W0 @ pi)
+            counts = pi * (W1 @ (pi @ B.T) + W0 @ (pi @ C.T))
+            counts += pi * (W1.T @ (pi @ B) + W0.T @ (pi @ C))
             B = (N1 + eps) / (N1 + N0 + 2.0 * eps)
+            C = 1.0 - B
             pi = counts + eps
             pi /= pi.sum(axis=1, keepdims=True)
-            obj, P1 = objective(pi, B)
+            obj, P1, P0 = objective(pi, B, C)
             if obj < prev - 1e-6:
                 raise FitError(
                     f"EM objective decreased from {prev} to {obj} at iteration {it}"
@@ -255,9 +281,28 @@ ALPHA_CAP = 30.0
 LATENT_GRAD_TOL = 1e-5
 
 
-def _edge_loglik(Y, mask, m):
-    """Masked Bernoulli log likelihood of Y under P(edge) = sigmoid(m)."""
-    return -np.sum(mask * np.logaddexp(0.0, np.where(Y == 1, -m, m)))
+def _edge_loglik(sgn, mask, m):
+    """Masked Bernoulli log likelihood under P(edge) = sigmoid(m), where sgn
+    is -1 at the edges and +1 elsewhere."""
+    return -(mask * np.logaddexp(0.0, sgn * m)).sum()
+
+
+def _distances(z):
+    """Euclidean distances between the rows of z, with 1e-18 under the root.
+
+    The squares are summed one coordinate at a time, left to right: for
+    fewer than 8 coordinates that is the order of numpy's own reduce over
+    the last axis, so the bits are the same at a quarter of the cost. From
+    8 on numpy sums pairwise, so the 3-D reduce is kept there.
+    """
+    if z.shape[1] >= 8:
+        d2 = np.sum((z[:, None, :] - z[None, :, :]) ** 2, axis=2)
+    else:
+        d2 = (z[:, 0, None] - z[None, :, 0]) ** 2
+        for k in range(1, z.shape[1]):
+            d2 += (z[:, k, None] - z[None, :, k]) ** 2
+    d2 += 1e-18
+    return np.sqrt(d2, out=d2)
 
 
 @checked
@@ -276,9 +321,11 @@ def fit_latent_space(
     ``descend`` minimizes the negated objective from step 0.1, reusing
     each accepted point's distance matrix for its gradient, and stops once
     every gradient entry is below LATENT_GRAD_TOL; best of `starts` random
-    starts by penalized objective. Empty and complete graphs get a
-    closed-form degenerate fit: all positions at the origin and alpha at
-    -+ALPHA_CAP.
+    starts by penalized objective. The distance matrix is built one
+    coordinate at a time (``_distances``), which gives the same bits as
+    numpy's reduce over a 3-D difference array without building it. Empty
+    and complete graphs get a closed-form degenerate fit: all positions at
+    the origin and alpha at -+ALPHA_CAP.
     """
     n = len(net.nodes)
     if n == 0:
@@ -287,30 +334,41 @@ def fit_latent_space(
 
     Y = net.adjacency
     mask = 1.0 - np.eye(n)
+    sgn = np.where(Y == 1, -1.0, 1.0)
     n_edges = int(Y.sum())
 
     if n < 2 or n_edges == 0 or n_edges == n_dyads:
         alpha = 0.0 if n < 2 else (-ALPHA_CAP if n_edges == 0 else ALPHA_CAP)
         z = np.zeros((n, dim))
-        ll = float(_edge_loglik(Y, mask, alpha * mask))
+        ll = float(_edge_loglik(sgn, mask, alpha * mask))
         return LatentSpaceFit(z, alpha, ll, True, True, 0)
 
     def value(x):
         z, alpha = x
-        dmat = np.sqrt(np.sum((z[:, None, :] - z[None, :, :]) ** 2, axis=2) + 1e-18)
-        ll = _edge_loglik(Y, mask, alpha - dmat)
-        return -float(ll - tau * np.sum(z**2)), dmat
+        dmat = _distances(z)
+        ll = _edge_loglik(sgn, mask, alpha - dmat)
+        return -float(ll - tau * (z**2).sum()), dmat
 
     def gradient(x, dmat):
         z, alpha = x
-        p = 1.0 / (1.0 + np.exp(-np.clip(alpha - dmat, -500, 500)))
-        E = mask * (Y - p)
-        S = (E + E.T) / dmat
+        # p = 1 / (1 + exp(-clip(alpha - d, -500, 500))), built in place; the
+        # negated clip is clip(d - alpha) exactly, its bounds being symmetric
+        p = np.minimum(np.maximum(dmat - alpha, -500.0), 500.0)
+        np.exp(p, out=p)
+        p += 1.0
+        np.divide(1.0, p, out=p)
+        E = np.subtract(Y, p, out=p)
+        E *= mask
+        S = E + E.T
+        S /= dmat
         np.fill_diagonal(S, 0.0)
-        return (S.sum(axis=1)[:, None] * z - S @ z) + 2.0 * tau * z, -float(E.sum())
+        g = S.sum(axis=1)[:, None] * z
+        g -= S @ z
+        g += 2.0 * tau * z
+        return g, -float(E.sum())
 
     def project(x):
-        return x[0], float(np.clip(x[1], -ALPHA_CAP, ALPHA_CAP))
+        return x[0], min(max(x[1], -ALPHA_CAP), ALPHA_CAP)
 
     density = n_edges / n_dyads
     alpha0 = float(np.clip(np.log(density / (1.0 - density)), -ALPHA_CAP, ALPHA_CAP))
