@@ -121,16 +121,12 @@ def walktrap(net: LaggedNetwork, walk_length: Positive = 4) -> CommunityPartitio
     q = best_q = -sum((x / (2 * m)) ** 2 for x in degree[:n].tolist()) if m else 0.0
     best_stage = 0
 
-    # each row's minimum and first argmin: the first row holding the least
-    # minimum, at its argmin, is the row-major first argmin of ds
-    row_min, row_arg = ds.min(axis=1), ds.argmin(axis=1)
     merges = []
     for new in range(n, N):
-        a = int(np.argmin(row_min))
-        val = row_min[a]
+        a, b = divmod(int(np.argmin(ds)), N)
+        val = ds[a, b]
         if val == np.inf:
             break
-        b = int(row_arg[a])
         near_a, near_b = ds[a] < np.inf, ds[b] < np.inf
         near_a[b] = near_b[a] = False
         X = np.flatnonzero(near_a | near_b)
@@ -146,16 +142,6 @@ def walktrap(net: LaggedNetwork, walk_length: Positive = 4) -> CommunityPartitio
         ds[new, X[~both]] = dsigma(size[new], phat[new], sx[~both], phat[X[~both]])
         ds[X, new] = ds[new, X]
         ds[[a, b]] = ds[:, [a, b]] = np.inf
-        row_min[a] = row_min[b] = np.inf
-        # every neighbour's minimum meets the new column, the highest label,
-        # which wins no tie; the rows whose minimum was merged away, and the
-        # new row, are rescanned
-        old_arg = row_arg[X]
-        closer = X[ds[new, X] < row_min[X]]
-        row_min[closer], row_arg[closer] = ds[new, closer], new
-        for r in [*X[(old_arg == a) | (old_arg == b)].tolist(), new]:
-            row_arg[r] = j = ds[r].argmin()
-            row_min[r] = ds[r, j]
         links[new] = links[:, new] = links[a] + links[b]
         merges.append((a, b, new))
         q += links[a, b] / m - 2.0 * (degree[a] / (2 * m)) * (degree[b] / (2 * m))
@@ -351,21 +337,11 @@ def fit_latent_space(
 
     def gradient(x, dmat):
         z, alpha = x
-        # p = 1 / (1 + exp(-clip(alpha - d, -500, 500))), built in place; the
-        # negated clip is clip(d - alpha) exactly, its bounds being symmetric
-        p = np.minimum(np.maximum(dmat - alpha, -500.0), 500.0)
-        np.exp(p, out=p)
-        p += 1.0
-        np.divide(1.0, p, out=p)
-        E = np.subtract(Y, p, out=p)
-        E *= mask
-        S = E + E.T
-        S /= dmat
+        p = 1.0 / (1.0 + np.exp(-np.clip(alpha - dmat, -500, 500)))
+        E = mask * (Y - p)
+        S = (E + E.T) / dmat
         np.fill_diagonal(S, 0.0)
-        g = S.sum(axis=1)[:, None] * z
-        g -= S @ z
-        g += 2.0 * tau * z
-        return g, -float(E.sum())
+        return (S.sum(axis=1)[:, None] * z - S @ z) + 2.0 * tau * z, -float(E.sum())
 
     def project(x):
         return x[0], min(max(x[1], -ALPHA_CAP), ALPHA_CAP)
