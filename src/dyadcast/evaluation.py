@@ -178,5 +178,4 @@ class RatioSeries:
             smoothed = dict(rolling_mean([(p, r) for p, r, _ in items], width))
             for period, ratio, selected in items:
                 out.append((period, feature, ratio, smoothed[period], selected))
-        out.sort(key=lambda row: (row[1], row[0]))
         return out

@@ -56,7 +56,7 @@ def feature_block(net: LaggedNetwork, dyads, bundle, exclude_focal_flow: bool = 
     J = np.array([net.index[j] for _, j in dyads], dtype=np.intp)
     if np.any(I == J):
         raise ValueError("dyadic statistics are undefined on a self-pair")
-    if bundle.nodes != tuple(net.node_list()):
+    if bundle.nodes != net.nodes:
         raise ValueError("the latent bundle was fitted on a different node set")
     A = net.adjacency
     U = np.maximum(A, A.T)

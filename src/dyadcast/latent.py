@@ -86,9 +86,11 @@ def walktrap(net: LaggedNetwork, walk_length: Positive = 4) -> CommunityPartitio
     Community labels index dense arrays: 0..n-1 are the nodes and merge k
     creates label n+k. ds holds the distance increase of every live
     adjacent pair and inf elsewhere, so the first argmin in row-major order
-    is the smallest increase with ties to the lowest label pair.
+    is the smallest increase with ties to the lowest label pair. members
+    lists each community's nodes, from which a merge counts the edges
+    between its two communities.
     """
-    nodes = net.node_list()
+    nodes = net.nodes
     A = np.maximum(net.adjacency, net.adjacency.T)
     ea, eb = np.nonzero(np.triu(A, 1))
     und_edges = list(zip(ea.tolist(), eb.tolist()))
@@ -111,8 +113,7 @@ def walktrap(net: LaggedNetwork, walk_length: Positive = 4) -> CommunityPartitio
     degree[:n] = A.sum(axis=1)
     phat = np.zeros((N, n))
     phat[:n] = Pt
-    links = np.zeros((N, N))  # edges between two communities
-    links[:n, :n] = A
+    members = [[k] for k in range(n)]
     ds = np.full((N, N), np.inf)
     ds[ea, eb] = ds[eb, ea] = dsigma(1, phat[ea], 1, phat[eb])
 
@@ -142,9 +143,10 @@ def walktrap(net: LaggedNetwork, walk_length: Positive = 4) -> CommunityPartitio
         ds[new, X[~both]] = dsigma(size[new], phat[new], sx[~both], phat[X[~both]])
         ds[X, new] = ds[new, X]
         ds[[a, b]] = ds[:, [a, b]] = np.inf
-        links[new] = links[:, new] = links[a] + links[b]
+        members.append(members[a] + members[b])
         merges.append((a, b, new))
-        q += links[a, b] / m - 2.0 * (degree[a] / (2 * m)) * (degree[b] / (2 * m))
+        between = A[np.ix_(members[a], members[b])].sum()
+        q += between / m - 2.0 * (degree[a] / (2 * m)) * (degree[b] / (2 * m))
         degree[new] = degree[a] + degree[b]
         if q > best_q + 1e-12:
             best_q = q
@@ -414,8 +416,7 @@ def fit_bundle(net: LaggedNetwork, config: LatentConfig, master_seed: int) -> La
         seed=seed_for(master_seed, "latent", chash),
     )
     return LatentBundle(
-        nodes=tuple(net.node_list()), partition=partition, mmsbm=mmsbm, latent=latent,
-        content_hash=chash,
+        nodes=net.nodes, partition=partition, mmsbm=mmsbm, latent=latent, content_hash=chash
     )
 
 

@@ -410,8 +410,7 @@ def nn_loss(Z, y, W1, b1, w2, b2, decay):
     base-rate constant."""
     A = _sigmoid(Z @ W1 + b1)
     f = A @ w2 + b2
-    loss = float(np.sum(np.logaddexp(0.0, f) - y * f))
-    loss += decay * (float(np.sum(W1**2)) + float(np.sum(w2**2)))
+    loss = _nll(f, y) + decay * (float(np.sum(W1**2)) + float(np.sum(w2**2)))
     return loss, (A, f)
 
 

@@ -44,6 +44,12 @@ INDICATOR_COVARIATES = frozenset(
     }
 )
 
+# Headers of the three input CSVs, as the readers expect and save_synthetic
+# writes them.
+EVENTS_HEADER = ("sender", "receiver", "year")
+REGISTRY_HEADER = ("node", "first_year", "last_year")
+COVARIATES_HEADER = ("year", "i", "j", "name", "value")
+
 
 @dataclass(frozen=True)
 class EventPanel:
@@ -103,48 +109,35 @@ class EventPanel:
         return frozenset((s, r) for s, r, p in self.events if p == period)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaggedNetwork:
     """Binary directed adjacency aggregated over an inclusive window.
 
-    ``index`` maps each node to its position in sorted-id order, and
-    ``adjacency`` is the read-only n x n 0/1 matrix in that order
-    (``adjacency[index[i], index[j]] == 1`` iff i->j is an edge). Both are
-    built once per instance and shared by every consumer of the window.
+    ``nodes`` is the window's sorted node tuple and ``adjacency`` the
+    read-only n x n 0/1 matrix in that order (``adjacency[k, m] == 1`` iff
+    nodes[k] -> nodes[m] is an edge); ``index`` maps each node to its
+    position.
     """
 
     window: tuple[int, int]
-    edges: frozenset[tuple[str, str]]
-    nodes: frozenset[str]
+    nodes: tuple[str, ...]
+    adjacency: np.ndarray
 
     @cached_property
     def index(self) -> dict[str, int]:
-        return {node: k for k, node in enumerate(self.node_list())}
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        A = np.zeros((len(self.nodes), len(self.nodes)))
-        for i, j in self.edges:
-            A[self.index[i], self.index[j]] = 1.0
-        A.flags.writeable = False
-        return A
-
-    def node_list(self) -> list[str]:
-        return sorted(self.nodes)
-
-    def edge_list(self) -> list[tuple[str, str]]:
-        return sorted(self.edges)
+        return {node: k for k, node in enumerate(self.nodes)}
 
     def content_hash(self) -> str:
         """Hash of node set and edge set only; window bounds are excluded so
-        that windows with identical content share latent-structure fits."""
+        that windows with identical content share latent-structure fits.
+        Row-major edge order is sorted name order, as the nodes are sorted."""
         h = hashlib.sha256()
-        for n in self.node_list():
+        for n in self.nodes:
             h.update(n.encode())
             h.update(b"\x00")
         h.update(b"\x01")
-        for i, j in self.edge_list():
-            h.update(f"{i}\x00{j}".encode())
+        for i, j in np.argwhere(self.adjacency).tolist():
+            h.update(f"{self.nodes[i]}\x00{self.nodes[j]}".encode())
             h.update(b"\x01")
         return h.hexdigest()
 
@@ -251,7 +244,7 @@ def load_events(events_csv, registry_csv=None) -> EventPanel:
     span is inferred as [first, last] observed involvement year.
     """
     events = []
-    for line_no, (s, r, y) in _read_rows(events_csv, ("sender", "receiver", "year"), "events"):
+    for line_no, (s, r, y) in _read_rows(events_csv, EVENTS_HEADER, "events"):
         if not s or not r:
             raise ParseError(f"events: line {line_no}: empty node id")
         year = _parse_int(y, "events", line_no, "year")
@@ -259,9 +252,7 @@ def load_events(events_csv, registry_csv=None) -> EventPanel:
 
     if registry_csv is not None:
         registry = {}
-        for line_no, (node, lo, hi) in _read_rows(
-            registry_csv, ("node", "first_year", "last_year"), "registry"
-        ):
+        for line_no, (node, lo, hi) in _read_rows(registry_csv, REGISTRY_HEADER, "registry"):
             if node in registry:
                 raise ParseError(f"registry: line {line_no}: duplicate node {node!r}")
             registry[node] = (
@@ -278,9 +269,7 @@ def load_events(events_csv, registry_csv=None) -> EventPanel:
 def load_covariates(cov_csv, extra_names=(), indicator_extras=()) -> CovariateTable:
     """Read a long-form covariate table with header ``year,i,j,name,value``."""
     entries: dict[tuple[int, str, str, str], float] = {}
-    for line_no, (y, i, j, name, value) in _read_rows(
-        cov_csv, ("year", "i", "j", "name", "value"), "covariates"
-    ):
+    for line_no, (y, i, j, name, value) in _read_rows(cov_csv, COVARIATES_HEADER, "covariates"):
         key = (_parse_int(y, "covariates", line_no, "year"), i, j, name)
         if key in entries:
             raise ParseError(f"covariates: line {line_no}: duplicate key {key}")
@@ -300,11 +289,15 @@ def aggregate_window(panel: EventPanel, start: int, end: int) -> LaggedNetwork:
     """
     if start > end:
         raise ValueError(f"window start {start} exceeds end {end}")
-    edges = frozenset((s, r) for s, r, p in panel.events if start <= p <= end)
-    nodes = frozenset(
-        node for node, (lo, hi) in panel.registry.items() if lo <= end and hi >= start
+    nodes = tuple(
+        sorted(node for node, (lo, hi) in panel.registry.items() if lo <= end and hi >= start)
     )
-    return LaggedNetwork(window=(start, end), edges=edges, nodes=nodes)
+    index = {node: k for k, node in enumerate(nodes)}
+    ij = [(index[s], index[r]) for s, r, p in panel.events if start <= p <= end]
+    A = np.zeros((len(nodes), len(nodes)))
+    A[[i for i, _ in ij], [j for _, j in ij]] = 1.0
+    A.flags.writeable = False
+    return LaggedNetwork(window=(start, end), nodes=nodes, adjacency=A)
 
 
 def eligible_dyads(panel: EventPanel, outcome_period: int) -> list[tuple[str, str]]:

@@ -21,7 +21,10 @@ from .errors import GenerationError
 from .seeding import seed_for
 from .store import (
     CANONICAL_COVARIATES,
+    COVARIATES_HEADER,
+    EVENTS_HEADER,
     INDICATOR_COVARIATES,
+    REGISTRY_HEADER,
     CovariateTable,
     EventPanel,
     _write_rows,
@@ -199,13 +202,13 @@ def save_synthetic(panel: EventPanel, table: CovariateTable, out_dir) -> dict:
         "registry": out / "registry.csv",
         "covariates": out / "covariates.csv",
     }
-    _write_rows(paths["events"], ("sender", "receiver", "year"), panel.events)
+    _write_rows(paths["events"], EVENTS_HEADER, panel.events)
     _write_rows(
-        paths["registry"], ("node", "first_year", "last_year"),
+        paths["registry"], REGISTRY_HEADER,
         ((node, *panel.registry[node]) for node in sorted(panel.registry)),
     )
     _write_rows(
-        paths["covariates"], ("year", "i", "j", "name", "value"),
+        paths["covariates"], COVARIATES_HEADER,
         ((*key, repr(table.entries[key])) for key in sorted(table.entries)),
     )
     return {k: str(v) for k, v in paths.items()}

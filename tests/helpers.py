@@ -23,12 +23,23 @@ from dyadcast.seeding import seed_for
 
 
 def make_net(edges, nodes=(), window=(1, 1)):
-    edges = frozenset(tuple(e) for e in edges)
-    node_set = set(nodes)
+    """A window on the given nodes plus every edge endpoint, built with a
+    loop over the edges rather than through ``aggregate_window``."""
+    edges = [tuple(e) for e in edges]
+    ordered = tuple(sorted(set(nodes).union(*edges)))
+    position = {node: k for k, node in enumerate(ordered)}
+    A = np.zeros((len(ordered), len(ordered)))
     for i, j in edges:
-        node_set.add(i)
-        node_set.add(j)
-    return LaggedNetwork(window=window, edges=edges, nodes=frozenset(node_set))
+        A[position[i], position[j]] = 1.0
+    A.flags.writeable = False
+    return LaggedNetwork(window=window, nodes=ordered, adjacency=A)
+
+
+def edge_set(net):
+    """The window's edges as a frozenset of (sender, receiver) names."""
+    return frozenset(
+        (net.nodes[k], net.nodes[m]) for k, m in zip(*np.nonzero(net.adjacency))
+    )
 
 
 def make_panel(events, registry=None):
@@ -83,7 +94,7 @@ def _neighbours(net):
     """(out-neighbours, in-neighbours, undirected neighbours) per node."""
     out_nb = {n: set() for n in net.nodes}
     in_nb = {n: set() for n in net.nodes}
-    for i, j in net.edges:
+    for i, j in edge_set(net):
         out_nb[i].add(j)
         in_nb[j].add(i)
     und_nb = {n: (out_nb[n] | in_nb[n]) - {n} for n in net.nodes}
@@ -98,7 +109,7 @@ def _check_dyad(i, j):
 def memory(net, i, j):
     """1 if the focal directed edge occurred anywhere in the window."""
     _check_dyad(i, j)
-    return 1.0 if (i, j) in net.edges else 0.0
+    return 1.0 if (i, j) in edge_set(net) else 0.0
 
 
 def flow(net, i, j, exclude_focal=False):
@@ -107,7 +118,7 @@ def flow(net, i, j, exclude_focal=False):
     _check_dyad(i, j)
     out_nb, in_nb, _ = _neighbours(net)
     out_d, in_d = len(out_nb[i]), len(in_nb[j])
-    if exclude_focal and (i, j) in net.edges:
+    if exclude_focal and (i, j) in edge_set(net):
         out_d -= 1
         in_d -= 1
     return float(out_d * in_d)
@@ -394,7 +405,7 @@ def walktrap_oracle(net, walk_length=4):
     original graph; ties keep the earliest (least merged) stage. Nodes in
     separate components are never merged together.
     """
-    nodes = net.node_list()
+    nodes = net.nodes
     A = np.maximum(net.adjacency, net.adjacency.T)
     und_edges = [tuple(e) for e in np.argwhere(np.triu(A, 1)).tolist()]
     n = len(nodes)
@@ -527,7 +538,7 @@ def fit_mmsbm_oracle(
     non-decreasing across iterations. The best of `restarts` random
     initializations wins by that objective.
     """
-    nodes = tuple(net.node_list())
+    nodes = net.nodes
     n = len(nodes)
     if n < K:
         raise ValueError(f"need at least K={K} nodes, have {n}")
@@ -595,7 +606,7 @@ def fit_latent_space_oracle(
     closed-form degenerate fit: all positions at the origin and alpha at
     -+ALPHA_CAP.
     """
-    nodes = tuple(net.node_list())
+    nodes = net.nodes
     n = len(nodes)
     if n == 0:
         raise ValueError("cannot fit a latent space on an empty node set")

@@ -17,7 +17,6 @@ from dyadcast import (
     EventPanel,
     ExperimentConfig,
     FeatureConfig,
-    LaggedNetwork,
     LatentConfig,
     RatioSeries,
     SyntheticSpec,
@@ -42,6 +41,7 @@ from helpers import (
     average_precision_oracle,
     best_modularity_partition,
     expected_ap_random,
+    make_net,
     mann_whitney_auc,
     nn_loss_and_grads,
     spearman,
@@ -298,10 +298,10 @@ def test_criterion_4_latent_structure(capsys):
     walktrap_ok = True
     for a, b in families:
         nodes, edges = bridged_cliques(a, b)
-        net = LaggedNetwork(window=(1, 1), edges=edges, nodes=nodes)
+        net = make_net(edges, nodes)
         part = walktrap(net)
         groups: dict = {}
-        for node, label in zip(net.node_list(), part.labels):
+        for node, label in zip(net.nodes, part.labels):
             groups.setdefault(label, set()).add(node)
         found = frozenset(frozenset(g) for g in groups.values())
         best, best_q, unique = best_modularity_partition(
@@ -321,7 +321,7 @@ def test_criterion_4_latent_structure(capsys):
             for j in mm_nodes:
                 if i != j and rng.random() < (0.8 if block[i] == block[j] else 0.05):
                     edges.add((i, j))
-        net = LaggedNetwork(window=(1, 1), edges=frozenset(edges), nodes=mm_nodes)
+        net = make_net(edges, mm_nodes)
         fit = fit_mmsbm(net, K=2, restarts=3, max_iter=200, tol=1e-6, seed=s)
         P = fit.pi @ fit.B @ fit.pi.T  # mm_nodes are sorted: rows in their order
         within = np.mean(
@@ -341,9 +341,7 @@ def test_criterion_4_latent_structure(capsys):
         for a in range(12) for b in range(12)
         if a != b and abs(a - b) <= 2
     )
-    fit = fit_latent_space(
-        LaggedNetwork(window=(1, 1), edges=line_edges, nodes=line_nodes), seed=0
-    )
+    fit = fit_latent_space(make_net(line_edges, line_nodes), seed=0)
     d_fit, d_true = [], []
     for a in range(12):
         for b in range(a + 1, 12):

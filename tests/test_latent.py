@@ -9,10 +9,12 @@ from dyadcast import (
     ENDOGENOUS_FEATURE_NAMES,
     BundleCache,
     CommunityPartition,
+    EventPanel,
     LatentBundle,
     LatentConfig,
     LatentSpaceFit,
     MMSBMFit,
+    aggregate_window,
     feature_block,
     fit_bundle,
     fit_latent_space,
@@ -23,6 +25,7 @@ from dyadcast import (
 from dyadcast import latent
 from helpers import (
     best_modularity_partition,
+    edge_set,
     fit_latent_space_oracle,
     fit_mmsbm_oracle,
     make_net,
@@ -44,7 +47,7 @@ def two_cliques_bridge():
 
 def communities(net, part):
     """The partition as a set of frozensets of node names."""
-    return partition_as_groups(dict(zip(net.node_list(), part.labels)))
+    return partition_as_groups(dict(zip(net.nodes, part.labels)))
 
 
 def column(net, dyads, bundle, name):
@@ -77,7 +80,7 @@ def test_walktrap_matches_exhaustive_oracle():
     part = walktrap(net)
     n2i = {n: k for k, n in enumerate(sorted(net.nodes))}
     und = sorted(
-        {(min(n2i[i], n2i[j]), max(n2i[i], n2i[j])) for i, j in net.edges}
+        {(min(n2i[i], n2i[j]), max(n2i[i], n2i[j])) for i, j in edge_set(net)}
     )
     best, best_q, unique = best_modularity_partition(len(net.nodes), und)
     assert unique
@@ -108,7 +111,7 @@ def test_walktrap_reported_modularity_consistent():
         part = walktrap(net)
         nodes = sorted(net.nodes)
         n2i = {n: k for k, n in enumerate(nodes)}
-        und = {(min(n2i[i], n2i[j]), max(n2i[i], n2i[j])) for i, j in net.edges}
+        und = {(min(n2i[i], n2i[j]), max(n2i[i], n2i[j])) for i, j in edge_set(net)}
         assert abs(part.modularity - modularity(nodes, und, part.labels)) <= 1e-10
 
 
@@ -122,7 +125,7 @@ def test_walktrap_relabel_invariant_grouping():
     # same shape, shuffled names: grouping structure must match
     ren = {"x0": "m", "x1": "q", "x2": "b", "y0": "a", "y1": "z", "y2": "k"}
     net1 = two_cliques_bridge()
-    net2 = make_net([(ren[i], ren[j]) for i, j in net1.edges])
+    net2 = make_net([(ren[i], ren[j]) for i, j in edge_set(net1)])
     renamed = {frozenset(ren[n] for n in g) for g in communities(net1, walktrap(net1))}
     assert communities(net2, walktrap(net2)) == renamed
 
@@ -134,10 +137,13 @@ def test_walktrap_merge_count():
 
 def test_walktrap_matches_replay_oracle_on_random_graphs():
     # stages scored inside the merge loop give the same cut, dendrogram and
-    # modularity, bit for bit, as replaying the merges afterwards
+    # modularity, bit for bit, as replaying the merges afterwards; the last
+    # few graphs grow communities of a hundred nodes and more, whose edge
+    # counts sum the largest blocks of the adjacency
     rng = np.random.default_rng(20061)
     sizes = [int(rng.integers(1, 16)) for _ in range(1000)]
     sizes += [int(rng.integers(16, 91)) for _ in range(200)]
+    sizes += [150, 190, 250]
     for n in sizes:
         nodes = [f"n{k:02d}" for k in range(n)]
         density = rng.uniform(0.05, 0.8)
@@ -383,7 +389,7 @@ def test_fit_bundle_deterministic():
     b2 = fit_bundle(net, cfg, master_seed=11)
     assert b1.to_json() == b2.to_json()
     assert b1.content_hash == net.content_hash()
-    assert b1.nodes == tuple(net.node_list())
+    assert b1.nodes == net.nodes
 
 
 def test_bundle_json_holds_the_nodes_once_and_no_history():
@@ -412,7 +418,7 @@ def test_bundle_cache_memory_hit():
     b1 = cache.get(net, cfg, 0)
     assert cache.get(net, cfg, 0) is b1
     # same content under different window bounds also hits
-    shifted = make_net(net.edges, net.nodes, window=(5, 9))
+    shifted = make_net(edge_set(net), net.nodes, window=(5, 9))
     assert cache.get(shifted, cfg, 0) is b1
 
 
@@ -426,6 +432,22 @@ def test_bundle_cache_disk_layer(tmp_path):
     c2 = BundleCache(cache_dir=str(tmp_path))  # fresh memory, same disk
     b2 = c2.get(net, cfg, 3)
     assert b2.to_json() == b1.to_json()
+
+
+def test_cache_identity_is_pinned(tmp_path):
+    """The content hash, the default config's fingerprint and the bundle
+    file name of one fixed window. They key the persistent cache and seed
+    every latent fit, so a change here moves every cached bundle and fit."""
+    panel = EventPanel(
+        events=(("a", "b", 1), ("b", "c", 1), ("c", "a", 2), ("b", "a", 2)),
+        registry={"a": (1, 2), "b": (1, 2), "c": (1, 2), "d": (1, 2)},  # d: an isolate
+    )
+    net = aggregate_window(panel, 1, 2)
+    chash = "7b91f35ed11c66d5b5b248a83416a110d685aa3fbc3bb7fa07ea9fb5aa7cd2e5"
+    assert net.content_hash() == chash
+    assert LatentConfig().fingerprint() == "4039a100c06ad031"
+    BundleCache(cache_dir=str(tmp_path)).get(net, LatentConfig(), 7)
+    assert [p.name for p in tmp_path.iterdir()] == [f"v2-{chash}-4039a100c06ad031-7.json"]
 
 
 def test_bundle_cache_concurrent_writers_of_one_key(tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ from dyadcast import (
     load_covariates,
     load_events,
 )
-from helpers import make_panel
+from helpers import edge_set, make_panel
 
 
 def test_events_canonical_order():
@@ -30,7 +30,7 @@ def test_duplicate_events_retained():
     panel = make_panel([("a", "b", 1), ("a", "b", 1)])
     assert len(panel.events) == 2
     # aggregation collapses the duplicates to one binary edge
-    assert aggregate_window(panel, 1, 1).edges == frozenset({("a", "b")})
+    assert edge_set(aggregate_window(panel, 1, 1)) == frozenset({("a", "b")})
 
 
 def test_self_loop_rejected():
@@ -66,9 +66,9 @@ def test_events_at():
 
 def test_aggregate_window_examples():
     panel = make_panel([("a", "b", 1990), ("a", "b", 1992)])
-    assert aggregate_window(panel, 1988, 1992).edges == frozenset({("a", "b")})
-    assert aggregate_window(panel, 1991, 1992).edges == frozenset({("a", "b")})
-    assert aggregate_window(panel, 1991, 1991).edges == frozenset()
+    assert edge_set(aggregate_window(panel, 1988, 1992)) == frozenset({("a", "b")})
+    assert edge_set(aggregate_window(panel, 1991, 1992)) == frozenset({("a", "b")})
+    assert edge_set(aggregate_window(panel, 1991, 1991)) == frozenset()
 
 
 def test_aggregate_window_carries_isolates():
@@ -77,10 +77,10 @@ def test_aggregate_window_carries_isolates():
         registry={"a": (1, 5), "b": (1, 5), "c": (1, 3), "d": (4, 5)},
     )
     net = aggregate_window(panel, 1, 3)
-    assert net.nodes == frozenset({"a", "b", "c"})  # d's span starts later
+    assert net.nodes == ("a", "b", "c")  # d's span starts later
     net2 = aggregate_window(panel, 4, 5)
-    assert net2.nodes == frozenset({"a", "b", "d"})
-    assert net2.edges == frozenset()
+    assert net2.nodes == ("a", "b", "d")
+    assert edge_set(net2) == frozenset()
 
 
 def test_aggregate_window_bad_bounds():
@@ -105,7 +105,50 @@ def test_aggregate_window_is_union_of_period_slices(events, start, end):
     expected = set()
     for p in range(start, end + 1):
         expected |= set(panel.events_at(p))
-    assert aggregate_window(panel, start, end).edges == frozenset(expected)
+    net = aggregate_window(panel, start, end)
+    assert edge_set(net) == frozenset(expected)
+    assert net.adjacency.tolist() == [[float((i, j) in expected) for j in "abcd"] for i in "abcd"]
+    assert not net.adjacency.flags.writeable
+
+
+@given(
+    st.dictionaries(
+        st.sampled_from(["n10", "n9", "b", "B", "a2", "a10"]),
+        st.tuples(st.integers(1, 6), st.integers(0, 3)).map(lambda t: (t[0], t[0] + t[1])),
+        min_size=2,
+    ),
+    st.data(),
+)
+def test_aggregate_window_adjacency_matches_events(registry, data):
+    """The matrix holds a 1 exactly at the window's events, in sorted node
+    order over every node whose span meets the window, whatever the
+    registry's order."""
+    start = data.draw(st.integers(1, 9))
+    end = data.draw(st.integers(start, 9))
+    names = list(registry)  # insertion order, not sorted
+    events = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(names), st.sampled_from(names), st.integers(1, 9)),
+            max_size=25,
+        )
+    )
+    events = [
+        (s, r, p) for s, r, p in events
+        if s != r and all(registry[n][0] <= p <= registry[n][1] for n in (s, r))
+    ]
+    panel = EventPanel(events=tuple(events), registry=registry)
+    net = aggregate_window(panel, start, end)
+    nodes = sorted(n for n, (lo, hi) in registry.items() if lo <= end and hi >= start)
+    assert net.nodes == tuple(nodes)
+    want = [[0.0] * len(nodes) for _ in nodes]
+    for s, r, p in events:
+        if start <= p <= end:
+            want[nodes.index(s)][nodes.index(r)] = 1.0
+    assert net.adjacency.tolist() == want
+    assert net.index == {n: k for k, n in enumerate(nodes)}
+    if nodes:
+        with pytest.raises(ValueError, match="read-only"):
+            net.adjacency[0, 0] = 1.0
 
 
 def test_content_hash_ignores_window_bounds():
