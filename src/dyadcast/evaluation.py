@@ -1,10 +1,10 @@
-"""Rare-event scoring: ROC/PR curves, bootstrap intervals, rolling means,
-and the coefficient-ratio diagnostic.
+"""Rare-event scoring: AUC-ROC and AUC-PR, bootstrap intervals, rolling
+means, and the coefficient-ratio diagnostic.
 
 Undefined quantities (ratios with a vanishing denominator, rolling windows
 without a defined value) are marked with NaN rather than raising, so
 callers can carry them through tables; genuinely unanswerable requests
-(curves without both classes) raise EvaluationError instead.
+(areas without both classes) raise EvaluationError instead.
 """
 
 from __future__ import annotations
@@ -17,13 +17,6 @@ from .codec import Level, Positive, checked
 from .errors import EvaluationError, SchemaError
 
 UNDEFINED = float("nan")
-
-
-@dataclass(frozen=True)
-class Curve:
-    kind: str
-    points: tuple
-    auc: float
 
 
 def _grouped_counts(scores, labels):
@@ -44,46 +37,34 @@ def _grouped_counts(scores, labels):
     return cum_tp, cum_n, int(labels.sum()), len(labels)
 
 
-def roc_curve(scores, labels) -> Curve:
-    """One point per distinct score (threshold sweep, descending), anchored
-    at (0,0); AUC by trapezoid, which equals the Mann-Whitney statistic
-    with half credit for ties."""
+def roc_curve(scores, labels) -> float:
+    """AUC-ROC: the trapezoid area under the threshold sweep, one point per
+    distinct score (descending) anchored at (0,0). It equals the
+    Mann-Whitney statistic with half credit for ties."""
     cum_tp, cum_n, P, n = _grouped_counts(scores, labels)
     N = n - P
     if P == 0 or N == 0:
         raise EvaluationError(f"ROC needs both classes, have {P} positives of {n}")
-    tpr = cum_tp / P
-    fpr = (cum_n - cum_tp) / N
-    xs = np.concatenate([[0.0], fpr])
-    ys = np.concatenate([[0.0], tpr])
-    auc = float(np.trapezoid(ys, xs))
-    points = tuple(zip(xs.tolist(), ys.tolist()))
-    return Curve(kind="ROC", points=points, auc=auc)
+    fpr = np.concatenate([[0.0], (cum_n - cum_tp) / N])
+    tpr = np.concatenate([[0.0], cum_tp / P])
+    return float(np.trapezoid(tpr, fpr))
 
 
-def pr_curve(scores, labels) -> Curve:
-    """Precision-recall curve with AUC as average precision.
+def pr_curve(scores, labels) -> float:
+    """AUC-PR as average precision.
 
     Tied scores are processed as one group: every positive in a group
     receives the precision at the group's end. With all scores tied this
     makes the value exactly the positive rate. Under a uniformly random
     ranking of distinct scores its expectation is not the positive rate
     but (m-1)/(n-1) + (n-m)*H_n/(n(n-1)) for m positives among n, with H_n
-    the n-th harmonic number (``expected_ap_random`` in the tests). The
-    curve is anchored at (0, 1) per the empty-prediction precision
-    convention.
+    the n-th harmonic number (``expected_ap_random`` in the tests).
     """
     cum_tp, cum_n, P, _ = _grouped_counts(scores, labels)
     if P == 0:
         raise EvaluationError("PR is undefined without positives")
-    prec = cum_tp / cum_n
     new_tp = np.diff(np.concatenate([[0], cum_tp]))
-    auc = float(np.sum(new_tp * prec) / P)
-    recall = cum_tp / P
-    xs = np.concatenate([[0.0], recall])
-    ys = np.concatenate([[1.0], prec])
-    points = tuple(zip(xs.tolist(), ys.tolist()))
-    return Curve(kind="PR", points=points, auc=auc)
+    return float(np.sum(new_tp * (cum_tp / cum_n)) / P)
 
 
 @checked
@@ -123,20 +104,14 @@ def rolling_mean(series, width: int = 3):
     return out
 
 
-@dataclass(frozen=True)
-class RatioEntry:
-    feature: str
-    ratio: float
-    selected: bool | None
-
-
 SELECTION_THRESHOLD = 0.01
 
 
 def coefficient_ratio(en_model, logit_model) -> list:
-    """Per-feature |beta_elastic-net| / |beta_logit| on the standardized
-    scale. A logit coefficient below 1e-12 in magnitude makes the ratio
-    NaN (selected flag None); otherwise selected = ratio >= 0.01."""
+    """Rows (feature, ratio, selected) of |beta_elastic-net| / |beta_logit|
+    on the standardized scale. A logit coefficient below 1e-12 in
+    magnitude makes the ratio NaN (selected flag None); otherwise
+    selected = ratio >= 0.01."""
     en = en_model.coefficients()
     base = logit_model.coefficients()
     if tuple(en) != tuple(base):
@@ -145,10 +120,10 @@ def coefficient_ratio(en_model, logit_model) -> list:
     for feature in en:
         denom = abs(base[feature])
         if denom < 1e-12:
-            entries.append(RatioEntry(feature, UNDEFINED, None))
+            entries.append((feature, UNDEFINED, None))
         else:
             ratio = abs(en[feature]) / denom
-            entries.append(RatioEntry(feature, float(ratio), ratio >= SELECTION_THRESHOLD))
+            entries.append((feature, float(ratio), ratio >= SELECTION_THRESHOLD))
     return entries
 
 
@@ -163,8 +138,7 @@ class RatioSeries:
     rows: list
 
     def add(self, period: int, entries) -> None:
-        for e in entries:
-            self.rows.append((period, e.feature, e.ratio, e.selected))
+        self.rows.extend((period, *entry) for entry in entries)
 
     def with_smoothing(self, width: int = 3) -> list:
         """Rows (period, feature, ratio, smoothed, selected) sorted by

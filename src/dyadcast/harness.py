@@ -200,10 +200,10 @@ def _single_class(y) -> str | None:
 
 
 def _scored_cell(key: tuple, scores, y) -> CellResult:
-    """An ok cell, or a skip with NaN AUCs when the test labels leave a
-    curve undefined; the scores are kept either way."""
+    """An ok cell, or a skip with NaN AUCs when the test labels leave an
+    AUC undefined; the scores are kept either way."""
     try:
-        auc_pr, auc_roc = pr_curve(scores, y).auc, roc_curve(scores, y).auc
+        auc_pr, auc_roc = pr_curve(scores, y), roc_curve(scores, y)
         status, reason = "ok", ""
     except EvaluationError as exc:
         auc_pr = auc_roc = float("nan")

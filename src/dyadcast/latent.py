@@ -115,7 +115,10 @@ def walktrap(net: LaggedNetwork, walk_length: Positive = 4) -> CommunityPartitio
     phat[:n] = Pt
     members = [[k] for k in range(n)]
     ds = np.full((N, N), np.inf)
-    ds[ea, eb] = ds[eb, ea] = dsigma(1, phat[ea], 1, phat[eb])
+    # n edges at a time, so that no temporary outgrows phat
+    for lo in range(0, len(ea), n):
+        i, j = ea[lo:lo + n], eb[lo:lo + n]
+        ds[i, j] = ds[j, i] = dsigma(1, phat[i], 1, phat[j])
 
     # modularity of each stage on the original graph, updated as it merges
     m = len(und_edges)

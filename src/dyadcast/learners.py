@@ -655,7 +655,7 @@ def tune(
                     seed=seed_for(seed, "cv-fit", f),
                 )
                 p = _sigmoid(model.decision(train.Z[val_idx]))
-                vals.append(pr_curve(p, y[val_idx]).auc)
+                vals.append(pr_curve(p, y[val_idx]))
             except (FitError, EvaluationError):
                 vals.append(-np.inf)
         scores[key] = float(np.mean(vals))

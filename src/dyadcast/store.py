@@ -10,7 +10,9 @@ import contextlib
 import csv
 import hashlib
 import io
+import math
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -231,9 +233,12 @@ def _parse_int(text, label, line_no, what):
 
 def _parse_float(text, label, line_no, what):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"{label}: line {line_no}: {what} {text!r} is not a number")
+    if not math.isfinite(value):
+        raise ParseError(f"{label}: line {line_no}: {what} {text!r} is not a finite number")
+    return value
 
 
 def load_events(events_csv, registry_csv=None) -> EventPanel:
@@ -267,10 +272,12 @@ def load_events(events_csv, registry_csv=None) -> EventPanel:
 
 
 def load_covariates(cov_csv, extra_names=(), indicator_extras=()) -> CovariateTable:
-    """Read a long-form covariate table with header ``year,i,j,name,value``."""
+    """Read a long-form covariate table with header ``year,i,j,name,value``.
+    Node ids and names are interned, so the keys share one string each."""
     entries: dict[tuple[int, str, str, str], float] = {}
     for line_no, (y, i, j, name, value) in _read_rows(cov_csv, COVARIATES_HEADER, "covariates"):
-        key = (_parse_int(y, "covariates", line_no, "year"), i, j, name)
+        key = (_parse_int(y, "covariates", line_no, "year"), sys.intern(i), sys.intern(j),
+               sys.intern(name))
         if key in entries:
             raise ParseError(f"covariates: line {line_no}: duplicate key {key}")
         entries[key] = _parse_float(value, "covariates", line_no, "value")

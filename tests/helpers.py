@@ -8,12 +8,13 @@ routine and its oracle is meaningful evidence.
 import heapq
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
 from dyadcast import (
-    CommunityPartition, EventPanel, FitError, FittedModel, LaggedNetwork, LatentBundle,
-    LatentConfig, LatentSpaceFit, MMSBMFit, TrainingSet,
+    CommunityPartition, EvaluationError, EventPanel, FitError, FittedModel, LaggedNetwork,
+    LatentBundle, LatentConfig, LatentSpaceFit, MMSBMFit, TrainingSet,
 )
 from dyadcast import learners
 from dyadcast.codec import Count, NonNegative, Positive
@@ -177,6 +178,48 @@ def threshold_rates(scores, labels, threshold):
     recall = math.nan if tp + fn == 0 else tp / (tp + fn)
     fpr = math.nan if fp + tn == 0 else fp / (fp + tn)
     return precision, recall, fpr
+
+
+@dataclass(frozen=True)
+class Curve:
+    kind: str
+    points: tuple
+    auc: float
+
+
+def curve_oracle(kind, scores, labels):
+    """The "ROC" or "PR" curve as the library built it before it returned
+    only the area: one (x, y) point per distinct score in descending order
+    after the anchor ((0, 0) for ROC; (0, 1) for PR, the empty-prediction
+    precision), and the area from the same float arithmetic, so that it
+    equals ``roc_curve`` / ``pr_curve`` bit for bit. The tied groups are
+    counted with a loop, not with the library's grouping."""
+    pairs = sorted(zip((float(s) for s in scores), (int(y) for y in labels)),
+                   key=lambda t: -t[0])
+    tp_at_end, n_at_end = [], []
+    tp = 0
+    for k, (score, y) in enumerate(pairs):
+        tp += y
+        if k + 1 == len(pairs) or pairs[k + 1][0] != score:
+            tp_at_end.append(tp)
+            n_at_end.append(k + 1)
+    cum_tp, cum_n = np.array(tp_at_end), np.array(n_at_end)
+    P, N = tp, len(pairs) - tp
+    if kind == "ROC":
+        if P == 0 or N == 0:
+            raise EvaluationError(f"ROC needs both classes, have {P} positives of {P + N}")
+        xs = np.concatenate([[0.0], (cum_n - cum_tp) / N])
+        ys = np.concatenate([[0.0], cum_tp / P])
+        auc = float(np.trapezoid(ys, xs))
+    else:
+        if P == 0:
+            raise EvaluationError("PR is undefined without positives")
+        prec = cum_tp / cum_n
+        new_tp = np.diff(np.concatenate([[0], cum_tp]))
+        auc = float(np.sum(new_tp * prec) / P)
+        xs = np.concatenate([[0.0], cum_tp / P])
+        ys = np.concatenate([[1.0], prec])
+    return Curve(kind, tuple(zip(xs.tolist(), ys.tolist())), auc)
 
 
 def average_precision_oracle(scores, labels):

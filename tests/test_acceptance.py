@@ -34,7 +34,7 @@ from dyadcast import (
     walktrap,
     write_outputs,
 )
-from dyadcast.evaluation import RatioEntry, coefficient_ratio
+from dyadcast.evaluation import coefficient_ratio
 from dyadcast.learners import _sigmoid
 
 from helpers import (
@@ -80,14 +80,14 @@ def test_criterion_1_metric_oracles(capsys):
             continue
         count += 1
         worst_roc = max(
-            worst_roc, abs(roc_curve(scores, labels).auc - mann_whitney_auc(scores, labels))
+            worst_roc, abs(roc_curve(scores, labels) - mann_whitney_auc(scores, labels))
         )
         worst_pr = max(
             worst_pr,
-            abs(pr_curve(scores, labels).auc - average_precision_oracle(scores, labels)),
+            abs(pr_curve(scores, labels) - average_precision_oracle(scores, labels)),
         )
-    roc_example = roc_curve([0.9, 0.8, 0.3, 0.1], [1, 0, 1, 0]).auc
-    pr_example = pr_curve([0.9, 0.8, 0.3, 0.1], [1, 0, 1, 0]).auc
+    roc_example = roc_curve([0.9, 0.8, 0.3, 0.1], [1, 0, 1, 0])
+    pr_example = pr_curve([0.9, 0.8, 0.3, 0.1], [1, 0, 1, 0])
     example_ok = roc_example == 0.75 and abs(pr_example - 5.0 / 6.0) < 1e-15
     elapsed = time.time() - t0
     ok = worst_roc <= 1e-12 and worst_pr <= 1e-12 and example_ok and elapsed < 10
@@ -126,7 +126,7 @@ def test_criterion_2_random_baseline_law(capsys):
             m = int(labels.sum())
             if m == 0:
                 continue
-            aps.append(pr_curve(rng.random(n), labels).auc)
+            aps.append(pr_curve(rng.random(n), labels))
             exact.append(expected_ap_random(n, m))
             positives.append(m)
         aps, exact = np.array(aps), np.array(exact)
@@ -518,21 +518,21 @@ def test_criterion_7_diagnostic_pipeline(capsys):
         Fake({"a": 0.02, "b": 0.0095, "c": 0.0, "d": 0.5}),
         Fake({"a": 2.0, "b": 1.0, "c": 1.0, "d": 0.0}),
     )
-    by = {e.feature: e for e in entries}
+    by = {feature: (ratio, selected) for feature, ratio, selected in entries}
     rule_ok = (
-        by["a"].ratio == 0.01 and by["a"].selected is True
-        and by["b"].ratio == 0.0095 and by["b"].selected is False
-        and by["c"].ratio == 0.0 and by["c"].selected is False
-        and math.isnan(by["d"].ratio) and by["d"].selected is None
+        by["a"][0] == 0.01 and by["a"][1] is True
+        and by["b"][0] == 0.0095 and by["b"][1] is False
+        and by["c"][0] == 0.0 and by["c"][1] is False
+        and math.isnan(by["d"][0]) and by["d"][1] is None
     )
 
     roll = rolling_mean([(1, 0.0), (2, 3.0), (3, 6.0)], width=3)
     roll_ok = roll == [(1, 1.5), (2, 3.0), (3, 4.5)]
 
     series = RatioSeries(rows=[])
-    series.add(1, [RatioEntry("f", 0.012, True)])
-    series.add(2, [RatioEntry("f", 0.006, False)])
-    series.add(3, [RatioEntry("f", 0.009, False)])
+    series.add(1, [("f", 0.012, True)])
+    series.add(2, [("f", 0.006, False)])
+    series.add(3, [("f", 0.009, False)])
     rows = series.with_smoothing(width=3)
     series_ok = rows == [
         (1, "f", 0.012, 0.009000000000000001, True),

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dyadcast import (
@@ -22,41 +22,51 @@ from dyadcast import (
 from dyadcast.evaluation import SELECTION_THRESHOLD
 
 from helpers import (
-    average_precision_oracle, expected_ap_random, mann_whitney_auc, threshold_rates,
+    average_precision_oracle, curve_oracle, expected_ap_random, mann_whitney_auc,
+    threshold_rates,
 )
 
 SCORES4 = [0.9, 0.8, 0.3, 0.1]
 LABELS4 = [1, 0, 1, 0]
+AREA = {"ROC": roc_curve, "PR": pr_curve}
+
+
+def checked_curve(kind, scores, labels):
+    """The oracle's curve, once its area is seen to equal the library's bit
+    for bit, so that its points are the ones the library integrates."""
+    curve = curve_oracle(kind, scores, labels)
+    assert curve.auc == AREA[kind](scores, labels)
+    return curve
 
 
 # ---------------------------------------------------------------- curves
 
 def test_roc_worked_example():
-    assert roc_curve(SCORES4, LABELS4).auc == 0.75
+    assert roc_curve(SCORES4, LABELS4) == 0.75
 
 
 def test_pr_worked_example():
-    assert pr_curve(SCORES4, LABELS4).auc == pytest.approx(5.0 / 6.0, abs=1e-15)
+    assert pr_curve(SCORES4, LABELS4) == pytest.approx(5.0 / 6.0, abs=1e-15)
 
 
 def test_perfect_ranking():
     scores = [0.9, 0.8, 0.2, 0.1]
     labels = [1, 1, 0, 0]
-    assert roc_curve(scores, labels).auc == 1.0
-    assert pr_curve(scores, labels).auc == 1.0
+    assert roc_curve(scores, labels) == 1.0
+    assert pr_curve(scores, labels) == 1.0
 
 
 def test_inverted_ranking():
     scores = [0.1, 0.2, 0.8, 0.9]
     labels = [1, 1, 0, 0]
-    assert roc_curve(scores, labels).auc == 0.0
+    assert roc_curve(scores, labels) == 0.0
 
 
 def test_all_tied_scores():
     scores = [0.25, 0.25, 0.25, 0.25]
     labels = [1, 0, 1, 0]
-    assert roc_curve(scores, labels).auc == 0.5
-    assert pr_curve(scores, labels).auc == 0.5  # exactly the positive rate
+    assert roc_curve(scores, labels) == 0.5
+    assert pr_curve(scores, labels) == 0.5  # exactly the positive rate
 
 
 def test_single_class_rejected():
@@ -70,27 +80,27 @@ def test_single_class_rejected():
 
 def test_contingency_counts():
     # the point for threshold 0.8 on SCORES4 counts tp = fp = fn = tn = 1
-    assert roc_curve(SCORES4, LABELS4).points[2] == (0.5, 0.5)
-    assert pr_curve(SCORES4, LABELS4).points[2] == (0.5, 0.5)
+    assert checked_curve("ROC", SCORES4, LABELS4).points[2] == (0.5, 0.5)
+    assert checked_curve("PR", SCORES4, LABELS4).points[2] == (0.5, 0.5)
     # one point per distinct score, plus the anchor
-    assert len(roc_curve(SCORES4, LABELS4).points) == len(SCORES4) + 1
-    assert len(pr_curve(SCORES4, LABELS4).points) == len(SCORES4) + 1
+    assert len(checked_curve("ROC", SCORES4, LABELS4).points) == len(SCORES4) + 1
+    assert len(checked_curve("PR", SCORES4, LABELS4).points) == len(SCORES4) + 1
 
 
 def test_contingency_threshold_is_inclusive():
     # the first threshold, 0.5, already counts the score equal to it
-    assert roc_curve([0.5, 0.4], [1, 0]).points[1] == (0.0, 1.0)
-    assert pr_curve([0.5, 0.4], [1, 0]).points[1] == (1.0, 1.0)
+    assert checked_curve("ROC", [0.5, 0.4], [1, 0]).points[1] == (0.0, 1.0)
+    assert checked_curve("PR", [0.5, 0.4], [1, 0]).points[1] == (1.0, 1.0)
 
 
 def test_metrics_conventions():
     # precision, recall and fpr are all 0.5 at the middle threshold
-    fpr, rec = roc_curve(SCORES4, LABELS4).points[2]
-    rec_pr, prec = pr_curve(SCORES4, LABELS4).points[2]
+    fpr, rec = checked_curve("ROC", SCORES4, LABELS4).points[2]
+    rec_pr, prec = checked_curve("PR", SCORES4, LABELS4).points[2]
     assert (prec, rec, fpr) == (0.5, 0.5, 0.5) and rec_pr == rec
     # nothing predicted positive: precision 1 by convention, rates 0
-    assert pr_curve([0.1, 0.2], [1, 0]).points[0] == (0.0, 1.0)
-    assert roc_curve([0.1, 0.2], [1, 0]).points[0] == (0.0, 0.0)
+    assert checked_curve("PR", [0.1, 0.2], [1, 0]).points[0] == (0.0, 1.0)
+    assert checked_curve("ROC", [0.1, 0.2], [1, 0]).points[0] == (0.0, 0.0)
     # without positives recall is undefined, so neither curve exists
     with pytest.raises(EvaluationError):
         pr_curve([0.9, 0.1], [0, 0])
@@ -99,7 +109,7 @@ def test_metrics_conventions():
     # without negatives fpr is undefined: no ROC, but PR is defined
     with pytest.raises(EvaluationError):
         roc_curve([0.9, 0.1], [1, 1])
-    assert pr_curve([0.9, 0.1], [1, 1]).points[1] == (0.5, 1.0)
+    assert checked_curve("PR", [0.9, 0.1], [1, 1]).points[1] == (0.5, 1.0)
 
 
 def test_curve_points_match_threshold_oracle():
@@ -111,8 +121,8 @@ def test_curve_points_match_threshold_oracle():
     labels = np.concatenate([LABELS4, (rng.random(30) < 0.3).astype(int)])
     thresholds = sorted(set(scores.tolist()), reverse=True)
     rates = [threshold_rates(scores, labels, t) for t in thresholds]
-    assert roc_curve(scores, labels).points[1:] == tuple((f, r) for _, r, f in rates)
-    assert pr_curve(scores, labels).points[1:] == tuple((r, p) for p, r, _ in rates)
+    assert checked_curve("ROC", scores, labels).points[1:] == tuple((f, r) for _, r, f in rates)
+    assert checked_curve("PR", scores, labels).points[1:] == tuple((r, p) for p, r, _ in rates)
 
 
 def test_curve_anchors_and_monotone_axes():
@@ -120,13 +130,13 @@ def test_curve_anchors_and_monotone_axes():
     scores = rng.integers(0, 8, size=50) / 8.0
     labels = (rng.random(50) < 0.3).astype(int)
     labels[0], labels[1] = 1, 0
-    roc = roc_curve(scores, labels)
+    roc = checked_curve("ROC", scores, labels)
     assert roc.points[0] == (0.0, 0.0)
     assert roc.points[-1] == (1.0, 1.0)
     xs = [p[0] for p in roc.points]
     ys = [p[1] for p in roc.points]
     assert xs == sorted(xs) and ys == sorted(ys)
-    pr = pr_curve(scores, labels)
+    pr = checked_curve("PR", scores, labels)
     assert pr.points[0] == (0.0, 1.0)
     assert pr.points[-1][0] == 1.0
     rec = [p[0] for p in pr.points]
@@ -142,7 +152,7 @@ score_label_sets = st.lists(
 def test_roc_auc_equals_rank_statistic(rows):
     scores = [s / 8.0 for s, _ in rows]
     labels = [y for _, y in rows]
-    assert roc_curve(scores, labels).auc == pytest.approx(
+    assert roc_curve(scores, labels) == pytest.approx(
         mann_whitney_auc(scores, labels), abs=1e-12
     )
 
@@ -151,7 +161,7 @@ def test_roc_auc_equals_rank_statistic(rows):
 def test_pr_auc_equals_average_precision_oracle(rows):
     scores = [s / 8.0 for s, _ in rows]
     labels = [y for _, y in rows]
-    assert pr_curve(scores, labels).auc == pytest.approx(
+    assert pr_curve(scores, labels) == pytest.approx(
         average_precision_oracle(scores, labels), abs=1e-12
     )
 
@@ -162,11 +172,11 @@ def test_aucs_invariant_under_monotone_transform(rows):
     labels = [y for _, y in rows]
     for transformed in (3.0 * scores + 7.0, scores**3):
         # transforms exceed [0,1] but curves only use the ordering
-        assert roc_curve(transformed, labels).auc == pytest.approx(
-            roc_curve(scores, labels).auc, abs=1e-12
+        assert roc_curve(transformed, labels) == pytest.approx(
+            roc_curve(scores, labels), abs=1e-12
         )
-        assert pr_curve(transformed, labels).auc == pytest.approx(
-            pr_curve(scores, labels).auc, abs=1e-12
+        assert pr_curve(transformed, labels) == pytest.approx(
+            pr_curve(scores, labels), abs=1e-12
         )
 
 
@@ -174,9 +184,29 @@ def test_aucs_invariant_under_monotone_transform(rows):
 def test_roc_label_flip_symmetry(rows):
     scores = [s / 8.0 for s, _ in rows]
     labels = np.array([y for _, y in rows])
-    assert roc_curve(scores, 1 - labels).auc == pytest.approx(
-        1.0 - roc_curve(scores, labels).auc, abs=1e-12
+    assert roc_curve(scores, 1 - labels) == pytest.approx(
+        1.0 - roc_curve(scores, labels), abs=1e-12
     )
+
+
+float_score_label_sets = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.integers(0, 1)), min_size=2, max_size=60
+).filter(lambda rows: {y for _, y in rows} == {0, 1})
+
+
+@given(st.one_of(
+    score_label_sets.map(lambda rows: [(s / 8.0, y) for s, y in rows]), float_score_label_sets
+))
+@example([(0.25, 1), (0.25, 0), (0.25, 0), (0.25, 1)])  # all scores tied
+@example([(0.5, 0), (0.125, 1), (0.75, 0), (0.5, 0)])  # a single positive
+@example([(0.5, 1), (0.5, 0)])  # a single positive tied with the only negative
+def test_aucs_equal_curve_oracle_bit_for_bit(rows):
+    scores = [s for s, _ in rows]
+    labels = [y for _, y in rows]
+    roc, pr = roc_curve(scores, labels), pr_curve(scores, labels)
+    assert type(roc) is float and type(pr) is float
+    assert roc == curve_oracle("ROC", scores, labels).auc
+    assert pr == curve_oracle("PR", scores, labels).auc
 
 
 # --------------------------------------------- average precision baseline
@@ -190,7 +220,7 @@ def test_average_precision_random_baseline_exact(n, p):
     for pos in combinations(range(n), p):
         y = np.zeros(n)
         y[list(pos)] = 1
-        aps.append(pr_curve(scores, y).auc)
+        aps.append(pr_curve(scores, y))
     assert np.mean(aps) == pytest.approx(expected_ap_random(n, p), abs=1e-12)
 
 
@@ -201,7 +231,7 @@ def test_average_precision_random_baseline_sampled():
     for _ in range(draws):
         y = np.zeros(n)
         y[rng.choice(n, size=p, replace=False)] = 1
-        vals.append(pr_curve(rng.permutation(n) / n, y).auc)
+        vals.append(pr_curve(rng.permutation(n) / n, y))
     vals = np.array(vals)
     se = vals.std(ddof=1) / np.sqrt(draws)
     assert abs(vals.mean() - expected_ap_random(n, p)) <= 3 * se
@@ -219,7 +249,7 @@ def test_average_precision_exceeds_prevalence_under_random_scores():
             y = (rng.random(n) < rate).astype(int)
             if y.sum() >= 1:
                 break
-        diffs.append(pr_curve(rng.permutation(n) / n, y).auc - expected_ap_random(n, int(y.sum())))
+        diffs.append(pr_curve(rng.permutation(n) / n, y) - expected_ap_random(n, int(y.sum())))
     diffs = np.array(diffs)
     se = diffs.std(ddof=1) / np.sqrt(draws)
     assert abs(diffs.mean()) <= 3 * se
@@ -310,11 +340,11 @@ def fit_pair(lam):
 def test_coefficient_ratio_basic():
     en, base = fit_pair(lam=0.5)
     entries = coefficient_ratio(en, base)
-    assert [e.feature for e in entries] == ["a", "b", "c"]
-    for e in entries:
-        expected = abs(en.coefficients()[e.feature]) / abs(base.coefficients()[e.feature])
-        assert e.ratio == pytest.approx(expected, abs=1e-15)
-        assert e.selected == (e.ratio >= SELECTION_THRESHOLD)
+    assert [feature for feature, _, _ in entries] == ["a", "b", "c"]
+    for feature, ratio, selected in entries:
+        expected = abs(en.coefficients()[feature]) / abs(base.coefficients()[feature])
+        assert ratio == pytest.approx(expected, abs=1e-15)
+        assert selected == (ratio >= SELECTION_THRESHOLD)
 
 
 def test_selection_threshold_boundary():
@@ -329,10 +359,10 @@ def test_selection_threshold_boundary():
         Fake({"a": 0.02, "b": 0.0095, "c": 0.0}),
         Fake({"a": 2.0, "b": 1.0, "c": 1.0}),
     )
-    by = {e.feature: e for e in entries}
-    assert by["a"].ratio == 0.01 and by["a"].selected is True  # exactly at threshold
-    assert by["b"].ratio == 0.0095 and by["b"].selected is False
-    assert by["c"].ratio == 0.0 and by["c"].selected is False
+    by = {feature: (ratio, selected) for feature, ratio, selected in entries}
+    assert by["a"][0] == 0.01 and by["a"][1] is True  # exactly at threshold
+    assert by["b"][0] == 0.0095 and by["b"][1] is False
+    assert by["c"][0] == 0.0 and by["c"][1] is False
 
 
 def test_coefficient_ratio_zero_denominator():
@@ -343,8 +373,8 @@ def test_coefficient_ratio_zero_denominator():
         def coefficients(self):
             return dict(self._c)
 
-    entries = coefficient_ratio(Fake({"a": 0.5}), Fake({"a": 0.0}))
-    assert math.isnan(entries[0].ratio) and entries[0].selected is None
+    ((feature, ratio, selected),) = coefficient_ratio(Fake({"a": 0.5}), Fake({"a": 0.0}))
+    assert feature == "a" and math.isnan(ratio) and selected is None
 
 
 def test_coefficient_ratio_schema_mismatch():
@@ -360,13 +390,11 @@ def test_coefficient_ratio_schema_mismatch():
 
 
 def test_ratio_series_smoothing():
-    from dyadcast.evaluation import RatioEntry
-
     series = RatioSeries(rows=[])
-    series.add(1, [RatioEntry("f", 0.0, False)])
-    series.add(2, [RatioEntry("f", 3.0, True)])
-    series.add(3, [RatioEntry("f", 6.0, True)])
-    series.add(1, [RatioEntry("g", 1.0, True)])
+    series.add(1, [("f", 0.0, False)])
+    series.add(2, [("f", 3.0, True)])
+    series.add(3, [("f", 6.0, True)])
+    series.add(1, [("g", 1.0, True)])
     rows = series.with_smoothing(width=3)
     assert rows == [
         (1, "f", 0.0, 1.5, False),

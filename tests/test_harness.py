@@ -345,7 +345,7 @@ def test_cells_round_trip_preserves_summaries(full_run, tmp_path):
 
 
 def test_undefined_values_are_written_as_na(tmp_path):
-    from dyadcast.evaluation import RatioEntry, RatioSeries
+    from dyadcast.evaluation import RatioSeries
     from dyadcast.harness import write_aggregate_csv, write_cells_csv, write_ratios_csv
 
     cfg = ExperimentConfig(
@@ -360,7 +360,7 @@ def test_undefined_values_are_written_as_na(tmp_path):
         "1,endogenous-only,logit,NA,NA,NA,NA,NA,NA"
     )
     series = RatioSeries(rows=[])
-    series.add(5, [RatioEntry("memory", float("nan"), None)])
+    series.add(5, [("memory", float("nan"), None)])
     write_ratios_csv(tmp_path / "ratios.csv", {(1, "endogenous-only"): series})
     assert (tmp_path / "ratios.csv").read_text().splitlines()[1] == (
         "1,endogenous-only,5,memory,NA,NA,NA"
@@ -888,6 +888,27 @@ def test_cli_rejects_undeclared_covariate_names(tmp_path, capsys):
     assert capsys.readouterr().err == "error: undeclared covariate name 'coolness'\n"
     table = load_covariates(covariates, extra_names=("coolness",))
     assert table.names_present() == ["coolness"]
+
+
+def test_cli_non_finite_covariate_exits_2_naming_the_line(tmp_path, capsys):
+    events = tmp_path / "events.csv"
+    events.write_text("sender,receiver,year\na,b,1\nb,c,2\nc,a,3\n")
+    covariates = tmp_path / "covariates.csv"
+    covariates.write_text(
+        "year,i,j,name,value\n1,a,b,CINC-ratio,0.5\n2,a,b,CINC-ratio,nan\n"
+    )
+    cfg = ExperimentConfig(
+        events=str(events), covariates=str(covariates), first_period=3, last_period=3,
+        lags=(1,), spec_classes=("covariates-only",), learners=("logit",),
+        output_dir=str(tmp_path / "run"),
+    )
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg.to_json()))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: covariates: line 3: value 'nan' is not a finite number\n"
+    )
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_bad_inputs_exit_2(tmp_path, capsys):

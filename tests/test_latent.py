@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,12 +142,15 @@ def test_walktrap_matches_replay_oracle_on_random_graphs():
     # few graphs grow communities of a hundred nodes and more, whose edge
     # counts sum the largest blocks of the adjacency
     rng = np.random.default_rng(20061)
-    sizes = [int(rng.integers(1, 16)) for _ in range(1000)]
-    sizes += [int(rng.integers(16, 91)) for _ in range(200)]
-    sizes += [150, 190, 250]
-    for n in sizes:
+    graphs = [(int(rng.integers(1, 16)), None) for _ in range(1000)]
+    graphs += [(int(rng.integers(16, 91)), None) for _ in range(200)]
+    graphs += [(150, None), (190, None), (250, None)]
+    # dense graphs, whose first distance step takes about 30 blocks of n edges
+    graphs += [(120, 0.3)] * 3
+    for n, density in graphs:
         nodes = [f"n{k:02d}" for k in range(n)]
-        density = rng.uniform(0.05, 0.8)
+        if density is None:
+            density = rng.uniform(0.05, 0.8)
         edges = [(i, j) for i in nodes for j in nodes if i != j and rng.random() < density]
         net = make_net(edges, nodes=nodes)
         walk_length = int(rng.integers(1, 6))
@@ -154,6 +158,24 @@ def test_walktrap_matches_replay_oracle_on_random_graphs():
         assert got.labels == want.labels
         assert got.merges == want.merges
         assert got.modularity == want.modularity
+
+
+def test_walktrap_memory_stays_near_its_distance_matrix_on_a_dense_graph():
+    # about 4,300 undirected edges on 120 nodes: the first distance step
+    # works n edges at a time, so its temporaries stay the size of phat
+    # instead of growing with (edges x nodes)
+    rng = np.random.default_rng(1)
+    nodes = [f"n{k:03d}" for k in range(120)]
+    net = make_net([(i, j) for i in nodes for j in nodes if i != j and rng.random() < 0.3],
+                   nodes=nodes)
+    tracemalloc.start()
+    try:
+        walktrap(net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    distance_matrix = (2 * len(nodes) - 1) ** 2 * 8
+    assert peak < 8 * distance_matrix
 
 
 def test_modularity_matches_dict_oracle_on_random_partitions():

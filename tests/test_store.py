@@ -321,6 +321,25 @@ def test_load_covariates_bad_value():
         load_covariates(io.StringIO(bad))
 
 
+@pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_load_covariates_rejects_non_finite_value(text):
+    bad = COV_CSV + f"1991,a,b,CINC-ratio,{text}\n"
+    with pytest.raises(ParseError) as info:
+        load_covariates(io.StringIO(bad))
+    assert str(info.value) == f"covariates: line 4: value {text!r} is not a finite number"
+
+
+def test_load_covariates_keys_share_their_strings():
+    rows = "".join(
+        f"{year},node-a,node-b,{name},0.5\n"
+        for year in (1990, 1991) for name in ("trade-dependence", "CINC-ratio")
+    )
+    table = load_covariates(io.StringIO("year,i,j,name,value\n" + rows))
+    keys = list(table.entries)
+    for position in (1, 2, 3):
+        assert len({id(key[position]) for key in keys}) == len({key[position] for key in keys})
+
+
 def test_covariate_undeclared_name():
     with pytest.raises(ValidationError, match="undeclared"):
         CovariateTable(entries={(1990, "a", "b", "coolness"): 1.0})
