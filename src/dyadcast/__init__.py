@@ -1,5 +1,8 @@
 """Out-of-sample forecasting benchmarks on directed temporal event networks."""
 
+from types import ModuleType as _ModuleType
+
+from .descent import FitReport
 from .design import (
     SPEC_CLASSES,
     SPEC_COMBINED,
@@ -84,78 +87,8 @@ from .store import (
 )
 from .synth import GroundTruth, SyntheticSpec, generate_synthetic, save_synthetic
 
-__all__ = [
-    "AggregateRow",
-    "BundleCache",
-    "CANONICAL_COVARIATES",
-    "CellResult",
-    "CommunityPartition",
-    "CovariateTable",
-    "DataError",
-    "DyadDesign",
-    "DyadcastError",
-    "ENDOGENOUS_FEATURE_NAMES",
-    "EvaluationError",
-    "EventPanel",
-    "ExperimentConfig",
-    "FeatureConfig",
-    "FitError",
-    "FittedModel",
-    "GenerationError",
-    "GroundTruth",
-    "INDICATOR_COVARIATES",
-    "LEARNERS",
-    "LaggedNetwork",
-    "LatentBundle",
-    "LatentConfig",
-    "LatentSpaceFit",
-    "MMSBMFit",
-    "ParseError",
-    "RatioSeries",
-    "RunResult",
-    "SELECTION_THRESHOLD",
-    "SPEC_CLASSES",
-    "SPEC_COMBINED",
-    "SPEC_COVARIATES",
-    "SPEC_ENDOGENOUS",
-    "SchemaError",
-    "Standardizer",
-    "SyntheticSpec",
-    "TrainingSet",
-    "TuneGrid",
-    "TuneResult",
-    "TuningError",
-    "ValidationError",
-    "aggregate_rows",
-    "aggregate_window",
-    "bootstrap_ci",
-    "build_design",
-    "coefficient_ratio",
-    "eligible_dyads",
-    "feature_block",
-    "fit_bundle",
-    "fit_elastic_net",
-    "fit_latent_space",
-    "fit_learner",
-    "fit_logit",
-    "fit_logitboost",
-    "fit_mmsbm",
-    "fit_neural_net",
-    "generate_synthetic",
-    "load_config",
-    "load_run_inputs",
-    "load_covariates",
-    "load_events",
-    "modularity",
-    "pr_curve",
-    "roc_curve",
-    "rolling_mean",
-    "read_cells_csv",
-    "run_experiment",
-    "save_synthetic",
-    "seed_for",
-    "stack_designs",
-    "tune",
-    "walktrap",
-    "write_outputs",
-]
+# every imported name but the submodules, which importing them binds too
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -229,10 +229,8 @@ def run_experiment(
     cache = cache if cache is not None else BundleCache()
     p_min, p_max = panel.period_range()
 
-    designs: dict = {}
-
     def design_for(t: int, lag: int, spec: str):
-        key = (t, lag, spec)
+        key = (t, spec)
         if key not in designs:
             bundle = None
             if spec != SPEC_COVARIATES:
@@ -248,7 +246,10 @@ def run_experiment(
     models: dict = {}
 
     for lag in config.lags:
+        designs: dict = {}
         for t in range(config.first_period, config.last_period + 1):
+            # a design is read while t is its period or up to depth periods after
+            designs = {k: d for k, d in designs.items() if k[0] >= t - config.depth}
             gap = _history_gap(t, lag, config.depth, p_min, p_max)
             for spec in config.spec_classes:
                 # a reason that is not None is the fate of every learner cell
@@ -435,6 +436,6 @@ def write_outputs(result: RunResult, out_dir=None) -> dict:
         model_dir.mkdir(exist_ok=True)
         for key in sorted(result.models):
             with open(model_dir / f"{'-'.join(map(str, key))}.json", "w") as fh:
-                json.dump(result.models[key].to_json(), fh)
+                json.dump(result.models[key].to_json(), fh, allow_nan=False)
         paths["models"] = model_dir
     return {k: str(v) for k, v in paths.items()}

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import Count, NonNegative, Positive, Saved, checked, encode
-from .descent import descend
+from .descent import FitReport, descend
 from .errors import FitError
 from .seeding import seed_for
 from .store import LaggedNetwork
@@ -165,16 +165,13 @@ def walktrap(net: LaggedNetwork, walk_length: Positive = 4) -> CommunityPartitio
 
 
 @dataclass
-class MMSBMFit(Saved):
+class MMSBMFit(FitReport, Saved):
     """Point estimates of a mixed-membership blockmodel: pi[k] is the role
     mixture of the k-th node in sorted-id order, B the block probabilities,
     so P(i->j) = pi[i] @ B @ pi[j]."""
 
     pi: np.ndarray
     B: np.ndarray
-    objective: float
-    converged: bool
-    n_iter: int
 
 
 MMSBM_EPS = 1e-6
@@ -200,8 +197,8 @@ def fit_mmsbm(
         loglik + eps*sum(log pi) + eps*sum(log B + log(1-B))
 
     non-decreasing across iterations; an iteration that lowers it raises
-    FitError. The best of `restarts` random initializations wins by that
-    objective.
+    FitError, and a relative change below tol stops it at "tolerance".
+    The best of `restarts` random initializations wins by that objective.
     """
     n = len(net.nodes)
     if n < K:
@@ -227,8 +224,7 @@ def fit_mmsbm(
         B = rng.uniform(0.1, 0.9, size=(K, K))
         C = 1.0 - B
         prev, P1, P0 = objective(pi, B, C)
-        converged = False
-        it = 0
+        stop, it = "cap", 0
         for it in range(1, max_iter + 1):
             W1 = mask_y / P1
             W0 = mask_not_y / P0
@@ -246,26 +242,21 @@ def fit_mmsbm(
                     f"EM objective decreased from {prev} to {obj} at iteration {it}"
                 )
             if abs(obj - prev) < tol * (1.0 + abs(obj)):
-                converged = True
-                prev = obj
+                stop, prev = "tolerance", obj
                 break
             prev = obj
         if best is None or prev > best.objective:
-            best = MMSBMFit(pi, B, prev, converged, it)
+            best = MMSBMFit(pi, B, stop=stop, n_iter=it, objective=prev)
     return best
 
 
 @dataclass
-class LatentSpaceFit(Saved):
+class LatentSpaceFit(FitReport, Saved):
     """Positions and intercept of a distance model for directed edges;
     positions[k] belongs to the k-th node in sorted-id order."""
 
     positions: np.ndarray
     alpha: float
-    objective: float
-    converged: bool
-    degenerate: bool
-    n_iter: int = 0
 
 
 ALPHA_CAP = 30.0
@@ -310,13 +301,14 @@ def fit_latent_space(
     A ridge penalty tau*sum(||z||^2) on positions (never the intercept)
     pins the translation/rotation freedom enough for optimization.
     ``descend`` minimizes the negated objective from step 0.1, reusing
-    each accepted point's distance matrix for its gradient, and stops once
-    every gradient entry is below LATENT_GRAD_TOL; best of `starts` random
-    starts by penalized objective. The distance matrix is built one
-    coordinate at a time (``_distances``), which gives the same bits as
-    numpy's reduce over a 3-D difference array without building it. Empty
-    and complete graphs get a closed-form degenerate fit: all positions at
-    the origin and alpha at -+ALPHA_CAP.
+    each accepted point's distance matrix for its gradient, and stops at
+    "tolerance" once every gradient entry is below LATENT_GRAD_TOL; best
+    of `starts` random starts by penalized objective, whose report is the
+    fit's. The distance matrix is built one coordinate at a time
+    (``_distances``), which gives the same bits as numpy's reduce over a
+    3-D difference array without building it. Empty and complete graphs,
+    and a single node, get a closed-form fit that stops as "degenerate":
+    all positions at the origin and alpha at -+ALPHA_CAP (0 for one node).
     """
     n = len(net.nodes)
     if n == 0:
@@ -332,7 +324,7 @@ def fit_latent_space(
         alpha = 0.0 if n < 2 else (-ALPHA_CAP if n_edges == 0 else ALPHA_CAP)
         z = np.zeros((n, dim))
         ll = float(_edge_loglik(sgn, mask, alpha * mask))
-        return LatentSpaceFit(z, alpha, ll, True, True, 0)
+        return LatentSpaceFit(z, alpha, stop="degenerate", n_iter=0, objective=ll)
 
     def value(x):
         z, alpha = x
@@ -358,11 +350,11 @@ def fit_latent_space(
     for s in range(starts):
         rng = np.random.default_rng(seed_for(seed, "latent-start", s))
         x = (rng.normal(0.0, 1.0, size=(n, dim)), alpha0)
-        (z, alpha), v, converged, it = descend(
+        (z, alpha), v, stop, it = descend(
             x, value(x), value, gradient, 0.1, max_iter, LATENT_GRAD_TOL, project
         )
         if best is None or -v > best.objective:
-            best = LatentSpaceFit(z, alpha, -v, converged, False, it)
+            best = LatentSpaceFit(z, alpha, stop=stop, n_iter=it, objective=-v)
     return best
 
 
@@ -425,7 +417,7 @@ def fit_bundle(net: LaggedNetwork, config: LatentConfig, master_seed: int) -> La
 
 # Raised by every change to latent fit results or to the bundle format, so
 # that a persistent cache never serves bundles of another version.
-BUNDLE_VERSION = 2
+BUNDLE_VERSION = 3
 
 
 class BundleCache:

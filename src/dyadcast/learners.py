@@ -27,7 +27,7 @@ from typing import Literal
 import numpy as np
 
 from .codec import Count, Folds, NonEmpty, NonNegative, Positive, Saved, checked
-from .descent import descend
+from .descent import FitReport, descend
 from .errors import EvaluationError, FitError, SchemaError, TuningError
 from .evaluation import pr_curve
 from .seeding import seed_for
@@ -117,8 +117,9 @@ def _sigmoid(x):
 
 
 @dataclass
-class FittedModel(Saved):
-    """One trained classifier: kind, schema, parameters, fit diagnostics."""
+class FittedModel(FitReport, Saved):
+    """One trained classifier (kind, schema, parameters; diagnostics: seed,
+    failed starts, tuning), reporting its penalized training loss."""
 
     kind: str
     standardizer: Standardizer
@@ -159,20 +160,18 @@ def _irls(Z, y):
     """Newton/IRLS for logistic regression on a design with an implicit
     leading intercept column, stopping when every gradient entry is below
     IRLS_GRAD_TOL or after IRLS_MAX_ITER steps. Coefficients are capped at
-    +-COEF_CAP to tame quasi-separation."""
+    +-COEF_CAP to tame quasi-separation. Returns (beta, stop, capped,
+    iterations), capped telling whether the last step was clipped."""
     n, p = Z.shape
     D = np.hstack([np.ones((n, 1)), Z])
     beta = np.zeros(p + 1)
     capped = False
-    converged = False
-    it = 0
     for it in range(1, IRLS_MAX_ITER + 1):
         eta = D @ beta
         mu = _sigmoid(eta)
         grad = D.T @ (y - mu)
         if np.max(np.abs(grad)) < IRLS_GRAD_TOL:
-            converged = True
-            break
+            return beta, "tolerance", capped, it
         w = np.maximum(mu * (1.0 - mu), 1e-10)
         H = (D * w[:, None]).T @ D
         try:
@@ -183,19 +182,22 @@ def _irls(Z, y):
         clipped = np.clip(beta, -COEF_CAP, COEF_CAP)
         capped = bool(np.any(clipped != beta))
         beta = clipped
-    return beta, converged, capped, it
+    return beta, "cap", capped, IRLS_MAX_ITER
 
 
 def fit_logit(train: TrainingSet, seed: int = 0) -> FittedModel:
     """Maximum-likelihood logistic regression via IRLS. IRLS draws nothing
-    at random; seed is taken so that every fit function is called alike."""
+    at random; seed is taken so that every fit function is called alike.
+    The report's capped is 1 when the last step was clipped; its loss is
+    formed with ``np.einsum``, never BLAS, as is the elastic net's."""
     _require_both_classes(train.y)
-    beta, converged, capped, it = _irls(train.Z, train.y)
+    beta, stop, capped, it = _irls(train.Z, train.y)
+    loss = _nll(beta[0] + np.einsum("ij,j->i", train.Z, beta[1:]), train.y)
     return FittedModel(
         kind="logit",
         standardizer=train.standardizer,
         params={"intercept": float(beta[0]), "coef": beta[1:]},
-        diagnostics={"converged": converged, "capped": capped, "n_iter": it},
+        stop=stop, n_iter=it, objective=loss, capped=int(capped),
     )
 
 
@@ -223,9 +225,9 @@ def fit_elastic_net(
     quadratic approximations, inner cyclic coordinate descent with soft
     thresholding; the intercept is never penalized. Coefficients on the
     original feature scale are reported alongside the standardized ones.
-    The diagnostics count the outer steps (``n_outer``) and the inner
-    loops that stopped at their 1000-sweep cap short of the 1e-11
-    tolerance (``capped_inner``).
+    The report counts the outer steps, to a 1e-9 "tolerance", and
+    (``capped``) the inner loops stopped at their 1000-sweep cap short of
+    their 1e-11 tolerance; its objective is the penalized loss above.
 
     The inner loop uses covariance updates (Friedman, Hastie & Tibshirani
     2010): each IRLS step forms the weighted Gram matrix ZᵀWZ and the
@@ -239,8 +241,7 @@ def fit_elastic_net(
     p = Z.shape[1]
     beta0 = 0.0
     beta = [0.0] * p
-    converged = False
-    outer = capped_inner = 0
+    stop, outer, capped = "cap", 0, 0
     for outer in range(1, max_outer + 1):
         eta = beta0 + np.einsum("ij,j->i", Z, beta)
         mu = _sigmoid(eta)
@@ -270,10 +271,10 @@ def fit_elastic_net(
             if delta < 1e-11:
                 break
         else:
-            capped_inner += 1
+            capped += 1
         step = max(map(abs, map(operator.sub, beta, b_old)), default=0.0)
         if max(abs(beta0 - b0_old), step) < 1e-9:
-            converged = True
+            stop = "tolerance"
             break
     beta = np.array(beta)
 
@@ -282,12 +283,8 @@ def fit_elastic_net(
     scaled = beta / std.sds if p else beta
     raw_coef[std.kept] = scaled
     raw_intercept = beta0 - float(np.sum(scaled * std.means)) if p else beta0
-    diagnostics = {
-        "converged": converged,
-        "n_outer": outer,
-        "capped_inner": capped_inner,
-        "seed": seed,
-    }
+    loss = _nll(beta0 + np.einsum("ij,j->i", Z, beta), yv)
+    penalty = lam * float(np.sum(np.abs(beta)) + np.sum(beta**2))
     return FittedModel(
         kind="elastic-net",
         standardizer=std,
@@ -298,7 +295,8 @@ def fit_elastic_net(
             "raw_intercept": raw_intercept,
             "raw_coef": raw_coef,
         },
-        diagnostics=diagnostics,
+        diagnostics={"seed": seed},
+        stop=stop, n_iter=outer, objective=loss + penalty, capped=capped,
     )
 
 
@@ -356,7 +354,8 @@ def fit_logitboost(train: TrainingSet, rounds: Count, seed: int = 0) -> FittedMo
     [1e-5, 1-1e-5]), fits the best single-split stump by weighted least
     squares, and adds it. A stump that would raise the training loss is
     halved until it no longer does, so training loss never increases.
-    Zero rounds yield the base-rate constant."""
+    Zero rounds yield the base-rate constant. It stops at "cap" with every
+    round fitted, or as "degenerate" when the weights vanish."""
     _require_both_classes(train.y)
     Z, yv = train.Z, train.y
     orders = [np.argsort(Z[:, k], kind="stable") for k in range(Z.shape[1])]
@@ -365,12 +364,12 @@ def fit_logitboost(train: TrainingSet, rounds: Count, seed: int = 0) -> FittedMo
     F = np.full(len(yv), f0)
     loss = _nll(F, yv)
     stumps = []
-    degenerate = False
+    stop = "cap"
     for _ in range(rounds):
         prob = np.clip(_sigmoid(F), 1e-5, 1.0 - 1e-5)
         w = prob * (1.0 - prob)
         if not np.all(np.isfinite(w)) or float(w.sum()) <= 0.0:
-            degenerate = True
+            stop = "degenerate"
             break
         z = (yv - prob) / w
         feat, thr, lo, hi = _best_stump(Z, w, z, orders)
@@ -387,18 +386,12 @@ def fit_logitboost(train: TrainingSet, rounds: Count, seed: int = 0) -> FittedMo
         F = F + scale * contrib
         loss = new_loss
         stumps.append((feat, thr, scale * lo, scale * hi))
-    diagnostics = {
-        "rounds": rounds,
-        "rounds_used": len(stumps),
-        "final_loss": loss,
-        "degenerate_stop": degenerate,
-        "seed": seed,
-    }
     return FittedModel(
         kind="logitboost",
         standardizer=train.standardizer,
-        params={"f0": f0, "stumps": stumps},
-        diagnostics=diagnostics,
+        params={"f0": f0, "stumps": stumps, "rounds": rounds},
+        diagnostics={"seed": seed},
+        stop=stop, n_iter=len(stumps), objective=loss,
     )
 
 
@@ -439,7 +432,7 @@ def fit_neural_net(
     with backtracking step control (``descend`` from step 0.01); best of
     `restarts` random starts by penalized training loss. A start whose loss
     is not finite has its weights scaled by 0.1, up to 5 times; the finite
-    evaluation is where ``descend`` starts."""
+    evaluation is where ``descend`` starts. The report is the winner's."""
     _require_both_classes(train.y)
     Z, yv = train.Z, train.y
     p = Z.shape[1]
@@ -465,24 +458,19 @@ def fit_neural_net(
         else:
             failed_starts += 1
             continue
-        x, loss, converged, _ = descend(x, start, value, gradient, 0.01, max_iter, grad_tol)
+        x, loss, stop, it = descend(x, start, value, gradient, 0.01, max_iter, grad_tol)
         if best is None or loss < best[0]:
-            best = (loss, *x, converged)
+            best = (loss, x, stop, it)
 
     if best is None:
         raise FitError("neural net produced non-finite loss from every start")
-    loss, W1, b1, w2, b2, converged = best
-    diagnostics = {
-        "converged": converged,
-        "loss": loss,
-        "failed_starts": failed_starts,
-        "seed": seed,
-    }
+    loss, (W1, b1, w2, b2), stop, it = best
     return FittedModel(
         kind="neural-net",
         standardizer=train.standardizer,
         params={"W1": W1, "b1": b1, "w2": w2, "b2": float(b2), "hidden": hidden, "decay": decay},
-        diagnostics=diagnostics,
+        diagnostics={"failed_starts": failed_starts, "seed": seed},
+        stop=stop, n_iter=it, objective=loss,
     )
 
 
@@ -588,8 +576,11 @@ def _geometric_extension(values, side):
 
 @dataclass
 class TuneResult:
+    """The chosen params; score is None when no candidate was
+    cross-validated."""
+
     params: dict
-    score: float
+    score: float | None
     table: list
     folds_used: int
     extensions: int
@@ -622,7 +613,7 @@ def tune(
         for a, vals in (grid or TuneGrid()).for_learner(kind).items()
     }
     if not space:
-        return TuneResult({}, float("nan"), [], 0, 0, False)
+        return TuneResult({}, None, [], 0, 0, False)
 
     y = train.y
     n_pos = int((y == 1).sum())
@@ -638,7 +629,7 @@ def tune(
     single_point = all(len(space[a]) == 1 for a in axes)
     if single_point:
         params = {a: space[a][0] for a in axes}
-        return TuneResult(params, float("nan"), [], folds_used, 0, False)
+        return TuneResult(params, None, [], folds_used, 0, False)
 
     scores: dict = {}
 

@@ -77,10 +77,10 @@ def stub_bundle(labels, probs, positions):
     return LatentBundle(
         nodes=nodes,
         partition=CommunityPartition(tuple(labels[n] for n in nodes), 0.0, 1),
-        mmsbm=MMSBMFit(np.eye(len(nodes)), B, 0.0, True, 0),
+        mmsbm=MMSBMFit(np.eye(len(nodes)), B, stop="tolerance", n_iter=0, objective=0.0),
         latent=LatentSpaceFit(
             np.array([positions[n] for n in nodes], dtype=float),
-            alpha=0.0, objective=0.0, converged=True, degenerate=False,
+            alpha=0.0, stop="tolerance", n_iter=0, objective=0.0,
         ),
         content_hash="stub",
     )
@@ -602,8 +602,7 @@ def fit_mmsbm_oracle(
         B = rng.uniform(0.1, 0.9, size=(K, K))
         prev = objective(pi, B)
         history = []
-        converged = False
-        it = 0
+        stop, it = "cap", 0
         for it in range(1, max_iter + 1):
             P1 = np.clip(pi @ B @ pi.T, 1e-300, 1.0 - 1e-16)
             W1 = mask * Y / P1
@@ -622,12 +621,12 @@ def fit_mmsbm_oracle(
                 )
             history.append(obj)
             if abs(obj - prev) < tol * (1.0 + abs(obj)):
-                converged = True
+                stop = "tolerance"
                 prev = obj
                 break
             prev = obj
         if best is None or prev > best[0].objective:
-            best = MMSBMFit(pi, B, prev, converged, it), tuple(history)
+            best = MMSBMFit(pi, B, stop=stop, n_iter=it, objective=prev), tuple(history)
     return best
 
 
@@ -644,10 +643,10 @@ def fit_latent_space_oracle(
     A ridge penalty tau*sum(||z||^2) on positions (never the intercept)
     pins the translation/rotation freedom enough for optimization.
     Gradient ascent with backtracking step halving, stopping once every
-    gradient entry is below LATENT_GRAD_TOL; best of `starts`
-    random starts by penalized objective. Empty and complete graphs get a
-    closed-form degenerate fit: all positions at the origin and alpha at
-    -+ALPHA_CAP.
+    gradient entry is below LATENT_GRAD_TOL ("tolerance") or no step above
+    1e-14 raises the objective ("step"); best of `starts` random starts by
+    penalized objective. Empty and complete graphs get a closed-form
+    "degenerate" fit: all positions at the origin and alpha at -+ALPHA_CAP.
     """
     nodes = net.nodes
     n = len(nodes)
@@ -664,7 +663,7 @@ def fit_latent_space_oracle(
         z = np.zeros((n, dim))
         m = alpha * mask
         ll = float(np.sum(mask * (Y * (-np.logaddexp(0.0, -m)) + (1.0 - Y) * (-np.logaddexp(0.0, m)))))
-        return LatentSpaceFit(z, alpha, ll, True, True, 0)
+        return LatentSpaceFit(z, alpha, stop="degenerate", n_iter=0, objective=ll)
 
     def dist_matrix(z):
         diff = z[:, None, :] - z[None, :, :]
@@ -696,12 +695,11 @@ def fit_latent_space_oracle(
         alpha = alpha0
         obj = objective(z, alpha)
         step = 0.1
-        converged = False
-        it = 0
+        stop, it = "cap", 0
         for it in range(1, max_iter + 1):
             g_z, g_alpha = gradients(z, alpha)
             if max(np.max(np.abs(g_z)), abs(g_alpha)) < LATENT_GRAD_TOL:
-                converged = True
+                stop = "tolerance"
                 break
             accepted = False
             while step >= 1e-14:
@@ -715,10 +713,10 @@ def fit_latent_space_oracle(
                     break
                 step *= 0.5
             if not accepted:
-                converged = True
+                stop = "step"
                 break
         if best is None or obj > best.objective:
-            best = LatentSpaceFit(z, alpha, obj, converged, False, it)
+            best = LatentSpaceFit(z, alpha, stop=stop, n_iter=it, objective=obj)
     return best
 
 
@@ -741,7 +739,8 @@ def fit_neural_net_oracle(
 ) -> FittedModel:
     """Single-hidden-layer logistic network by full-batch gradient descent
     with backtracking step control; best of `restarts` random starts by
-    penalized training loss."""
+    penalized training loss, whose stop and iteration count the model
+    reports."""
     _require_both_classes(train.y)
     Z, yv = train.Z, train.y
     p = Z.shape[1]
@@ -764,8 +763,8 @@ def fit_neural_net_oracle(
             failed_starts += 1
             continue
         step = 0.01
-        converged = False
-        for _ in range(max_iter):
+        stop, it = "cap", 0
+        for it in range(1, max_iter + 1):
             gnorm = max(
                 np.max(np.abs(g_W1)) if g_W1.size else 0.0,
                 np.max(np.abs(g_b1)),
@@ -773,7 +772,7 @@ def fit_neural_net_oracle(
                 abs(g_b2),
             )
             if gnorm < grad_tol:
-                converged = True
+                stop = "tolerance"
                 break
             accepted = False
             while step >= 1e-14:
@@ -792,25 +791,20 @@ def fit_neural_net_oracle(
                     break
                 step *= 0.5
             if not accepted:
-                converged = True
+                stop = "step"
                 break
         if best is None or loss < best[0]:
-            best = (loss, W1, b1, w2, b2, converged)
+            best = (loss, W1, b1, w2, b2, stop, it)
 
     if best is None:
         raise FitError("neural net produced non-finite loss from every start")
-    loss, W1, b1, w2, b2, converged = best
-    diagnostics = {
-        "converged": converged,
-        "loss": loss,
-        "failed_starts": failed_starts,
-        "seed": seed,
-    }
+    loss, W1, b1, w2, b2, stop, it = best
     return FittedModel(
         kind="neural-net",
         standardizer=train.standardizer,
         params={"W1": W1, "b1": b1, "w2": w2, "b2": float(b2), "hidden": hidden, "decay": decay},
-        diagnostics=diagnostics,
+        diagnostics={"failed_starts": failed_starts, "seed": seed},
+        stop=stop, n_iter=it, objective=loss,
     )
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 
-from dyadcast.descent import descend
+from dyadcast.descent import FitReport, descend
 
 
 def quadratic(center):
@@ -36,8 +36,8 @@ def test_descend_minimizes_a_quadratic():
     center = (np.array([1.0, -2.0]), 3.0)
     value, gradient = quadratic(center)
     x0 = (np.zeros(2), 0.0)
-    x, v, converged, iterations = descend(x0, value(x0), value, gradient, 0.1, 500, 1e-8)
-    assert converged and 0 < iterations < 500
+    x, v, stop, iterations = descend(x0, value(x0), value, gradient, 0.1, 500, 1e-8)
+    assert stop == "tolerance" and 0 < iterations < 500
     assert np.allclose(x[0], center[0], atol=1e-8) and abs(x[1] - center[1]) < 1e-8
     assert v == value(x)[0] and v < 1e-15
 
@@ -45,37 +45,37 @@ def test_descend_minimizes_a_quadratic():
 def test_descend_zero_iterations_returns_the_start_unconverged():
     value, gradient = quadratic((np.ones(3),))
     start = (np.zeros(3),)
-    x, v, converged, iterations = descend(start, value(start), value, gradient, 0.1, 0, 1e-8)
+    x, v, stop, iterations = descend(start, value(start), value, gradient, 0.1, 0, 1e-8)
     assert x is start and v == 3.0
-    assert (converged, iterations) == (False, 0)
+    assert (stop, iterations) == ("cap", 0)
 
 
 def test_descend_stops_at_its_iteration_cap_unconverged():
     value, gradient = quadratic((np.ones(3),))
     x0 = (np.zeros(3),)
-    x, v, converged, iterations = descend(x0, value(x0), value, gradient, 0.01, 3, 1e-8)
-    assert (converged, iterations) == (False, 3)
+    x, v, stop, iterations = descend(x0, value(x0), value, gradient, 0.01, 3, 1e-8)
+    assert (stop, iterations) == ("cap", 3)
     assert 0.0 < v < 3.0
 
 
 def test_descend_converges_at_a_zero_gradient_without_a_trial():
     rec = Recorder(*quadratic((np.ones(2),)))
     x0 = (np.ones(2),)
-    x, v, converged, iterations = descend(
+    x, v, stop, iterations = descend(
         x0, rec.value(x0), rec.value, rec.gradient, 0.1, 10, 1e-8
     )
-    assert (converged, iterations, v) == (True, 1, 0.0)
+    assert (stop, iterations, v) == ("tolerance", 1, 0.0)
     assert rec.values == [0.0] and rec.gradients == [0]
 
 
-def test_descend_value_that_never_drops_ends_converged_at_the_start():
+def test_descend_value_that_never_drops_stops_on_its_step_at_the_start():
     rec = Recorder(lambda x: (5.0, None), lambda x, aux: (np.ones(2),))
     start = (np.zeros(2),)
-    x, v, converged, iterations = descend(
+    x, v, stop, iterations = descend(
         start, rec.value(start), rec.value, rec.gradient, 1.0, 100, 1e-8
     )
     assert x is start and v == 5.0
-    assert (converged, iterations) == (True, 1)
+    assert (stop, iterations) == ("step", 1)
     # halved from 1 until below 1e-14: 47 rejected trials, one gradient
     assert len(rec.values) == 1 + 47 and rec.gradients == [0]
 
@@ -84,7 +84,7 @@ def test_descend_rejects_non_finite_trials():
     def value(x):
         return (np.inf if x[0] < 0 else x[0] ** 2), None
 
-    x, v, converged, _ = descend(
+    x, v, _, _ = descend(
         (1.0,), value((1.0,)), value, lambda x, aux: (2.0 * x[0],), 10.0, 50, 1e-8
     )
     assert np.isfinite(v) and x[0] >= 0 and v < 1.0
@@ -104,7 +104,7 @@ def test_descend_projects_every_trial():
         return value(x)
 
     x0 = (np.array([3.0, 3.0]),)
-    x, v, converged, iterations = descend(
+    x, v, _, _ = descend(
         x0, logged_value(x0), logged_value, gradient, 0.1, 200, 1e-8, project
     )
     assert len(seen) == 1 + len(projected) > 1
@@ -115,7 +115,7 @@ def test_descend_projects_every_trial():
 def test_descend_computes_gradients_only_at_accepted_points():
     # from 1 on x^2 with step 10, the first trials overshoot and are rejected
     rec = Recorder(*quadratic((0.0,)))
-    x, v, converged, iterations = descend(
+    x, v, _, iterations = descend(
         (1.0,), rec.value((1.0,)), rec.value, rec.gradient, 10.0, 40, 1e-6
     )
     accepted, best = [0], rec.values[0]
@@ -140,7 +140,15 @@ def test_descend_takes_the_start_from_its_caller():
         calls.append(x)
         return rec.value(x)
 
-    x, v, converged, iterations = descend(x0, (5.0, "start"), value, rec.gradient, 0.1, 30, 1e-8)
+    x, v, _, _ = descend(x0, (5.0, "start"), value, rec.gradient, 0.1, 30, 1e-8)
     assert all(trial is not x0 for trial in calls)
     assert len(calls) == len(rec.values) > 0
     assert rec.gradients[0] == "start"  # the caller's aux feeds the first gradient
+
+
+def test_only_a_stop_at_tolerance_is_converged():
+    stops = ("tolerance", "step", "cap", "degenerate")
+    assert [FitReport(stop=s, n_iter=1, objective=0.0).converged for s in stops] == [
+        True, False, False, False
+    ]
+    assert FitReport(stop="cap", n_iter=1, objective=0.0).capped == 0

@@ -8,11 +8,13 @@ import sys
 from pathlib import Path
 
 import typing
+import weakref
 
 import numpy as np
 import pytest
 
 import dyadcast
+import dyadcast.harness as harness
 from dyadcast import (
     BundleCache,
     CellResult,
@@ -238,6 +240,28 @@ def test_one_training_set_per_period_lag_and_spec(world, monkeypatch):
     assert len(builds) == len(fitted)
 
 
+def test_each_design_is_dropped_after_its_last_reader(world, monkeypatch):
+    """A cell reads the designs of its period and of the depth periods
+    before it, so a run holds at most depth + 1 designs per spec class at
+    once, however many periods and lags it covers."""
+    panel, table = world
+    built, held = [], []
+    build = harness.build_design
+
+    def tracked(*args, **kwargs):
+        design = build(*args, **kwargs)
+        built.append(weakref.ref(design))
+        held.append(sum(ref() is not None for ref in built))
+        return design
+
+    monkeypatch.setattr(harness, "build_design", tracked)
+    specs = ("endogenous-only", "covariates-only")
+    cfg = fast_config(lags=(1, 2), depth=2, spec_classes=specs, learners=("logit",))
+    run_experiment(cfg, panel, table)
+    assert len(built) > 3 * (2 + 1) * len(specs)
+    assert max(held) <= (2 + 1) * len(specs)
+
+
 def test_run_outputs_identical_across_hash_seeds(tmp_path):
     """Two `dyadcast run` processes with different PYTHONHASHSEED values
     write the same bytes: no output depends on set or dict order."""
@@ -421,6 +445,26 @@ def test_dump_models_writes_model_json(world, tmp_path):
 
     model = FittedModel.from_json(json.loads(model_file.read_text()))
     assert model.kind == "logit"
+
+
+def test_dumped_models_are_strict_json(world, tmp_path):
+    """A one-point tuning grid cross-validates no candidate: its score is
+    written as null, never as NaN, which no RFC 8259 parser reads."""
+    panel, table = world
+    cfg = fast_config(
+        first_period=5, last_period=5, spec_classes=("endogenous-only",),
+        learners=("elastic-net",), learner_params={},
+        tune_grid=TuneGrid(enet_lambda=(0.1,)), dump_models=True,
+    )
+    write_outputs(run_experiment(cfg, panel, table), tmp_path)
+    (path,) = (tmp_path / "models").iterdir()
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    model = json.loads(path.read_text(), parse_constant=refuse)
+    assert model["diagnostics"]["tuning"]["score"] is None
+    assert model["params"]["lam"] == 0.1
 
 
 # ---------------------------------------------------------------- config

@@ -40,14 +40,14 @@ def mmsbm():
     return MMSBMFit(
         pi=np.array([[0.75, 0.25], [0.5, 0.5], [0.125, 0.875]]),
         B=np.array([[0.875, 0.0625], [0.25, 0.5]]),
-        objective=-4.5, converged=True, n_iter=7,
+        stop="tolerance", n_iter=7, objective=-4.5,
     )
 
 
 def latent_space():
     return LatentSpaceFit(
         positions=np.array([[0.5, -1.0], [0.0, 2.25], [-0.75, 0.125]]),
-        alpha=1.5, objective=-3.25, converged=False, degenerate=False, n_iter=12,
+        alpha=1.5, stop="cap", n_iter=12, objective=-3.25,
     )
 
 
@@ -76,7 +76,7 @@ def logit_model():
     return FittedModel(
         kind="logit", standardizer=standardizer(),
         params={"intercept": -0.5, "coef": np.array([1.25, -0.75])},
-        diagnostics={"converged": True, "capped": False, "n_iter": 6},
+        stop="tolerance", n_iter=6, objective=2.5,
     )
 
 
@@ -87,8 +87,9 @@ def elastic_net_model():
             "intercept": 0.25, "coef": np.array([0.5, 0.0]), "lam": 0.01,
             "raw_intercept": 0.125, "raw_coef": np.array([0.25, 0.0, 0.0]),
         },
+        stop="tolerance", n_iter=4, objective=1.75, capped=2,
         diagnostics={
-            "converged": True, "n_outer": 4, "capped_inner": 0, "seed": 3,
+            "seed": 3,
             "tuning": {
                 "params": {"lam": 0.01}, "score": 0.5, "folds": 2,
                 "extensions": 1, "at_boundary": False,
@@ -100,11 +101,10 @@ def elastic_net_model():
 def logitboost_model():
     return FittedModel(
         kind="logitboost", standardizer=standardizer(),
-        params={"f0": -1.5, "stumps": [(1, 0.5, -0.25, 0.75), (-1, 0.0, 0.125, 0.125)]},
-        diagnostics={
-            "rounds": 2, "rounds_used": 2, "final_loss": 3.5,
-            "degenerate_stop": False, "seed": 1,
+        params={
+            "f0": -1.5, "stumps": [(1, 0.5, -0.25, 0.75), (-1, 0.0, 0.125, 0.125)], "rounds": 2,
         },
+        stop="cap", n_iter=2, objective=3.5, diagnostics={"seed": 1},
     )
 
 
@@ -115,7 +115,7 @@ def neural_net_model():
             "W1": np.array([[0.5, -0.5], [1.0, 0.25]]), "b1": np.array([0.0, 0.125]),
             "w2": np.array([1.5, -2.0]), "b2": 0.25, "hidden": 2, "decay": 0.1,
         },
-        diagnostics={"converged": False, "loss": 2.75, "failed_starts": 0, "seed": 2},
+        stop="step", n_iter=40, objective=2.75, diagnostics={"failed_starts": 0, "seed": 2},
     )
 
 
@@ -152,14 +152,13 @@ PARTITION = (
     '"merges": [[1, 2, 3], [0, 3, 4]]}'
 )
 MMSBM = (
-    '{"pi": [[0.75, 0.25], [0.5, 0.5], [0.125, 0.875]], '
-    '"B": [[0.875, 0.0625], [0.25, 0.5]], "objective": -4.5, "converged": true, '
-    '"n_iter": 7}'
+    '{"stop": "tolerance", "n_iter": 7, "objective": -4.5, "capped": 0, '
+    '"pi": [[0.75, 0.25], [0.5, 0.5], [0.125, 0.875]], '
+    '"B": [[0.875, 0.0625], [0.25, 0.5]]}'
 )
 LATENT = (
-    '{"positions": [[0.5, -1.0], [0.0, 2.25], [-0.75, 0.125]], '
-    '"alpha": 1.5, "objective": -3.25, "converged": false, "degenerate": false, '
-    '"n_iter": 12}'
+    '{"stop": "cap", "n_iter": 12, "objective": -3.25, "capped": 0, '
+    '"positions": [[0.5, -1.0], [0.0, 2.25], [-0.75, 0.125]], "alpha": 1.5}'
 )
 STANDARDIZER = (
     '{"input_names": ["x", "y", "z"], "kept": [0, 2], "means": [0.5, -1.0], '
@@ -182,32 +181,33 @@ CASES = {
     ),
     "logit": (
         logit_model,
-        '{"kind": "logit", "standardizer": ' + STANDARDIZER + ', "params": '
-        '{"intercept": -0.5, "coef": {"__array__": [1.25, -0.75]}}, "diagnostics": '
-        '{"converged": true, "capped": false, "n_iter": 6}}',
+        '{"stop": "tolerance", "n_iter": 6, "objective": 2.5, "capped": 0, '
+        '"kind": "logit", "standardizer": ' + STANDARDIZER + ', "params": '
+        '{"intercept": -0.5, "coef": {"__array__": [1.25, -0.75]}}, "diagnostics": {}}',
     ),
     "elastic-net": (
         elastic_net_model,
-        '{"kind": "elastic-net", "standardizer": ' + STANDARDIZER + ', "params": '
+        '{"stop": "tolerance", "n_iter": 4, "objective": 1.75, "capped": 2, '
+        '"kind": "elastic-net", "standardizer": ' + STANDARDIZER + ', "params": '
         '{"intercept": 0.25, "coef": {"__array__": [0.5, 0.0]}, "lam": 0.01, '
         '"raw_intercept": 0.125, "raw_coef": {"__array__": [0.25, 0.0, 0.0]}}, '
-        '"diagnostics": {"converged": true, "n_outer": 4, "capped_inner": 0, "seed": 3, '
-        '"tuning": {"params": {"lam": 0.01}, "score": 0.5, "folds": 2, "extensions": 1, '
+        '"diagnostics": {"seed": 3, "tuning": {"params": {"lam": 0.01}, "score": 0.5, "folds": 2, "extensions": 1, '
         '"at_boundary": false}}}',
     ),
     "logitboost": (
         logitboost_model,
-        '{"kind": "logitboost", "standardizer": ' + STANDARDIZER + ', "params": '
-        '{"f0": -1.5, "stumps": [[1, 0.5, -0.25, 0.75], [-1, 0.0, 0.125, 0.125]]}, '
-        '"diagnostics": {"rounds": 2, "rounds_used": 2, "final_loss": 3.5, '
-        '"degenerate_stop": false, "seed": 1}}',
+        '{"stop": "cap", "n_iter": 2, "objective": 3.5, "capped": 0, '
+        '"kind": "logitboost", "standardizer": ' + STANDARDIZER + ', "params": '
+        '{"f0": -1.5, "stumps": [[1, 0.5, -0.25, 0.75], [-1, 0.0, 0.125, 0.125]], '
+        '"rounds": 2}, "diagnostics": {"seed": 1}}',
     ),
     "neural-net": (
         neural_net_model,
-        '{"kind": "neural-net", "standardizer": ' + STANDARDIZER + ', "params": '
+        '{"stop": "step", "n_iter": 40, "objective": 2.75, "capped": 0, '
+        '"kind": "neural-net", "standardizer": ' + STANDARDIZER + ', "params": '
         '{"W1": {"__array__": [[0.5, -0.5], [1.0, 0.25]]}, "b1": {"__array__": [0.0, 0.125]}, '
         '"w2": {"__array__": [1.5, -2.0]}, "b2": 0.25, "hidden": 2, "decay": 0.1}, '
-        '"diagnostics": {"converged": false, "loss": 2.75, "failed_starts": 0, "seed": 2}}',
+        '"diagnostics": {"failed_starts": 0, "seed": 2}}',
     ),
     "spec": (
         spec,
@@ -271,7 +271,7 @@ def test_json_text_is_pinned(name):
 
 def test_bundle_text_belongs_to_its_version():
     # re-pinning the bundle text above means raising BUNDLE_VERSION here too
-    assert BUNDLE_VERSION == 2
+    assert BUNDLE_VERSION == 3
 
 
 def test_tuple_fields_decode_as_tuples():
@@ -316,8 +316,15 @@ def test_missing_keys_take_the_field_defaults():
     part = json.loads(PARTITION)
     del part["merges"]
     assert CommunityPartition.from_json(part).merges == ()
-    fit = json.loads(LATENT)
-    del fit["n_iter"]
-    assert LatentSpaceFit.from_json(fit).n_iter == 0
+    model = elastic_net_model().to_json()
+    del model["capped"]
+    assert FittedModel.from_json(model).capped == 0 != elastic_net_model().capped
     assert SyntheticSpec.from_json({"seed": 4}) == SyntheticSpec(seed=4)
     assert ExperimentConfig.from_json({"depth": 2}) == ExperimentConfig(depth=2)
+
+
+def test_a_report_with_an_unknown_stop_is_rejected():
+    fit = json.loads(LATENT)
+    fit["stop"] = "converged"
+    with pytest.raises(ValueError, match="^stop must be one of"):
+        LatentSpaceFit.from_json(fit)

@@ -252,6 +252,14 @@ def test_mmsbm_history_non_decreasing_and_simplex():
     assert np.all((fit.B > 0) & (fit.B < 1))
 
 
+def test_mmsbm_reports_how_it_stopped():
+    net = make_net([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    capped = fit_mmsbm(net, K=2, restarts=1, max_iter=3, tol=0.0, seed=0)
+    assert (capped.stop, capped.n_iter, capped.converged) == ("cap", 3, False)
+    loose = fit_mmsbm(net, K=2, restarts=1, max_iter=3, tol=1.0, seed=0)
+    assert (loose.stop, loose.n_iter, loose.converged) == ("tolerance", 1, True)
+
+
 def test_mmsbm_planted_two_blocks():
     rng = np.random.default_rng(42)
     nodes = [f"n{k:02d}" for k in range(16)]
@@ -282,10 +290,10 @@ def test_mmsbm_prob_constructed():
     # feature_block reads pi[i] @ B @ pi[j] at the dyads' positions
     net = make_net([], nodes=["a", "b"])
     B = np.array([[0.9, 0.2], [0.3, 0.6]])
-    fit = MMSBMFit(pi=np.eye(2), B=B, objective=0.0, converged=True, n_iter=0)
+    fit = MMSBMFit(pi=np.eye(2), B=B, stop="tolerance", n_iter=0, objective=0.0)
     probs = column(net, [("a", "b"), ("b", "a")], bundle_ab(mmsbm=fit), "mmsbm-prob")
     assert probs == pytest.approx([0.2, 0.3], abs=1e-15)
-    uniform = MMSBMFit(pi=np.full((2, 2), 0.5), B=B, objective=0.0, converged=True, n_iter=0)
+    uniform = MMSBMFit(pi=np.full((2, 2), 0.5), B=B, stop="tolerance", n_iter=0, objective=0.0)
     (prob,) = column(net, [("a", "b")], bundle_ab(mmsbm=uniform), "mmsbm-prob")
     assert prob == pytest.approx(0.5, abs=1e-15)
 
@@ -296,9 +304,7 @@ def test_mmsbm_json_round_trip():
     back = MMSBMFit.from_json(json.loads(json.dumps(fit.to_json())))
     assert np.array_equal(back.pi, fit.pi)
     assert np.array_equal(back.B, fit.B)
-    assert (back.objective, back.converged, back.n_iter) == (
-        fit.objective, fit.converged, fit.n_iter
-    )
+    assert (back.objective, back.stop, back.n_iter) == (fit.objective, fit.stop, fit.n_iter)
 
 
 # ---------------------------------------------------------- latent space
@@ -308,9 +314,9 @@ def test_latent_distance_is_euclidean():
     fit = LatentSpaceFit(
         positions=np.array([[0.0, 0.0], [3.0, 4.0]]),
         alpha=0.0,
+        stop="tolerance",
+        n_iter=0,
         objective=0.0,
-        converged=True,
-        degenerate=False,
     )
     net = make_net([], nodes=["a", "b"])
     bundle = bundle_ab(latent=fit)
@@ -319,7 +325,7 @@ def test_latent_distance_is_euclidean():
 
 def test_latent_degenerate_empty_graph():
     fit = fit_latent_space(make_net([], nodes=["a", "b", "c"]), seed=0)
-    assert fit.degenerate and fit.converged
+    assert fit.stop == "degenerate" and not fit.converged
     assert fit.alpha == -30.0
     assert np.array_equal(fit.positions, np.zeros((3, 2)))
     assert fit.n_iter == 0
@@ -329,13 +335,13 @@ def test_latent_degenerate_complete_graph():
     nodes = ["a", "b", "c"]
     edges = [(i, j) for i in nodes for j in nodes if i != j]
     fit = fit_latent_space(make_net(edges, nodes), seed=0)
-    assert fit.degenerate
+    assert fit.stop == "degenerate"
     assert fit.alpha == 30.0
 
 
 def test_latent_single_node():
     fit = fit_latent_space(make_net([], nodes=["a"]), seed=0)
-    assert fit.degenerate
+    assert fit.stop == "degenerate"
     assert fit.alpha == 0.0
 
 
@@ -356,7 +362,7 @@ def test_latent_empty_node_set():
 def test_latent_reciprocal_pair_sits_close():
     net = make_net([("a", "b"), ("b", "a")], nodes=["a", "b", "c"])
     fit = fit_latent_space(net, seed=0)
-    assert not fit.degenerate
+    assert fit.stop != "degenerate"
     assert distance(fit, 0, 1) < distance(fit, 0, 2)
     assert distance(fit, 0, 1) < distance(fit, 1, 2)
 
@@ -399,7 +405,9 @@ def test_latent_json_round_trip():
     fit = fit_latent_space(net, starts=1, max_iter=50, seed=0)
     back = LatentSpaceFit.from_json(json.loads(json.dumps(fit.to_json())))
     assert np.array_equal(back.positions, fit.positions)
-    assert (back.alpha, back.objective, back.n_iter) == (fit.alpha, fit.objective, fit.n_iter)
+    assert (back.alpha, back.objective, back.stop, back.n_iter) == (
+        fit.alpha, fit.objective, fit.stop, fit.n_iter
+    )
 
 
 # ---------------------------------------------------------------- bundle
@@ -469,7 +477,7 @@ def test_cache_identity_is_pinned(tmp_path):
     assert net.content_hash() == chash
     assert LatentConfig().fingerprint() == "4039a100c06ad031"
     BundleCache(cache_dir=str(tmp_path)).get(net, LatentConfig(), 7)
-    assert [p.name for p in tmp_path.iterdir()] == [f"v2-{chash}-4039a100c06ad031-7.json"]
+    assert [p.name for p in tmp_path.iterdir()] == [f"v3-{chash}-4039a100c06ad031-7.json"]
 
 
 def test_bundle_cache_concurrent_writers_of_one_key(tmp_path, monkeypatch):
@@ -595,8 +603,8 @@ def test_latent_space_matches_loop_oracle_on_random_nets():
         )
         fit, ref = fit_latent_space(net, **kw), fit_latent_space_oracle(net, **kw)
         assert np.array_equal(fit.positions, ref.positions), (case, kw)
-        assert (fit.alpha, fit.objective, fit.converged, fit.degenerate, fit.n_iter) == (
-            ref.alpha, ref.objective, ref.converged, ref.degenerate, ref.n_iter
+        assert (fit.alpha, fit.objective, fit.stop, fit.n_iter) == (
+            ref.alpha, ref.objective, ref.stop, ref.n_iter
         ), (case, kw)
 
 
@@ -614,6 +622,6 @@ def test_mmsbm_matches_loop_oracle_on_random_nets():
         )
         fit, (ref, _) = fit_mmsbm(net, **kw), fit_mmsbm_oracle(net, **kw)
         assert np.array_equal(fit.pi, ref.pi) and np.array_equal(fit.B, ref.B), (case, kw)
-        assert (fit.objective, fit.converged, fit.n_iter) == (
-            ref.objective, ref.converged, ref.n_iter
+        assert (fit.objective, fit.stop, fit.n_iter) == (
+            ref.objective, ref.stop, ref.n_iter
         ), (case, kw)

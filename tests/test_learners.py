@@ -116,7 +116,7 @@ def test_logit_separation_capped():
     x = np.linspace(-1, 1, 12)
     train = TrainingSet.build(x[:, None], (x > 0).astype(float), ("x",))
     model = fit_logit(train)
-    assert model.diagnostics["capped"]
+    assert model.capped == 1
     assert abs(model.params["coef"][0]) <= 30.0
 
 
@@ -204,9 +204,9 @@ def test_elastic_net_matches_residual_oracle_well_conditioned(seed, lam):
     train = TrainingSet.build(X, y, NAMES3)
     model = fit_elastic_net(train, lam=lam)
     b0, b, converged, n_outer, capped_inner = elastic_net_residual_oracle(train.Z, train.y, lam)
-    assert model.diagnostics["converged"] and converged
-    assert model.diagnostics["n_outer"] == n_outer
-    assert model.diagnostics["capped_inner"] == capped_inner == 0
+    assert model.converged and converged
+    assert model.n_iter == n_outer
+    assert model.capped == capped_inner == 0
     assert np.max(np.abs(model.params["coef"] - b)) < 1e-10
     assert abs(model.params["intercept"] - b0) < 1e-10
 
@@ -230,7 +230,7 @@ def test_elastic_net_matches_residual_oracle_near_collinear(seed):
     model = fit_elastic_net(train, lam=lam)
     b0, b, _, _, capped_inner = elastic_net_residual_oracle(train.Z, train.y, lam)
     assert capped_inner > 0
-    assert model.diagnostics["capped_inner"] > 0
+    assert model.capped > 0
     ours = elastic_net_objective(train.Z, train.y, lam, model.params["intercept"], model.params["coef"])
     oracle = elastic_net_objective(train.Z, train.y, lam, b0, b)
     assert abs(ours - oracle) <= 1e-9 * abs(oracle)
@@ -239,7 +239,7 @@ def test_elastic_net_matches_residual_oracle_near_collinear(seed):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_elastic_net_reports_capped_inner_loops(seed):
     model = fit_elastic_net(near_collinear_sample(seed), lam=0.001)
-    assert 0 < model.diagnostics["capped_inner"] <= model.diagnostics["n_outer"]
+    assert 0 < model.capped <= model.n_iter
 
 
 def test_elastic_net_negative_lam_rejected():
@@ -444,7 +444,7 @@ def test_stump_search_on_every_round_matches_oracle(monkeypatch):
     pinned = fit_logitboost(train, rounds=60)
     assert len(real.params["stumps"]) == 60
     assert real.params == pinned.params
-    assert real.diagnostics["final_loss"] == pinned.diagnostics["final_loss"]
+    assert real.objective == pinned.objective
 
 
 def test_stump_search_matches_oracle_on_a_covariate_world(monkeypatch):
@@ -470,7 +470,7 @@ def test_stump_search_matches_oracle_on_a_covariate_world(monkeypatch):
     assert len(real) == 3 and real.keys() == pinned.keys()
     for key, model in real.items():
         assert model.params == pinned[key].params
-        assert model.diagnostics["final_loss"] == pinned[key].diagnostics["final_loss"]
+        assert model.objective == pinned[key].objective
 
 
 # ------------------------------------------------------------ neural net
@@ -562,6 +562,8 @@ def test_nn_matches_loop_oracle_on_random_designs():
         fit, ref = fit_neural_net(train, **kw), fit_neural_net_oracle(train, **kw)
         assert same_values(fit.params, ref.params), (case, kw)
         assert same_values(fit.diagnostics, ref.diagnostics), (case, kw)
+        report = ("stop", "n_iter", "objective", "capped")
+        assert [getattr(fit, k) for k in report] == [getattr(ref, k) for k in report], (case, kw)
 
 
 def test_nn_evaluates_each_point_once(monkeypatch):
@@ -664,6 +666,56 @@ def test_coefficients_only_for_linear_models():
         fit_logitboost(train, rounds=1).coefficients()
 
 
+# ------------------------------------------------------------ fit report
+
+REPORT_FITS = {
+    "logit": dict(),
+    "elastic-net": dict(lam=0.05),
+    "logitboost": dict(rounds=7),
+    "neural-net": dict(hidden=2, decay=0.1, max_iter=200, restarts=2),
+}
+
+
+def penalty(model) -> float:
+    p = model.params
+    if model.kind == "elastic-net":
+        return p["lam"] * float(np.sum(np.abs(p["coef"])) + np.sum(p["coef"] ** 2))
+    if model.kind == "neural-net":
+        return p["decay"] * float(np.sum(p["W1"] ** 2) + np.sum(p["w2"] ** 2))
+    return 0.0
+
+
+@pytest.mark.parametrize("kind", sorted(REPORT_FITS))
+def test_every_learner_reports_its_penalized_training_loss(kind):
+    X, y = logistic_sample()
+    train = TrainingSet.build(X, y, NAMES3)
+    model = learners.FIT_FUNCTIONS[kind](train, **REPORT_FITS[kind])
+    eta = model.decision(train.Z)
+    loss = float(np.sum(np.logaddexp(0.0, eta) - train.y * eta)) + penalty(model)
+    assert model.objective == pytest.approx(loss, rel=1e-12)
+    assert model.stop in ("tolerance", "step", "cap") and model.n_iter > 0
+
+
+def test_learner_stops_as_reported():
+    X, y = logistic_sample()
+    train = TrainingSet.build(X, y, NAMES3)
+    logit = fit_logit(train)
+    assert (logit.stop, logit.capped, logit.converged) == ("tolerance", 0, True)
+    enet = fit_elastic_net(train, lam=0.05)
+    assert (enet.stop, enet.capped, enet.converged) == ("tolerance", 0, True)
+    boost = fit_logitboost(train, rounds=7)
+    assert (boost.stop, boost.n_iter, boost.params["rounds"]) == ("cap", 7, 7)
+    assert not boost.converged and fit_logitboost(train, rounds=0).n_iter == 0
+
+
+def test_neural_net_capped_at_max_iter_reports_cap():
+    X, y = logistic_sample()
+    train = TrainingSet.build(X, y, NAMES3)
+    model = fit_neural_net(train, hidden=2, decay=0.1, max_iter=5, restarts=1, grad_tol=0.0)
+    assert (model.stop, model.n_iter, model.converged) == ("cap", 5, False)
+    assert model.diagnostics == {"failed_starts": 0, "seed": 0}
+
+
 def test_unknown_learner_rejected():
     X, y = logistic_sample()
     with pytest.raises(ValueError):
@@ -677,7 +729,7 @@ def test_tune_single_point_grid_skips_search():
     train = TrainingSet.build(X, y, NAMES3)
     result = tune("elastic-net", train, TuneGrid(enet_lambda=(0.5,)))
     assert result.params == {"lam": 0.5}
-    assert np.isnan(result.score)
+    assert result.score is None
     assert result.table == [] and result.extensions == 0
 
 
