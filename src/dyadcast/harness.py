@@ -245,6 +245,54 @@ def run_experiment(
     ratios: dict = {}
     models: dict = {}
 
+    def run_group(t: int, lag: int, spec: str, reason: str | None) -> None:
+        """Every learner's cell at (t, lag, spec). A reason that is not None,
+        given or found here, is the fate of each of them. The designs held
+        here are let go on return, so only ``designs`` keeps any."""
+        status = "skip"
+        if reason is None:
+            try:
+                train_designs = [design_for(tau, lag, spec) for tau in range(t - config.depth, t)]
+                test = design_for(t, lag, spec)
+                X_tr, y_tr = stack_designs(train_designs)
+                names = train_designs[0].feature_names
+                if test.feature_names != names:
+                    raise SchemaError(f"test features {test.feature_names} != training {names}")
+                train = TrainingSet.build(X_tr, y_tr, names)
+            except (DyadcastError, ValueError) as exc:
+                status, reason = "error", str(exc)
+            else:
+                reason = _single_class(train.y)
+        if reason is not None:
+            cells.extend(
+                CellResult(t, lag, spec, kind, status, reason=reason) for kind in config.learners
+            )
+            return
+
+        for kind in config.learners:
+            key = (t, lag, spec, kind)
+            try:
+                model = fit_learner(
+                    kind,
+                    train,
+                    params=config.learner_params.get(kind),
+                    seed=seed_for(config.master_seed, "cell", *key),
+                    grid=config.tune_grid,
+                    folds=config.tune_folds,
+                )
+                scores = model.predict_proba(test.X, names)
+            except (FitError, TuningError) as exc:
+                cells.append(CellResult(*key, "error", reason=str(exc)))
+                continue
+
+            models[key] = model
+            if kind == "elastic-net":
+                # the logit cell, when already fitted, is the same model
+                companion = models.get((t, lag, spec, "logit")) or fit_logit(train)
+                entries = coefficient_ratio(model, companion)
+                ratios.setdefault((lag, spec), RatioSeries(rows=[])).add(t, entries)
+            cells.append(_scored_cell(key, scores, test.y))
+
     for lag in config.lags:
         designs: dict = {}
         for t in range(config.first_period, config.last_period + 1):
@@ -252,55 +300,7 @@ def run_experiment(
             designs = {k: d for k, d in designs.items() if k[0] >= t - config.depth}
             gap = _history_gap(t, lag, config.depth, p_min, p_max)
             for spec in config.spec_classes:
-                # a reason that is not None is the fate of every learner cell
-                status, reason = "skip", gap
-                if gap is None:
-                    try:
-                        train_designs = [
-                            design_for(tau, lag, spec) for tau in range(t - config.depth, t)
-                        ]
-                        test = design_for(t, lag, spec)
-                        X_tr, y_tr = stack_designs(train_designs)
-                        names = train_designs[0].feature_names
-                        if test.feature_names != names:
-                            raise SchemaError(
-                                f"test features {test.feature_names} != training {names}"
-                            )
-                        train = TrainingSet.build(X_tr, y_tr, names)
-                    except (DyadcastError, ValueError) as exc:
-                        status, reason = "error", str(exc)
-                    else:
-                        reason = _single_class(train.y)
-                if reason is not None:
-                    cells.extend(
-                        CellResult(t, lag, spec, kind, status, reason=reason)
-                        for kind in config.learners
-                    )
-                    continue
-
-                for kind in config.learners:
-                    key = (t, lag, spec, kind)
-                    try:
-                        model = fit_learner(
-                            kind,
-                            train,
-                            params=config.learner_params.get(kind),
-                            seed=seed_for(config.master_seed, "cell", *key),
-                            grid=config.tune_grid,
-                            folds=config.tune_folds,
-                        )
-                        scores = model.predict_proba(test.X, names)
-                    except (FitError, TuningError) as exc:
-                        cells.append(CellResult(*key, "error", reason=str(exc)))
-                        continue
-
-                    models[key] = model
-                    if kind == "elastic-net":
-                        # the logit cell, when already fitted, is the same model
-                        companion = models.get((t, lag, spec, "logit")) or fit_logit(train)
-                        entries = coefficient_ratio(model, companion)
-                        ratios.setdefault((lag, spec), RatioSeries(rows=[])).add(t, entries)
-                    cells.append(_scored_cell(key, scores, test.y))
+                run_group(t, lag, spec, gap)
 
     result = RunResult(config=config, cells=cells, ratios=ratios, models=models)
     result.verify_complete()

@@ -240,7 +240,8 @@ def test_one_training_set_per_period_lag_and_spec(world, monkeypatch):
     assert len(builds) == len(fitted)
 
 
-def test_each_design_is_dropped_after_its_last_reader(world, monkeypatch):
+@pytest.mark.parametrize("specs", [("endogenous-only",), ("endogenous-only", "covariates-only")])
+def test_each_design_is_dropped_after_its_last_reader(world, monkeypatch, specs):
     """A cell reads the designs of its period and of the depth periods
     before it, so a run holds at most depth + 1 designs per spec class at
     once, however many periods and lags it covers."""
@@ -255,7 +256,6 @@ def test_each_design_is_dropped_after_its_last_reader(world, monkeypatch):
         return design
 
     monkeypatch.setattr(harness, "build_design", tracked)
-    specs = ("endogenous-only", "covariates-only")
     cfg = fast_config(lags=(1, 2), depth=2, spec_classes=specs, learners=("logit",))
     run_experiment(cfg, panel, table)
     assert len(built) > 3 * (2 + 1) * len(specs)
