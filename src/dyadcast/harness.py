@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from .codec import Folds, Level, NonEmpty, Positive, Saved, check, check_fields, decode
 from .design import (
     SPEC_CLASSES,
@@ -112,13 +114,18 @@ def load_config(path) -> ExperimentConfig:
         return ExperimentConfig.from_json(json.load(fh))
 
 
+def _needs_covariates(spec_classes) -> bool:
+    return any(s in (SPEC_COVARIATES, SPEC_COMBINED) for s in spec_classes)
+
+
 def load_run_inputs(config: ExperimentConfig):
-    """Read the panel and covariate table named by the config."""
+    """Read the panel and covariate table named by the config. The table is
+    read only when a configured spec class uses it; otherwise it is None."""
     if config.events is None:
         raise ValidationError("config names no events file")
     panel = load_events(config.events, config.registry)
     covariates = None
-    if config.covariates is not None:
+    if config.covariates is not None and _needs_covariates(config.spec_classes):
         covariates = load_covariates(config.covariates)
     return panel, covariates
 
@@ -135,7 +142,8 @@ class CellResult:
     auc_pr: float = float("nan")
     auc_roc: float = float("nan")
     reason: str = ""
-    scores: tuple | None = None
+    # the learner's test-period probabilities, read-only, in dyad order
+    scores: np.ndarray | None = field(default=None, compare=False)
     n_positive: int = 0
 
     def key(self):
@@ -201,7 +209,9 @@ def _single_class(y) -> str | None:
 
 def _scored_cell(key: tuple, scores, y) -> CellResult:
     """An ok cell, or a skip with NaN AUCs when the test labels leave an
-    AUC undefined; the scores are kept either way."""
+    AUC undefined; the scores are kept either way, as a read-only array."""
+    scores = np.asarray(scores, dtype=np.float64)
+    scores.flags.writeable = False
     try:
         auc_pr, auc_roc = pr_curve(scores, y), roc_curve(scores, y)
         status, reason = "ok", ""
@@ -210,7 +220,7 @@ def _scored_cell(key: tuple, scores, y) -> CellResult:
         status, reason = "skip", str(exc)
     return CellResult(
         *key, status, auc_pr, auc_roc, reason,
-        scores=tuple(float(s) for s in scores), n_positive=int(y.sum()),
+        scores=scores, n_positive=int(y.sum()),
     )
 
 
@@ -223,8 +233,7 @@ def run_experiment(
     """Execute every configured cell; failures are recorded per cell and
     never abort the run."""
     config.validate()
-    needs_cov = any(s in (SPEC_COVARIATES, SPEC_COMBINED) for s in config.spec_classes)
-    if needs_cov and covariates is None:
+    if _needs_covariates(config.spec_classes) and covariates is None:
         raise ValidationError("configured spec classes need a covariate table")
     cache = cache if cache is not None else BundleCache()
     p_min, p_max = panel.period_range()
@@ -379,9 +388,8 @@ def write_cells_csv(path, cells) -> None:
 def read_cells_csv(path) -> list:
     """Inverse of write_cells_csv, close enough for re-summarizing."""
     cells = []
-    for line_no, (period, lag, spec, kind, pr, roc, skip, error) in _read_rows(
-        path, CELLS_HEADER, "cells"
-    ):
+    for line_no, row in _read_rows(path, CELLS_HEADER, "cells"):
+        period, lag, spec, kind, pr, roc, skip, error = (f.strip() for f in row)
         pr, roc = (math.nan if v == "NA" else _parse_float(v, "cells", line_no, what)
                    for v, what in ((pr, "auc_pr"), (roc, "auc_roc")))
         status, reason = ("error", error) if error else ("skip", skip) if skip else ("ok", "")

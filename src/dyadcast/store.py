@@ -191,8 +191,11 @@ def _open_text(source):
 
 
 def _read_rows(source, expected_header, label):
-    """Yield (line number, stripped fields) for each non-blank data row, so a
-    malformed row is reported only after every earlier row was consumed."""
+    """Yield (line number, raw fields) for each non-blank data row, so a
+    malformed row is reported only after every earlier row was consumed.
+    Surrounding whitespace is not part of a value: each caller strips the
+    fields it reads."""
+    width = len(expected_header)
     with _open_text(source) as stream:
         reader = csv.reader(stream)
         try:
@@ -206,14 +209,13 @@ def _read_rows(source, expected_header, label):
                 f"got {','.join(header)}"
             )
         for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(expected_header):
+            if len(row) != width:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
                 raise ParseError(
-                    f"{label}: line {line_no}: expected {len(expected_header)} fields, "
-                    f"got {len(row)}"
+                    f"{label}: line {line_no}: expected {width} fields, got {len(row)}"
                 )
-            yield line_no, [f.strip() for f in row]
+            yield line_no, row
 
 
 def _write_rows(path, header, rows) -> None:
@@ -249,7 +251,8 @@ def load_events(events_csv, registry_csv=None) -> EventPanel:
     span is inferred as [first, last] observed involvement year.
     """
     events = []
-    for line_no, (s, r, y) in _read_rows(events_csv, EVENTS_HEADER, "events"):
+    for line_no, row in _read_rows(events_csv, EVENTS_HEADER, "events"):
+        s, r, y = (f.strip() for f in row)
         if not s or not r:
             raise ParseError(f"events: line {line_no}: empty node id")
         year = _parse_int(y, "events", line_no, "year")
@@ -257,7 +260,8 @@ def load_events(events_csv, registry_csv=None) -> EventPanel:
 
     if registry_csv is not None:
         registry = {}
-        for line_no, (node, lo, hi) in _read_rows(registry_csv, REGISTRY_HEADER, "registry"):
+        for line_no, row in _read_rows(registry_csv, REGISTRY_HEADER, "registry"):
+            node, lo, hi = (f.strip() for f in row)
             if node in registry:
                 raise ParseError(f"registry: line {line_no}: duplicate node {node!r}")
             registry[node] = (
@@ -273,14 +277,34 @@ def load_events(events_csv, registry_csv=None) -> EventPanel:
 
 def load_covariates(cov_csv, extra_names=(), indicator_extras=()) -> CovariateTable:
     """Read a long-form covariate table with header ``year,i,j,name,value``.
-    Node ids and names are interned, so the keys share one string each."""
+    Node ids and names are interned, so the keys share one string each.
+
+    Years, node ids and names repeat on row after row, so each distinct raw
+    text is parsed or stripped and interned once per load, in two memos
+    kept apart so that a year ``1`` and a node ``1`` never meet."""
     entries: dict[tuple[int, str, str, str], float] = {}
+    years: dict[str, int] = {}
+    texts: dict[str, str] = {}
     for line_no, (y, i, j, name, value) in _read_rows(cov_csv, COVARIATES_HEADER, "covariates"):
-        key = (_parse_int(y, "covariates", line_no, "year"), sys.intern(i), sys.intern(j),
-               sys.intern(name))
+        try:
+            key = (years[y], texts[i], texts[j], texts[name])
+        except KeyError:
+            if y not in years:
+                years[y] = _parse_int(y.strip(), "covariates", line_no, "year")
+            for text in (i, j, name):
+                if text not in texts:
+                    texts[text] = sys.intern(text.strip())
+            key = (years[y], texts[i], texts[j], texts[name])
         if key in entries:
             raise ParseError(f"covariates: line {line_no}: duplicate key {key}")
-        entries[key] = _parse_float(value, "covariates", line_no, "value")
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
+            # re-read stripped, to raise the message naming the text
+            number = _parse_float(value.strip(), "covariates", line_no, "value")
+        entries[key] = number
     return CovariateTable(
         entries=entries,
         extra_names=tuple(extra_names),

@@ -5,16 +5,19 @@ no reuse of library internals) so that agreement between a library
 routine and its oracle is meaningful evidence.
 """
 
+import csv
 import heapq
+import io
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from dyadcast import (
-    CommunityPartition, EvaluationError, EventPanel, FitError, FittedModel, LaggedNetwork,
-    LatentBundle, LatentConfig, LatentSpaceFit, MMSBMFit, TrainingSet,
+    CommunityPartition, CovariateTable, EvaluationError, EventPanel, FitError, FittedModel,
+    LaggedNetwork, LatentBundle, LatentConfig, LatentSpaceFit, MMSBMFit, ParseError, TrainingSet,
 )
 from dyadcast import learners
 from dyadcast.codec import Count, NonNegative, Positive
@@ -832,3 +835,48 @@ def spearman(x, y):
     rx = rx - rx.mean()
     ry = ry - ry.mean()
     return float(np.sum(rx * ry) / np.sqrt(np.sum(rx**2) * np.sum(ry**2)))
+
+
+# ------------------------------------------------------------- covariates
+
+def load_covariates_oracle(text, extra_names=(), indicator_extras=()):
+    """The covariate loader as one plain loop over csv.reader rows: the
+    blank-line rule, then the field count, then every field stripped and
+    parsed in full, and each key's strings interned one row at a time."""
+    label, header_names = "covariates", ["year", "i", "j", "name", "value"]
+
+    def number(text, line_no, what, kind):
+        try:
+            return kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ParseError(f"{label}: line {line_no}: {what} {text!r} is not {noun}")
+
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{label}: empty input, expected header {tuple(header_names)}")
+    header = [h.strip() for h in header]
+    if header != header_names:
+        raise ParseError(
+            f"{label}: line 1: expected header {','.join(header_names)}, got {','.join(header)}"
+        )
+    entries = {}
+    for line_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 5:
+            raise ParseError(f"{label}: line {line_no}: expected 5 fields, got {len(row)}")
+        y, i, j, name, value = [f.strip() for f in row]
+        key = (number(y, line_no, "year", int), sys.intern(i), sys.intern(j), sys.intern(name))
+        if key in entries:
+            raise ParseError(f"{label}: line {line_no}: duplicate key {key}")
+        entries[key] = number(value, line_no, "value", float)
+        if not math.isfinite(entries[key]):
+            raise ParseError(f"{label}: line {line_no}: value {value!r} is not a finite number")
+    return CovariateTable(
+        entries=entries,
+        extra_names=tuple(extra_names),
+        indicator_extras=frozenset(indicator_extras),
+    )

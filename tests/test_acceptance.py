@@ -397,7 +397,7 @@ def test_criterion_5_temporal_hygiene(capsys):
     checked = 0
 
     def cells_match(c, b, scores_only=False):
-        if c.scores != b.scores:
+        if not np.array_equal(c.scores, b.scores):
             return False
         if scores_only:
             return True

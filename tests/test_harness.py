@@ -99,6 +99,20 @@ def test_ok_cells_carry_scores_and_finite_aucs(full_run):
         assert c.reason == ""
 
 
+def test_cell_scores_are_the_models_read_only_probabilities(world, full_run):
+    panel, table = world
+    cfg = fast_config()
+    for kind in LEARNERS:
+        key = (6, 2, "covariates-only", kind)
+        test = harness.build_design(panel, 6, 2, "covariates-only", cfg.features, None, table)
+        want = full_run.models[key].predict_proba(test.X, test.feature_names)
+        scores = full_run.cell(*key).scores
+        assert scores.dtype == np.float64 and not scores.flags.writeable
+        assert scores.tobytes() == want.tobytes()
+    cell = full_run.cell(*key)
+    assert cell == dataclasses.replace(cell, scores=None)
+
+
 def test_blanket_skips(full_run):
     early = full_run.cell(3, 2, "combined", "logit")
     assert early.status == "skip"
@@ -131,7 +145,7 @@ def test_cell_results_are_learner_independent(world):
     for cell in solo.cells:
         twin = full.cell(*cell.key())
         assert cell.status == twin.status
-        assert cell.scores == twin.scores
+        assert np.array_equal(cell.scores, twin.scores)
         if cell.status == "ok":
             assert cell.auc_pr == twin.auc_pr and cell.auc_roc == twin.auc_roc
 
@@ -402,7 +416,10 @@ CELLS_LINE_1 = ",".join(CELLS_HEADER) + "\n"
 BAD_CELL_ROWS = [
     ("1,2,combined,logit,0.5,abc,,\n", "cells: line 2: auc_roc 'abc' is not a number"),
     ("1,2,combined\n", "cells: line 2: expected 8 fields, got 3"),
+    (" 1 , 2 , combined , logit , 0.5 , abc , , \n", "cells: line 2: auc_roc 'abc' is not a number"),
+    (" 1 , 2 , combined \n", "cells: line 2: expected 8 fields, got 3"),
 ]
+BAD_CELL_IDS = ["bad-number", "short-row", "padded-bad-number", "padded-short-row"]
 
 
 def test_read_cells_reads_na_as_nan(tmp_path):
@@ -413,7 +430,24 @@ def test_read_cells_reads_na_as_nan(tmp_path):
     assert math.isnan(cell.auc_pr) and cell.auc_roc == 0.25
 
 
-@pytest.mark.parametrize("row,message", BAD_CELL_ROWS, ids=["bad-number", "short-row"])
+def test_read_cells_ignores_padding_around_fields(tmp_path):
+    p = tmp_path / "cells.csv"
+    p.write_text(
+        CELLS_LINE_1
+        + " 3 , 2 , combined , logit , NA , 0.25 , too few events , \n"
+        + "\t4\t,\t2\t,\tcombined\t,\tlogit\t,\t0.5\t,\t0.75\t,\t,\t\n"
+    )
+    skip, ok = read_cells_csv(p)
+    assert (skip.period, skip.lag, skip.spec_class, skip.learner) == (3, 2, "combined", "logit")
+    assert (skip.status, skip.reason) == ("skip", "too few events")
+    assert math.isnan(skip.auc_pr) and skip.auc_roc == 0.25
+    assert (ok.period, ok.lag, ok.spec_class, ok.learner, ok.status) == (
+        4, 2, "combined", "logit", "ok"
+    )
+    assert (ok.auc_pr, ok.auc_roc, ok.reason) == (0.5, 0.75, "")
+
+
+@pytest.mark.parametrize("row,message", BAD_CELL_ROWS, ids=BAD_CELL_IDS)
 def test_read_cells_rejects_a_malformed_row(tmp_path, row, message):
     p = tmp_path / "cells.csv"
     p.write_text(CELLS_LINE_1 + row)
@@ -421,7 +455,7 @@ def test_read_cells_rejects_a_malformed_row(tmp_path, row, message):
         read_cells_csv(p)
 
 
-@pytest.mark.parametrize("row,message", BAD_CELL_ROWS, ids=["bad-number", "short-row"])
+@pytest.mark.parametrize("row,message", BAD_CELL_ROWS, ids=BAD_CELL_IDS)
 def test_cli_summarize_malformed_cells_exit_2(tmp_path, capsys, row, message):
     (tmp_path / "config.json").write_text(json.dumps(ExperimentConfig().to_json()))
     (tmp_path / "cells.csv").write_text(CELLS_LINE_1 + row)
@@ -564,6 +598,29 @@ def test_config_json_file_lists_every_field():
 def test_load_run_inputs_requires_events():
     with pytest.raises(ValidationError, match="events"):
         load_run_inputs(ExperimentConfig())
+
+
+def test_endogenous_only_run_never_reads_the_covariate_file(
+    cli_world, tmp_path, capsys, monkeypatch
+):
+    paths, _ = cli_world
+    bad = tmp_path / "covariates.csv"
+    bad.write_text("year,i,j,name,value\n1,n00,n01,CINC-ratio,nan\n")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cli_config_json(
+        paths, tmp_path / "run", covariates=str(bad), spec_classes=("endogenous-only",)
+    )))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+
+    reads = []
+    monkeypatch.setattr(harness, "load_covariates", lambda *a: reads.append(a))
+    config = harness.load_config(cfg_path)
+    _, covariates = load_run_inputs(config)
+    assert covariates is None and reads == []
+    config.spec_classes = ("endogenous-only", "combined")
+    load_run_inputs(config)
+    assert reads == [(str(bad),)]
 
 
 # ------------------------------------------------------------------- cli

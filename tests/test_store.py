@@ -1,22 +1,26 @@
+import csv
 import gc
 import io
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dyadcast import (
     CovariateTable,
     EventPanel,
     ParseError,
+    SyntheticSpec,
     ValidationError,
     aggregate_window,
     eligible_dyads,
+    generate_synthetic,
     load_covariates,
     load_events,
+    save_synthetic,
 )
-from helpers import edge_set, make_panel
+from helpers import edge_set, load_covariates_oracle, make_panel
 
 
 def test_events_canonical_order():
@@ -295,6 +299,38 @@ def test_registry_duplicate_node():
         load_events(io.StringIO(EVENTS_CSV), io.StringIO(reg))
 
 
+def test_padding_around_event_and_registry_fields_is_ignored():
+    padded = load_events(
+        io.StringIO("sender,receiver,year\n n00 , n05 , 1 \n\tn05\t,\tn00\t,\t2\t\n"),
+        io.StringIO("node,first_year,last_year\n n00 , 1 , 2 \n\tn05\t,\t1\t,\t2\t\n"),
+    )
+    plain = load_events(
+        io.StringIO("sender,receiver,year\nn00,n05,1\nn05,n00,2\n"),
+        io.StringIO("node,first_year,last_year\nn00,1,2\nn05,1,2\n"),
+    )
+    assert padded == plain
+    assert padded.events == (("n00", "n05", 1), ("n05", "n00", 2))
+    assert padded.registry == {"n00": (1, 2), "n05": (1, 2)}
+
+
+@pytest.mark.parametrize(
+    "events,registry,message",
+    [
+        (" a , b , soon \n", None, "events: line 2: year 'soon' is not an integer"),
+        (" \t , b , 1 \n", None, "events: line 2: empty node id"),
+        (" a , b \n", None, "events: line 2: expected 3 fields, got 2"),
+        ("a,b,1\n", " a , x , 2 \n", "registry: line 2: first_year 'x' is not an integer"),
+        ("a,b,1\n", "a,1,2\nb,1,2\n a ,3,4\n", "registry: line 4: duplicate node 'a'"),
+    ],
+    ids=["year", "empty-node", "short-row", "registry-year", "registry-duplicate"],
+)
+def test_padded_fields_keep_their_line_numbered_messages(events, registry, message):
+    registry_csv = None if registry is None else io.StringIO("node,first_year,last_year\n" + registry)
+    with pytest.raises(ParseError) as info:
+        load_events(io.StringIO("sender,receiver,year\n" + events), registry_csv)
+    assert str(info.value) == message
+
+
 COV_CSV = (
     "year,i,j,name,value\n"
     "1990,a,b,trade-dependence,0.25\n"
@@ -338,6 +374,86 @@ def test_load_covariates_keys_share_their_strings():
     keys = list(table.entries)
     for position in (1, 2, 3):
         assert len({id(key[position]) for key in keys}) == len({key[position] for key in keys})
+
+
+def _padded(good, bad):
+    """A field that is usually one of ``good``, around one bad text in ten."""
+    core = st.one_of(st.sampled_from(good), st.sampled_from(good), st.sampled_from(good),
+                     st.sampled_from(good + bad))
+    return st.tuples(st.sampled_from(["", "", " ", "\t", " \t "]), core,
+                     st.sampled_from(["", "", " ", "\t", "  "])).map("".join)
+
+
+# "1" is a year, a node id and (declared in the test) a name at once
+COV_FIELDS = (
+    _padded(["1", "2", "01", "+2"], ["x", "1.5", ""]),
+    _padded(["a", "1", "a,b", '"q"'], []),
+    _padded(["a", "b", "1", "a,b"], []),
+    _padded(["CINC-ratio", "contiguity", "1"], []),
+    _padded(["0", "1", "0.5", "-0.0", "1e-300", "0.1"], ["nan", "inf", "-inf", "1e400", "x", ""]),
+)
+
+
+@st.composite
+def cov_rows(draw):
+    """Data rows, with up to three blank lines and, in one example in three,
+    a row of the wrong width, each put in at a drawn position."""
+    rows = draw(st.lists(st.tuples(*COV_FIELDS).map(list), max_size=12))
+    inserts = draw(st.lists(st.sampled_from([[], [" "], ["\t\t"]]), max_size=3))
+    if draw(st.integers(0, 2)) == 0:
+        inserts.append(draw(st.lists(COV_FIELDS[1], min_size=1, max_size=7)
+                            .filter(lambda row: len(row) != 5)))
+    for row in inserts:
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+def _csv_text(rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([["year", "i", "j", "name", "value"], *rows])
+    return out.getvalue()
+
+
+def _loaded(load, text):
+    try:
+        return load(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200)
+@given(cov_rows())
+@example([["1", "a", "b", "CINC-ratio", " 0.5"], [" 1", "a ", "\tb", "CINC-ratio", "0.5"]])
+@example([["1", "a", "b", "CINC-ratio", "x"], ["1", "a"]])
+@example([["1", "1", "a", "1", "0.5"], ["2", "a", "1", "1", "1"]])
+@example([[" 01 ", " a,b ", "1", " 1 ", "-0.0"], [], ["2", "1", "a,b", "1", "\t1e-300 "]])
+def test_load_covariates_matches_its_loop_oracle(rows):
+    """Same entries (items, order, value bits, and the oracle's interned
+    strings) or the same error message as the row-by-row loop."""
+    text = _csv_text(rows)
+    got = _loaded(lambda t: load_covariates(io.StringIO(t), extra_names=("1",)), text)
+    want = _loaded(lambda t: load_covariates_oracle(t, extra_names=("1",)), text)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, CovariateTable)
+    assert list(got.entries) == list(want.entries)
+    assert [v.hex() for v in got.entries.values()] == [v.hex() for v in want.entries.values()]
+    assert all(type(v) is float for v in got.entries.values())
+    for key, twin in zip(got.entries, want.entries):
+        assert all(a is b for a, b in zip(key[1:], twin[1:]))
+
+
+def test_load_covariates_matches_its_loop_oracle_on_a_synthetic_world(tmp_path):
+    panel, table, _ = generate_synthetic(
+        SyntheticSpec(n_nodes=12, periods=3, time_varying_covariates=True, seed=4)
+    )
+    with open(save_synthetic(panel, table, tmp_path)["covariates"]) as fh:
+        text = fh.read()
+    got, want = load_covariates(io.StringIO(text)), load_covariates_oracle(text)
+    assert len(got.entries) == len(table.entries) > 1000
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert [v.hex() for v in got.entries.values()] == [v.hex() for v in want.entries.values()]
 
 
 def test_covariate_undeclared_name():
