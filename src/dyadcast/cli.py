@@ -37,6 +37,22 @@ def _print_aggregate(rows) -> None:
         )
 
 
+def _fit_tally(models) -> str:
+    """How many fits stopped short: a logit, elastic-net or neural-net fit
+    at its iteration cap or a collapsed step (a logitboost fit's cap is
+    every round fitted), a fit with a clipped or capped report, and a tuned
+    fit whose choice sat on a grid boundary."""
+    short = capped = boundary = 0
+    for model in models.values():
+        short += model.kind != "logitboost" and model.stop in ("cap", "step")
+        capped += model.capped > 0
+        boundary += model.diagnostics.get("tuning", {}).get("at_boundary", False)
+    return (
+        f"{short} fits stopped at a cap or step, {capped} capped, "
+        f"{boundary} tuned to a grid boundary"
+    )
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     panel, covariates = load_run_inputs(config)
@@ -49,6 +65,7 @@ def _cmd_run(args) -> int:
         f"{counts['ok']} cells evaluated, {counts['skip']} skipped, "
         f"{counts['error']} errored"
     )
+    print(_fit_tally(result.models))
     for c in result.cells:
         if c.status == "error":
             print(f"error {'-'.join(map(str, c.key()))}: {c.reason}", file=sys.stderr)

@@ -22,7 +22,7 @@ import operator
 import sys
 import typing
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -300,7 +300,31 @@ def fit_elastic_net(
     )
 
 
-def _best_stump(Z, w, z, orders):
+class _CutTable(NamedTuple):
+    """Every place a stump can split a design, fixed for one fit.
+
+    ``order`` is each column's stable sort order, one row per column.
+    ``flat`` indexes the boundaries between distinct sorted values in the
+    flattened ``order``, in scan order: lowest column first, then lowest
+    cut. ``feat`` and ``thr`` are each boundary's column and midpoint."""
+
+    order: np.ndarray
+    flat: np.ndarray
+    feat: np.ndarray
+    thr: np.ndarray
+
+
+def _cut_table(Z) -> _CutTable:
+    """The cut table of Z, built once per fit."""
+    order = np.argsort(Z.T, axis=1, kind="stable")
+    zs = np.take_along_axis(Z.T, order, axis=1)
+    feat, cut = np.nonzero(zs[:, 1:] > zs[:, :-1])
+    flat = feat * zs.shape[1] + cut
+    zs = zs.ravel()
+    return _CutTable(order, flat, feat, 0.5 * (zs[flat] + zs[flat + 1]))
+
+
+def _best_stump(cuts: _CutTable, w, z):
     """Weighted least-squares optimal single split.
 
     Returns (feature, threshold, left_value, right_value). Ties resolve to
@@ -308,37 +332,37 @@ def _best_stump(Z, w, z, orders):
     has two distinct values the stump degenerates to the weighted mean
     (feature -1).
 
-    Each column's gains at all of its boundaries are computed as arrays.
-    The rule "a later cut wins only if its gain exceeds best + 1e-15" then
-    runs, in scan order, over the cuts whose gain exceeds every earlier
-    gain, the only ones that can win: a cut passed over had a gain at most
-    the rounded best + 1e-15 of its turn, the best only grows, and rounding
-    is monotone, so no slack is needed."""
-    total_w = float(w.sum())
-    total_wz = float((w * z).sum())
+    One sweep over the cut table: the left sums at every boundary are read
+    from one row-wise cumsum of w and of w * z in each column's order, so
+    every gain equals the one-cut-at-a-time scalar bit for bit. The rule
+    "a later cut wins only if its gain exceeds best + 1e-15" then runs, in
+    scan order, over the cuts whose gain exceeds every earlier gain, the
+    only ones that can win: a cut passed over had a gain at most the
+    rounded best + 1e-15 of its turn, the best only grows, and rounding is
+    monotone, so no slack is needed."""
     wz = w * z
-    best = None
-    best_gain = top = -np.inf
-    for feat, order in enumerate(orders):
-        zs = Z[order, feat]
-        cut = np.flatnonzero(zs[1:] > zs[:-1])
-        wl = np.cumsum(w[order])[cut]
-        wzl = np.cumsum(wz[order])[cut]
-        wr, wzr = total_w - wl, total_wz - wzl
-        keep = ~((wl <= 0.0) | (wr <= 0.0))
-        cut, wl, wzl, wr, wzr = cut[keep], wl[keep], wzl[keep], wr[keep], wzr[keep]
-        gain = wzl * wzl / wl + wzr * wzr / wr
-        earlier = np.fmax.accumulate(np.concatenate(([top], gain)))
-        top = earlier[-1]
-        for k in np.flatnonzero(gain > earlier[:-1]).tolist():
-            if gain[k] > best_gain + 1e-15:
-                best_gain = gain[k]
-                thr = 0.5 * (zs[cut[k]] + zs[cut[k] + 1])
-                best = (feat, float(thr), float(wzl[k] / wl[k]), float(wzr[k] / wr[k]))
+    total_w = float(w.sum())
+    total_wz = float(wz.sum())
+    wl = np.cumsum(w[cuts.order], axis=1).take(cuts.flat)
+    wzl = np.cumsum(wz[cuts.order], axis=1).take(cuts.flat)
+    wr, wzr = total_w - wl, total_wz - wzl
+    kept = np.flatnonzero(~((wl <= 0.0) | (wr <= 0.0)))
+    wl, wzl, wr, wzr = wl[kept], wzl[kept], wr[kept], wzr[kept]
+    gain = wzl * wzl / wl + wzr * wzr / wr
+    earlier = np.fmax.accumulate(np.concatenate(([-np.inf], gain)))
+    records = np.flatnonzero(gain > earlier[:-1]).tolist()
+    best, best_gain = None, -np.inf
+    for k, g in zip(records, gain[records].tolist()):
+        if g > best_gain + 1e-15:
+            best, best_gain = k, g
     if best is None:
         mean = total_wz / total_w
         return (-1, 0.0, float(mean), float(mean))
-    return best
+    at = kept[best]
+    return (
+        int(cuts.feat[at]), float(cuts.thr[at]),
+        float(wzl[best] / wl[best]), float(wzr[best] / wr[best]),
+    )
 
 
 def _nll(F, y):
@@ -352,13 +376,16 @@ def fit_logitboost(train: TrainingSet, rounds: Count, seed: int = 0) -> FittedMo
     Starts from the base-rate log odds; each round computes working
     responses and weights from current probabilities (clipped to
     [1e-5, 1-1e-5]), fits the best single-split stump by weighted least
-    squares, and adds it. A stump that would raise the training loss is
-    halved until it no longer does, so training loss never increases.
+    squares, and adds it. The columns' sort orders, boundaries and
+    thresholds do not change between rounds, so they are found once, as
+    the fit's cut table, and each round's search is one sweep over it.
+    A stump that would raise the training loss is halved until it no
+    longer does, so training loss never increases.
     Zero rounds yield the base-rate constant. It stops at "cap" with every
     round fitted, or as "degenerate" when the weights vanish."""
     _require_both_classes(train.y)
     Z, yv = train.Z, train.y
-    orders = [np.argsort(Z[:, k], kind="stable") for k in range(Z.shape[1])]
+    cuts = _cut_table(Z)
     base = float(yv.mean())
     f0 = float(np.log(base / (1.0 - base)))
     F = np.full(len(yv), f0)
@@ -372,7 +399,7 @@ def fit_logitboost(train: TrainingSet, rounds: Count, seed: int = 0) -> FittedMo
             stop = "degenerate"
             break
         z = (yv - prob) / w
-        feat, thr, lo, hi = _best_stump(Z, w, z, orders)
+        feat, thr, lo, hi = _best_stump(cuts, w, z)
         contrib = np.full(len(yv), lo) if feat < 0 else np.where(Z[:, feat] < thr, lo, hi)
         scale = 1.0
         for _ in range(60):

@@ -717,9 +717,36 @@ def test_cli_run_aggregates_once(cli_world, tmp_path, capsys, monkeypatch):
     cfg_path.write_text(json.dumps(cli_config_json(paths, run_dir)))
     assert main(["run", "--config", str(cfg_path)]) == 0
     assert len(calls) == 1
-    run_table = capsys.readouterr().out.splitlines()[1:-1]
+    run_table = capsys.readouterr().out.splitlines()[2:-1]
     assert main(["summarize", "--in", str(run_dir)]) == 0
     assert run_table == capsys.readouterr().out.splitlines()
+
+
+def test_cli_run_tallies_fits_that_stopped_short(cli_world, tmp_path, capsys):
+    """One-step elastic nets and neural nets stop at their caps and are
+    counted; logitboost's cap is every round fitted and is not; tuned
+    rounds that end on the grid's edge are counted apart."""
+    paths, _ = cli_world
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cli_config_json(
+        paths, tmp_path / "run", spec_classes=("covariates-only",),
+        learners=("logit", "elastic-net", "logitboost", "neural-net"),
+        learner_params={
+            "elastic-net": {"lam": 0.1, "max_outer": 1},
+            "neural-net": {"hidden": 2, "decay": 0.5, "max_iter": 1, "restarts": 1},
+        },
+        tune_grid=TuneGrid(boost_rounds=(1, 2)), tune_folds=2,
+    )))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "12 cells evaluated, 0 skipped, 0 errored",
+        "6 fits stopped at a cap or step, 0 capped, 2 tuned to a grid boundary",
+    ]
+    cfg_path.write_text(json.dumps(cli_config_json(paths, tmp_path / "pinned")))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "0 fits stopped at a cap or step, 0 capped, 0 tuned to a grid boundary"
+    )
 
 
 @pytest.mark.parametrize(

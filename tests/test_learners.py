@@ -24,7 +24,7 @@ from dyadcast import (
     run_experiment,
     tune,
 )
-from dyadcast.learners import _best_stump, _sigmoid
+from dyadcast.learners import _best_stump, _cut_table, _sigmoid
 from dyadcast.store import CANONICAL_COVARIATES
 
 from helpers import (
@@ -315,7 +315,7 @@ def stump_case(Z, w, z):
 
 
 def assert_stump_matches_oracle(Z, w, z, orders):
-    got = _best_stump(Z, w, z, orders)
+    got = _best_stump(_cut_table(Z), w, z)
     assert got == best_stump_oracle(Z, w, z, orders)
     assert [type(v) for v in got] == [int, float, float, float]
     return got
@@ -389,6 +389,17 @@ def test_stump_skips_a_last_cut_with_no_weight_on_the_right():
     assert assert_stump_matches_oracle(*case)[:2] == (0, 0.5)
 
 
+def test_stump_skipped_cut_in_an_earlier_column_keeps_later_winners_in_place():
+    """Column 0's last cut has no weight on its right and is skipped, which
+    shifts every later cut's place among the kept ones; the winner, in
+    column 2, must still map to its own column and threshold."""
+    Z = np.column_stack([[0.0, 2.0, 1.0, 3.0], np.full(4, 3.0), [0.0, 0.0, 1.0, 1.0]])
+    case = stump_case(Z, [0.5, 0.5, 0.5, 1e-17], [1.0, 1.0, -1.0, 5.0])
+    _, w, _, orders = case
+    assert w[-1] > 0.0 and float(w.sum()) - np.cumsum(w[orders[0]])[-2] <= 0.0
+    assert assert_stump_matches_oracle(*case)[:2] == (2, 0.5)
+
+
 @st.composite
 def stump_problems(draw):
     n = draw(st.integers(1, 24))
@@ -431,6 +442,17 @@ def test_stump_matches_sequential_oracle(case):
     assert_stump_matches_oracle(*case)
 
 
+def search_with_oracle(monkeypatch):
+    """Swap the oracle in for every round's stump search: the cut table is
+    then the oracle's inputs, Z and its columns' stable orders."""
+    monkeypatch.setattr(learners, "_cut_table", lambda Z: (
+        Z, [np.argsort(Z[:, k], kind="stable") for k in range(Z.shape[1])]
+    ))
+    monkeypatch.setattr(learners, "_best_stump", lambda cuts, w, z: best_stump_oracle(
+        cuts[0], w, z, cuts[1]
+    ))
+
+
 def test_stump_search_on_every_round_matches_oracle(monkeypatch):
     """A fit whose every stump comes from the oracle is identical to the
     real fit, on a design with duplicated and rounded columns."""
@@ -440,7 +462,7 @@ def test_stump_search_on_every_round_matches_oracle(monkeypatch):
     y = (rng.random(300) < _sigmoid(x[:, 0] - np.round(x[:, 1], 1))).astype(float)
     train = TrainingSet.build(X, y, tuple("abcdef"))
     real = fit_logitboost(train, rounds=60)
-    monkeypatch.setattr(learners, "_best_stump", best_stump_oracle)
+    search_with_oracle(monkeypatch)
     pinned = fit_logitboost(train, rounds=60)
     assert len(real.params["stumps"]) == 60
     assert real.params == pinned.params
@@ -465,12 +487,23 @@ def test_stump_search_matches_oracle_on_a_covariate_world(monkeypatch):
         bootstrap_replicates=10,
     )
     real = run_experiment(config, panel, table).models
-    monkeypatch.setattr(learners, "_best_stump", best_stump_oracle)
+    search_with_oracle(monkeypatch)
     pinned = run_experiment(config, panel, table).models
     assert len(real) == 3 and real.keys() == pinned.keys()
     for key, model in real.items():
         assert model.params == pinned[key].params
         assert model.objective == pinned[key].objective
+
+
+def test_one_fit_builds_its_cut_table_once(monkeypatch):
+    X, y = logistic_sample(n=80, seed=4)
+    train = TrainingSet.build(X, y, NAMES3)
+    builds = []
+    real = learners._cut_table
+    monkeypatch.setattr(learners, "_cut_table", lambda Z: builds.append(Z) or real(Z))
+    model = fit_logitboost(train, rounds=50)
+    assert len(model.params["stumps"]) == 50
+    assert len(builds) == 1 and builds[0] is train.Z
 
 
 # ------------------------------------------------------------ neural net
