@@ -22,6 +22,10 @@ SPEC_COVARIATES = "covariates-only"
 SPEC_COMBINED = "combined"
 SPEC_CLASSES = (SPEC_ENDOGENOUS, SPEC_COVARIATES, SPEC_COMBINED)
 SpecClass = Literal[SPEC_CLASSES]
+# the spec classes whose designs hold the network columns, and those
+# whose designs hold the covariate columns
+READS_NETWORK = frozenset((SPEC_ENDOGENOUS, SPEC_COMBINED))
+READS_COVARIATES = frozenset((SPEC_COVARIATES, SPEC_COMBINED))
 
 
 @dataclass
@@ -63,28 +67,20 @@ def _covariate_block(
     names = list(table.names_present())
     if not names:
         raise DataError("covariate table declares no covariate names")
-    cols = []
-    out_names = []
     n = len(dyads)
-    for name in names:
-        vals = np.zeros(n)
-        miss = np.zeros(n)
-        for k, (i, j) in enumerate(dyads):
-            v = table.value(period, i, j, name)
-            if v is None:
-                miss[k] = 1.0
-            else:
-                vals[k] = v
-        frac = float(miss.mean()) if n else 0.0
+    X = np.zeros((n, 2 * len(names)))
+    out_names = []
+    for c, name in enumerate(names):
+        col = [table.entries.get((period, i, j, name)) for i, j in dyads]
+        miss = [v is None for v in col]
+        frac = sum(miss) / n if n else 0.0
         if frac > max_missing:
             raise DataError(
                 f"covariate {name!r} missing for {frac:.0%} of dyads at period {period}"
             )
-        cols.append(vals)
-        cols.append(miss)
-        out_names.append(name)
-        out_names.append(f"{name}-missing")
-    X = np.column_stack(cols) if cols else np.zeros((n, 0))
+        X[:, 2 * c] = [0.0 if m else v for v, m in zip(col, miss)]
+        X[:, 2 * c + 1] = miss
+        out_names += [name, f"{name}-missing"]
     return out_names, X
 
 
@@ -111,7 +107,7 @@ def build_design(
     blocks = []
     names: list = []
 
-    if spec_class in (SPEC_ENDOGENOUS, SPEC_COMBINED):
+    if spec_class in READS_NETWORK:
         if bundle is None:
             raise ValueError("endogenous features require a latent bundle")
         net = aggregate_window(panel, period - lag, period - 1)
@@ -122,7 +118,7 @@ def build_design(
         )
         names.extend(ENDOGENOUS_FEATURE_NAMES)
 
-    if spec_class in (SPEC_COVARIATES, SPEC_COMBINED):
+    if spec_class in READS_COVARIATES:
         if covariates is None:
             raise ValueError("covariate features require a covariate table")
         cov_names, cov_X = _covariate_block(

@@ -32,7 +32,9 @@ ENDOGENOUS_FEATURE_NAMES = (
 )
 
 
-def feature_block(net: LaggedNetwork, dyads, bundle, exclude_focal_flow: bool = False) -> np.ndarray:
+def feature_block(
+    net: LaggedNetwork, dyads, bundle, exclude_focal_flow: bool = False
+) -> np.ndarray:
     """The eight endogenous statistics for an ordered dyad list.
 
     Columns follow ENDOGENOUS_FEATURE_NAMES; rows align with dyads:

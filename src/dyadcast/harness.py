@@ -21,9 +21,9 @@ import numpy as np
 
 from .codec import Folds, Level, NonEmpty, Positive, Saved, check, check_fields, decode
 from .design import (
+    READS_COVARIATES,
+    READS_NETWORK,
     SPEC_CLASSES,
-    SPEC_COMBINED,
-    SPEC_COVARIATES,
     FeatureConfig,
     SpecClass,
     build_design,
@@ -114,10 +114,6 @@ def load_config(path) -> ExperimentConfig:
         return ExperimentConfig.from_json(json.load(fh))
 
 
-def _needs_covariates(spec_classes) -> bool:
-    return any(s in (SPEC_COVARIATES, SPEC_COMBINED) for s in spec_classes)
-
-
 def load_run_inputs(config: ExperimentConfig):
     """Read the panel and covariate table named by the config. The table is
     read only when a configured spec class uses it; otherwise it is None."""
@@ -125,7 +121,7 @@ def load_run_inputs(config: ExperimentConfig):
         raise ValidationError("config names no events file")
     panel = load_events(config.events, config.registry)
     covariates = None
-    if config.covariates is not None and _needs_covariates(config.spec_classes):
+    if config.covariates is not None and READS_COVARIATES.intersection(config.spec_classes):
         covariates = load_covariates(config.covariates)
     return panel, covariates
 
@@ -233,7 +229,7 @@ def run_experiment(
     """Execute every configured cell; failures are recorded per cell and
     never abort the run."""
     config.validate()
-    if _needs_covariates(config.spec_classes) and covariates is None:
+    if READS_COVARIATES.intersection(config.spec_classes) and covariates is None:
         raise ValidationError("configured spec classes need a covariate table")
     cache = cache if cache is not None else BundleCache()
     p_min, p_max = panel.period_range()
@@ -242,7 +238,7 @@ def run_experiment(
         key = (t, spec)
         if key not in designs:
             bundle = None
-            if spec != SPEC_COVARIATES:
+            if spec in READS_NETWORK:
                 net = aggregate_window(panel, t - lag, t - 1)
                 bundle = cache.get(net, config.features.latent, config.master_seed)
             designs[key] = build_design(

@@ -626,19 +626,20 @@ def tune(
     """Pick hyperparameters by stratified k-fold CV on mean validation
     area under the precision-recall curve.
 
-    A winner sitting on a grid boundary triggers a geometric extension of
-    that axis (at most TUNE_MAX_EXTENSIONS times overall; still-boundary
-    results are accepted and flagged). Ties prefer the earliest candidate
-    in deterministic grid order. An axis that params sets (not None) is
-    searched at that one value, and every key of params reaches every
-    cross-validation fit. Learners without hyperparameters return
-    immediately. Folds shrink as needed so every fold holds both classes;
-    fewer than 2 of either class cannot be folded at all."""
+    A candidate is a grid key, one value per axis in sorted axis order.
+    Each round's winner is the first best key in ``itertools.product``
+    order, and no key is scored twice. A winner on an end of an axis
+    extends the first such axis that grows, low end before high, by a
+    geometric step (at most TUNE_MAX_EXTENSIONS times overall, none once
+    the best score is not finite); a winner still on an end is accepted
+    and flagged. An axis that params sets (not None) is searched at that
+    one value, and every key of params reaches every cross-validation fit.
+    Learners without hyperparameters return immediately. Folds shrink as
+    needed so every fold holds both classes; fewer than 2 of either class
+    cannot be folded at all."""
     params = {k: v for k, v in (params or {}).items() if v is not None}
-    space = {
-        a: [params[a]] if a in params else vals
-        for a, vals in (grid or TuneGrid()).for_learner(kind).items()
-    }
+    grid_axes = (grid or TuneGrid()).for_learner(kind)
+    space = {a: [params[a]] if a in params else grid_axes[a] for a in sorted(grid_axes)}
     if not space:
         return TuneResult({}, None, [], 0, 0, False)
 
@@ -651,72 +652,53 @@ def tune(
         )
     folds_used = max(2, min(folds, n_pos, n_neg))
     assign = cv_folds(y, folds_used, seed)
-
-    axes = sorted(space)
-    single_point = all(len(space[a]) == 1 for a in axes)
-    if single_point:
-        params = {a: space[a][0] for a in axes}
-        return TuneResult(params, None, [], folds_used, 0, False)
+    if all(len(vals) == 1 for vals in space.values()):
+        return TuneResult({a: vals[0] for a, vals in space.items()}, None, [], folds_used, 0, False)
 
     scores: dict = {}
 
-    def score_candidate(cand):
-        key = tuple(cand[a] for a in axes)
-        if key in scores:
-            return scores[key]
-        vals = []
-        for f in range(folds_used):
-            tr_idx, val_idx = assign != f, assign == f
-            try:
-                model = fit_learner(
-                    kind, train.subset(tr_idx), {**params, **cand},
-                    seed=seed_for(seed, "cv-fit", f),
-                )
-                p = _sigmoid(model.decision(train.Z[val_idx]))
-                vals.append(pr_curve(p, y[val_idx]))
-            except (FitError, EvaluationError):
-                vals.append(-np.inf)
-        scores[key] = float(np.mean(vals))
+    def score(key):
+        if key not in scores:
+            vals = []
+            for f in range(folds_used):
+                held = assign == f
+                try:
+                    model = fit_learner(
+                        kind, train.subset(~held), {**params, **dict(zip(space, key))},
+                        seed=seed_for(seed, "cv-fit", f),
+                    )
+                    p = _sigmoid(model.decision(train.Z[held]))
+                    vals.append(pr_curve(p, y[held]))
+                except (FitError, EvaluationError):
+                    vals.append(-np.inf)
+            scores[key] = float(np.mean(vals))
         return scores[key]
 
     extensions = 0
     while True:
-        candidates = [
-            dict(zip(axes, combo))
-            for combo in itertools.product(*(space[a] for a in axes))
-        ]
-        best_params, best_score = None, -np.inf
-        for cand in candidates:
-            s = score_candidate(cand)
-            if s > best_score:
-                best_params, best_score = cand, s
-        grew = False
-        if extensions < TUNE_MAX_EXTENSIONS and np.isfinite(best_score):
-            for a in axes:
-                vals = space[a]
-                if len(vals) < 2:
-                    continue
-                if best_params[a] == vals[0]:
-                    new_vals = sorted(set(vals) | {_geometric_extension(vals, "low")})
-                elif best_params[a] == vals[-1]:
-                    new_vals = sorted(set(vals) | {_geometric_extension(vals, "high")})
-                else:
-                    continue
-                if new_vals != vals:
-                    space[a] = new_vals
-                    grew = True
-                    extensions += 1
-                    break
-        if not grew:
+        best = max(itertools.product(*space.values()), key=score)
+        if extensions == TUNE_MAX_EXTENSIONS or not np.isfinite(scores[best]):
+            break
+        for (a, vals), value in zip(space.items(), best):
+            if len(vals) < 2 or value not in (vals[0], vals[-1]):
+                continue
+            grown = sorted(set(vals) | {
+                _geometric_extension(vals, "low" if value == vals[0] else "high")
+            })
+            if grown != vals:
+                space[a] = grown
+                extensions += 1
+                break
+        else:
             break
 
-    if best_params is None or not np.isfinite(best_score):
+    if not np.isfinite(scores[best]):
         raise TuningError(f"no {kind} candidate could be fit on any fold")
     at_boundary = any(
-        len(space[a]) > 1 and best_params[a] in (space[a][0], space[a][-1])
-        for a in axes
+        len(vals) > 1 and value in (vals[0], vals[-1])
+        for vals, value in zip(space.values(), best)
     )
-    table = [
-        ({a: k for a, k in zip(axes, key)}, val) for key, val in sorted(scores.items())
-    ]
-    return TuneResult(best_params, best_score, table, folds_used, extensions, at_boundary)
+    table = [(dict(zip(space, key)), val) for key, val in sorted(scores.items())]
+    return TuneResult(
+        dict(zip(space, best)), scores[best], table, folds_used, extensions, at_boundary
+    )

@@ -67,7 +67,9 @@ class EventPanel:
     registry: dict[str, tuple[int, int]]
 
     def __post_init__(self):
-        canon = sorted(((s, r, int(p)) for s, r, p in self.events), key=lambda e: (e[2], e[0], e[1]))
+        canon = sorted(
+            ((s, r, int(p)) for s, r, p in self.events), key=lambda e: (e[2], e[0], e[1])
+        )
         object.__setattr__(self, "events", tuple(canon))
         for s, r, p in self.events:
             if s == r:
@@ -171,9 +173,6 @@ class CovariateTable:
                 )
             seen.add(name)
         self._present = [n for n in self.declared if n in seen]
-
-    def value(self, period: int, i: str, j: str, name: str):
-        return self.entries.get((period, i, j, name))
 
     def names_present(self) -> list[str]:
         """Declared names with at least one entry, in declaration order."""

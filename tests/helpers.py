@@ -8,6 +8,7 @@ routine and its oracle is meaningful evidence.
 import csv
 import heapq
 import io
+import itertools
 import math
 import sys
 from collections import Counter
@@ -18,9 +19,11 @@ import numpy as np
 from dyadcast import (
     CommunityPartition, CovariateTable, EvaluationError, EventPanel, FitError, FittedModel,
     LaggedNetwork, LatentBundle, LatentConfig, LatentSpaceFit, MMSBMFit, ParseError, TrainingSet,
+    TuningError,
 )
 from dyadcast import learners
 from dyadcast.codec import Count, NonNegative, Positive
+from dyadcast.evaluation import pr_curve
 from dyadcast.latent import ALPHA_CAP, LATENT_GRAD_TOL, MMSBM_EPS
 from dyadcast.learners import COEF_CAP, _require_both_classes
 from dyadcast.seeding import seed_for
@@ -880,3 +883,101 @@ def load_covariates_oracle(text, extra_names=(), indicator_extras=()):
         extra_names=tuple(extra_names),
         indicator_extras=frozenset(indicator_extras),
     )
+
+
+# ------------------------------------------------------------------ tune
+#
+# The hyperparameter search as it stood before candidates became grid-key
+# tuples: a list of dicts per round, a scan with a None sentinel for the
+# best, and a grew flag ending the loop. tune must agree with it on every
+# field, score bits and table order included.
+
+def tune_oracle(kind, train, grid=None, folds=5, seed=0, params=None):
+    """The earlier tune body, unchanged; its CV fits are module-level
+    ``learners.fit_learner`` calls, as tune's are."""
+    params = {k: v for k, v in (params or {}).items() if v is not None}
+    space = {
+        a: [params[a]] if a in params else vals
+        for a, vals in (grid or learners.TuneGrid()).for_learner(kind).items()
+    }
+    if not space:
+        return learners.TuneResult({}, None, [], 0, 0, False)
+
+    y = train.y
+    n_pos = int((y == 1).sum())
+    n_neg = int((y == 0).sum())
+    if n_pos < 2 or n_neg < 2:
+        raise TuningError(
+            f"need at least 2 of each class to cross-validate, have {n_pos} pos / {n_neg} neg"
+        )
+    folds_used = max(2, min(folds, n_pos, n_neg))
+    assign = learners.cv_folds(y, folds_used, seed)
+
+    axes = sorted(space)
+    single_point = all(len(space[a]) == 1 for a in axes)
+    if single_point:
+        params = {a: space[a][0] for a in axes}
+        return learners.TuneResult(params, None, [], folds_used, 0, False)
+
+    scores: dict = {}
+
+    def score_candidate(cand):
+        key = tuple(cand[a] for a in axes)
+        if key in scores:
+            return scores[key]
+        vals = []
+        for f in range(folds_used):
+            tr_idx, val_idx = assign != f, assign == f
+            try:
+                model = learners.fit_learner(
+                    kind, train.subset(tr_idx), {**params, **cand},
+                    seed=seed_for(seed, "cv-fit", f),
+                )
+                p = learners._sigmoid(model.decision(train.Z[val_idx]))
+                vals.append(pr_curve(p, y[val_idx]))
+            except (FitError, EvaluationError):
+                vals.append(-np.inf)
+        scores[key] = float(np.mean(vals))
+        return scores[key]
+
+    extensions = 0
+    while True:
+        candidates = [
+            dict(zip(axes, combo))
+            for combo in itertools.product(*(space[a] for a in axes))
+        ]
+        best_params, best_score = None, -np.inf
+        for cand in candidates:
+            s = score_candidate(cand)
+            if s > best_score:
+                best_params, best_score = cand, s
+        grew = False
+        if extensions < learners.TUNE_MAX_EXTENSIONS and np.isfinite(best_score):
+            for a in axes:
+                vals = space[a]
+                if len(vals) < 2:
+                    continue
+                if best_params[a] == vals[0]:
+                    new_vals = sorted(set(vals) | {learners._geometric_extension(vals, "low")})
+                elif best_params[a] == vals[-1]:
+                    new_vals = sorted(set(vals) | {learners._geometric_extension(vals, "high")})
+                else:
+                    continue
+                if new_vals != vals:
+                    space[a] = new_vals
+                    grew = True
+                    extensions += 1
+                    break
+        if not grew:
+            break
+
+    if best_params is None or not np.isfinite(best_score):
+        raise TuningError(f"no {kind} candidate could be fit on any fold")
+    at_boundary = any(
+        len(space[a]) > 1 and best_params[a] in (space[a][0], space[a][-1])
+        for a in axes
+    )
+    table = [
+        ({a: k for a, k in zip(axes, key)}, val) for key, val in sorted(scores.items())
+    ]
+    return learners.TuneResult(best_params, best_score, table, folds_used, extensions, at_boundary)

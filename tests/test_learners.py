@@ -29,7 +29,7 @@ from dyadcast.store import CANONICAL_COVARIATES
 
 from helpers import (
     best_stump_oracle, elastic_net_objective, elastic_net_residual_oracle, fit_neural_net_oracle,
-    nn_loss_and_grads,
+    nn_loss_and_grads, tune_oracle,
 )
 
 
@@ -757,6 +757,22 @@ def test_unknown_learner_rejected():
 
 # ------------------------------------------------------------------ tune
 
+def assert_tunes_agree(*args, **kwargs):
+    """tune and tune_oracle give the same TuneResult, compared through its
+    repr (exact float digits, value types, dict and table order), or raise
+    the same exception type with the same message. Overflow in a fit on a
+    huge penalty is left silent, as numpy leaves it outside the suite."""
+    outcomes = []
+    for search in (tune, tune_oracle):
+        try:
+            with np.errstate(all="ignore"):
+                outcomes.append(repr(search(*args, **kwargs)))
+        except (TuningError, FitError, ValueError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
 def test_tune_single_point_grid_skips_search():
     X, y = logistic_sample()
     train = TrainingSet.build(X, y, NAMES3)
@@ -804,11 +820,12 @@ def test_tune_boundary_extension_metadata():
         folds=3, seed=0,
     )
     # useful signal lives below the smallest grid value, so the search
-    # walks the low boundary outward and reports it
-    assert result.extensions >= 1
+    # walks the low boundary outward up to the cap and reports it
+    assert result.extensions == learners.TUNE_MAX_EXTENSIONS == 3
     assert result.at_boundary
     assert result.params["lam"] <= 0.01
     assert all(isinstance(entry, tuple) and len(entry) == 2 for entry in result.table)
+    assert_tunes_agree("elastic-net", train, TuneGrid(enet_lambda=(0.01, 100.0, 200.0)), 3, 0)
 
 
 def test_tune_grid_with_zero_does_not_extend():
@@ -910,6 +927,88 @@ def test_one_tune_call_per_tuned_fit(kind, params, monkeypatch):
     fits.clear()
     model = fit_learner(kind, train, params=params, grid=grid, folds=3, seed=0)
     assert tunes == [] and fits == [] and "tuning" not in model.diagnostics
+
+
+TUNE_AXIS_VALUES = {
+    "enet_lambda": (0.0, 0.001, 0.1, 1.0, 3.0, 10.0, 1e200, 1e308),
+    "boost_rounds": (0, 1, 2, 3, 5, 8),
+    "nn_hidden": (1, 2, 3),
+    "nn_decay": (0.0, 0.01, 0.5, 1.0, 2.0, 1e200, 1e308),
+}
+TUNE_AXES = {
+    "elastic-net": {"lam": "enet_lambda"},
+    "logitboost": {"rounds": "boost_rounds"},
+    "neural-net": {"decay": "nn_decay", "hidden": "nn_hidden"},
+}
+
+
+@st.composite
+def tune_cases(draw):
+    """(kind, train, grid, folds, seed, params): a small logistic sample,
+    grids holding zeros, whole numbers and points near the largest float,
+    and some axes pinned through params."""
+    kind = draw(st.sampled_from(sorted(TUNE_AXES)))
+    beta = draw(st.lists(st.sampled_from((-2.0, -0.5, 0.0, 1.0, 2.5)), min_size=1, max_size=3))
+    X, y = logistic_sample(draw(st.integers(6, 40)), tuple(beta), draw(st.integers(0, 999)))
+    train = TrainingSet.build(X, y, NAMES3[: len(beta)])
+    fields, params = {}, {}
+    for axis, name in TUNE_AXES[kind].items():
+        values = st.sampled_from(TUNE_AXIS_VALUES[name])
+        size = draw(st.sampled_from((1, 2, 2, 3, 3, 4)))
+        fields[name] = tuple(draw(st.lists(values, min_size=size, max_size=size)))
+        if draw(st.integers(0, 3)) == 0:
+            params[axis] = draw(values)
+    if kind == "neural-net":
+        params.update(restarts=1, max_iter=draw(st.integers(1, 20)))
+    grid = TuneGrid(**fields)
+    return kind, train, grid, draw(st.integers(2, 5)), draw(st.integers(0, 99)), params
+
+
+@settings(max_examples=200)
+@given(tune_cases())
+def test_tune_matches_oracle(case):
+    assert_tunes_agree(*case)
+
+
+def test_tune_extends_decay_before_hidden(monkeypatch):
+    """With two-point axes every winner sits on an end of both, and the
+    first axis in name order, decay, is the one extended."""
+    X, y = logistic_sample(n=40, seed=5)
+    train = TrainingSet.build(X, y, NAMES3)
+    grid = TuneGrid(nn_hidden=(1, 2), nn_decay=(0.1, 1.0))
+    keys = []
+
+    def recording(kind, train, params=None, **kwargs):
+        keys.append((params["decay"], params["hidden"]))
+        return fit_learner(kind, train, params, **kwargs)
+
+    monkeypatch.setattr(learners, "fit_learner", recording)
+    params = {"restarts": 1, "max_iter": 10}
+    assert_tunes_agree("neural-net", train, grid, 2, 0, params)
+    new = [key for key in keys if key not in {(0.1, 1), (0.1, 2), (1.0, 1), (1.0, 2)}]
+    assert new and new[0][0] not in (0.1, 1.0) and new[0][1] in (1, 2)
+
+
+def test_tune_with_every_candidate_failing(monkeypatch):
+    def failing(*args, **kwargs):
+        raise FitError("no fit")
+
+    monkeypatch.setattr(learners, "fit_learner", failing)
+    X, y = logistic_sample()
+    outcome = assert_tunes_agree(
+        "logitboost", TrainingSet.build(X, y, NAMES3), TuneGrid(boost_rounds=(1, 2)), 3, 0
+    )
+    assert outcome == (TuningError, "no logitboost candidate could be fit on any fold")
+
+
+@pytest.mark.parametrize("kind,grid,params", [
+    ("logit", None, None),
+    ("elastic-net", TuneGrid(enet_lambda=(0.5,)), None),
+    ("neural-net", TuneGrid(nn_decay=(0.1,)), {"hidden": 2}),
+])
+def test_tune_early_returns_match_oracle(kind, grid, params):
+    X, y = logistic_sample()
+    assert_tunes_agree(kind, TrainingSet.build(X, y, NAMES3), grid, 5, 0, params)
 
 
 # ------------------------------------------------------------ serializer

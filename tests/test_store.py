@@ -340,9 +340,9 @@ COV_CSV = (
 
 def test_load_covariates():
     table = load_covariates(io.StringIO(COV_CSV))
-    assert table.value(1990, "a", "b", "trade-dependence") == 0.25
-    assert table.value(1990, "a", "b", "joint-democracy") == 1.0
-    assert table.value(1990, "b", "a", "trade-dependence") is None
+    assert table.entries.get((1990, "a", "b", "trade-dependence")) == 0.25
+    assert table.entries.get((1990, "a", "b", "joint-democracy")) == 1.0
+    assert table.entries.get((1990, "b", "a", "trade-dependence")) is None
 
 
 def test_load_covariates_duplicate_key():
@@ -466,7 +466,7 @@ def test_covariate_extra_names_accepted():
         entries={(1990, "a", "b", "coolness"): 0.7},
         extra_names=("coolness",),
     )
-    assert table.value(1990, "a", "b", "coolness") == 0.7
+    assert table.entries.get((1990, "a", "b", "coolness")) == 0.7
 
 
 def test_indicator_covariate_must_be_binary():
@@ -496,4 +496,4 @@ def test_names_present_declaration_order():
 def test_non_finite_covariate_value_is_storable():
     # the table itself stores any float; the design layer rejects non-finite
     table = CovariateTable(entries={(1, "a", "b", "trade-dependence"): float("inf")})
-    assert np.isinf(table.value(1, "a", "b", "trade-dependence"))
+    assert np.isinf(table.entries.get((1, "a", "b", "trade-dependence")))

@@ -92,7 +92,7 @@ def test_covariate_effect_acts_through_lagged_value():
     for p in range(2, 21):
         ev = panel.events_at(p)
         for i, j in all_dyads(panel):
-            if table.value(p - 1, i, j, "trade-dependence") > 0:
+            if table.entries.get((p - 1, i, j, "trade-dependence")) > 0:
                 hn += 1
                 hi += (i, j) in ev
             else:
