@@ -3,7 +3,8 @@
 Three complementary summaries of who fights whom:
 
 * random-walk community detection (agglomerative, modularity cut),
-* a mixed-membership blockmodel fitted by penalized EM,
+* a mixed-membership blockmodel fitted by penalized EM, all restarts
+  stacked along a leading axis and stepped together,
 * a Euclidean latent-space model fitted by backtracking gradient descent
   on its negated penalized log likelihood (``descent.descend``).
 
@@ -11,7 +12,9 @@ Each iterative fit is pinned bit for bit to the loop it replaced (kept as
 an oracle in ``tests/helpers.py``), so its kernel saves only work that
 leaves every float the same: the latent space builds its distance matrix
 one coordinate at a time, in the order numpy's reduce over a 3-D
-difference array sums it, and MMSBM computes 1 - B and 1 - P once each.
+difference array sums it, and hands the margins its value built to its
+gradient; MMSBM computes 1 - B and 1 - P once each, and steps its restarts
+as one stack, whose matmuls and per-restart sums are each restart's own.
 
 All three consume the undirected or directed binary adjacency of one
 lagged window and are bundled together behind a content-addressed cache,
@@ -198,7 +201,14 @@ def fit_mmsbm(
 
     non-decreasing across iterations; an iteration that lowers it raises
     FitError, and a relative change below tol stops it at "tolerance".
-    The best of `restarts` random initializations wins by that objective.
+    The best of `restarts` random initializations wins by that objective,
+    the first in restart order on a tie.
+
+    The restarts run stacked: pi is (restarts, n, K) and B (restarts, K, K),
+    each EM step is one step of the whole stack, and a restart leaves it
+    when it stops, with its own n_iter. Every float is the one a loop over
+    the restarts computes, and a failure raises the error of the first
+    restart that fails, as that loop would.
     """
     n = len(net.nodes)
     if n < K:
@@ -210,44 +220,68 @@ def fit_mmsbm(
     mask_y, mask_not_y = mask * Y, mask * (1.0 - Y)
     eps = MMSBM_EPS
 
+    def total(a):  # per restart
+        return a.sum(axis=(1, 2))
+
     def objective(pi, B, C):  # C = 1 - B; and the P1, 1 - P1 the next E step reads
         # np.clip's result without its wrapper's overhead
-        P1 = np.minimum(np.maximum(pi @ B @ pi.T, 1e-300), 1.0 - 1e-16)
+        P1 = np.minimum(np.maximum(pi @ B @ pi.transpose(0, 2, 1), 1e-300), 1.0 - 1e-16)
         P0 = 1.0 - P1
-        ll = (mask * np.log(np.where(edge, P1, P0))).sum()
-        return ll + eps * np.log(pi).sum() + eps * (np.log(B) + np.log(C)).sum(), P1, P0
+        ll = total(mask * np.log(np.where(edge, P1, P0)))
+        return ll + eps * total(np.log(pi)) + eps * total(np.log(B) + np.log(C)), P1, P0
 
-    best = None
-    for r in range(restarts):
-        rng = np.random.default_rng(seed_for(seed, "mmsbm-restart", r))
-        pi = rng.dirichlet(np.ones(K), size=n)
-        B = rng.uniform(0.1, 0.9, size=(K, K))
+    # restart r draws its start from its own generator: dirichlet, then uniform
+    rngs = [np.random.default_rng(seed_for(seed, "mmsbm-restart", r)) for r in range(restarts)]
+    pi = np.stack([rng.dirichlet(np.ones(K), size=n) for rng in rngs])
+    B = np.stack([rng.uniform(0.1, 0.9, size=(K, K)) for rng in rngs])
+    C = 1.0 - B
+    prev, P1, P0 = objective(pi, B, C)
+    live = np.arange(restarts)  # the restart of each row of the stack
+    out = [None] * restarts  # each restart's fit, or the text of its FitError
+
+    def leave(k, stop, value):  # row k's fit, copied out of the stack
+        out[live[k]] = MMSBMFit(pi[k].copy(), B[k].copy(), stop=stop, n_iter=it, objective=value)
+
+    it = 0
+    for it in range(1, max_iter + 1):
+        W1 = mask_y / P1
+        W0 = mask_not_y / P0
+        piT = pi.transpose(0, 2, 1)
+        N1 = B * (piT @ W1 @ pi)
+        N0 = C * (piT @ W0 @ pi)
+        counts = pi * (W1 @ (pi @ B.transpose(0, 2, 1)) + W0 @ (pi @ C.transpose(0, 2, 1)))
+        counts += pi * (W1.transpose(0, 2, 1) @ (pi @ B) + W0.transpose(0, 2, 1) @ (pi @ C))
+        B = (N1 + eps) / (N1 + N0 + 2.0 * eps)
         C = 1.0 - B
-        prev, P1, P0 = objective(pi, B, C)
-        stop, it = "cap", 0
-        for it in range(1, max_iter + 1):
-            W1 = mask_y / P1
-            W0 = mask_not_y / P0
-            N1 = B * (pi.T @ W1 @ pi)
-            N0 = C * (pi.T @ W0 @ pi)
-            counts = pi * (W1 @ (pi @ B.T) + W0 @ (pi @ C.T))
-            counts += pi * (W1.T @ (pi @ B) + W0.T @ (pi @ C))
-            B = (N1 + eps) / (N1 + N0 + 2.0 * eps)
-            C = 1.0 - B
-            pi = counts + eps
-            pi /= pi.sum(axis=1, keepdims=True)
-            obj, P1, P0 = objective(pi, B, C)
-            if obj < prev - 1e-6:
-                raise FitError(
-                    f"EM objective decreased from {prev} to {obj} at iteration {it}"
-                )
-            if abs(obj - prev) < tol * (1.0 + abs(obj)):
-                stop, prev = "tolerance", obj
+        pi = counts + eps
+        pi /= pi.sum(axis=2, keepdims=True)
+        obj, P1, P0 = objective(pi, B, C)
+        # each row's checks on Python floats: the same arithmetic, and cheaper
+        # than array operations on a handful of restarts
+        ends = [
+            "error" if o < p - 1e-6 else "tolerance" if abs(o - p) < tol * (1.0 + abs(o)) else None
+            for o, p in zip(obj.tolist(), prev.tolist())
+        ]
+        if any(ends):
+            for k, end in enumerate(ends):
+                if end == "error":
+                    out[live[k]] = (
+                        f"EM objective decreased from {prev[k]} to {obj[k]} at iteration {it}"
+                    )
+                elif end:
+                    leave(k, end, obj[k])
+            keep = [end is None for end in ends]
+            live, pi, B, C, P1, P0, prev = (a[keep] for a in (live, pi, B, C, P1, P0, obj))
+            if not live.size:
                 break
+        else:
             prev = obj
-        if best is None or prev > best.objective:
-            best = MMSBMFit(pi, B, stop=stop, n_iter=it, objective=prev)
-    return best
+    for k in range(live.size):
+        leave(k, "cap", prev[k])
+    for fit in out:  # what a loop over the restarts would raise, or return
+        if isinstance(fit, str):
+            raise FitError(fit)
+    return max(out, key=lambda fit: fit.objective)  # the first best restart
 
 
 @dataclass
@@ -301,14 +335,15 @@ def fit_latent_space(
     A ridge penalty tau*sum(||z||^2) on positions (never the intercept)
     pins the translation/rotation freedom enough for optimization.
     ``descend`` minimizes the negated objective from step 0.1, reusing
-    each accepted point's distance matrix for its gradient, and stops at
-    "tolerance" once every gradient entry is below LATENT_GRAD_TOL; best
-    of `starts` random starts by penalized objective, whose report is the
-    fit's. The distance matrix is built one coordinate at a time
-    (``_distances``), which gives the same bits as numpy's reduce over a
-    3-D difference array without building it. Empty and complete graphs,
-    and a single node, get a closed-form fit that stops as "degenerate":
-    all positions at the origin and alpha at -+ALPHA_CAP (0 for one node).
+    each accepted point's distances and margins alpha - d for its
+    gradient, and stops at "tolerance" once every gradient entry is below
+    LATENT_GRAD_TOL; best of `starts` random starts by penalized
+    objective, whose report is the fit's. The distance matrix is built one
+    coordinate at a time (``_distances``), which gives the same bits as
+    numpy's reduce over a 3-D difference array without building it. Empty
+    and complete graphs, and a single node, get a closed-form fit that
+    stops as "degenerate": all positions at the origin and alpha at
+    -+ALPHA_CAP (0 for one node).
     """
     n = len(net.nodes)
     if n == 0:
@@ -329,15 +364,24 @@ def fit_latent_space(
     def value(x):
         z, alpha = x
         dmat = _distances(z)
-        ll = _edge_loglik(sgn, mask, alpha - dmat)
-        return -float(ll - tau * (z**2).sum()), dmat
+        m = alpha - dmat
+        ll = _edge_loglik(sgn, mask, m)
+        return -float(ll - tau * (z**2).sum()), (dmat, m)
 
-    def gradient(x, dmat):
-        z, alpha = x
-        p = 1.0 / (1.0 + np.exp(-np.clip(alpha - dmat, -500, 500)))
-        E = mask * (Y - p)
-        S = (E + E.T) / dmat
-        np.fill_diagonal(S, 0.0)
+    def gradient(x, aux):
+        z, _ = x
+        dmat, m = aux
+        # E = mask * (Y - sigmoid(m)), with m clipped to +-500, in one buffer
+        E = np.minimum(np.maximum(m, -500.0), 500.0)
+        np.negative(E, out=E)
+        np.exp(E, out=E)
+        E += 1.0
+        np.divide(1.0, E, out=E)
+        np.subtract(Y, E, out=E)
+        E *= mask
+        S = E + E.T
+        S /= dmat
+        S.flat[:: n + 1] = 0.0
         return (S.sum(axis=1)[:, None] * z - S @ z) + 2.0 * tau * z, -float(E.sum())
 
     def project(x):

@@ -477,15 +477,18 @@ def fit_neural_net(
         W1 = rng.normal(0.0, 1.0 / np.sqrt(max(p, 1)), size=(p, hidden))
         w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=hidden)
         x = (W1, np.zeros(hidden), w2, 0.0)
-        for _ in range(6):
-            start = value(x)
-            if np.isfinite(start[0]):
-                break
-            x = (0.1 * x[0], x[1], 0.1 * x[2], x[3])
-        else:
-            failed_starts += 1
-            continue
-        x, loss, stop, it = descend(x, start, value, gradient, 0.01, max_iter, grad_tol)
+        # a point that overflows (a huge decay) is a non-finite loss, which
+        # the start scaling and descend's line search already reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(6):
+                start = value(x)
+                if np.isfinite(start[0]):
+                    break
+                x = (0.1 * x[0], x[1], 0.1 * x[2], x[3])
+            else:
+                failed_starts += 1
+                continue
+            x, loss, stop, it = descend(x, start, value, gradient, 0.01, max_iter, grad_tol)
         if best is None or loss < best[0]:
             best = (loss, x, stop, it)
 
@@ -521,11 +524,14 @@ class TuneGrid:
     boost_rounds: NonEmpty[Count] = (10, 25, 50, 100, 200)
 
     def for_learner(self, kind: str) -> dict:
+        """Learner `kind`'s axes, each sorted with its repeats dropped."""
         return {
             "logit": {},
-            "elastic-net": {"lam": sorted(self.enet_lambda)},
-            "logitboost": {"rounds": sorted(self.boost_rounds)},
-            "neural-net": {"hidden": sorted(self.nn_hidden), "decay": sorted(self.nn_decay)},
+            "elastic-net": {"lam": sorted(set(self.enet_lambda))},
+            "logitboost": {"rounds": sorted(set(self.boost_rounds))},
+            "neural-net": {
+                "hidden": sorted(set(self.nn_hidden)), "decay": sorted(set(self.nn_decay))
+            },
         }[kind]
 
 

@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from dyadcast import (
     BundleCache,
     CommunityPartition,
     EventPanel,
+    FitError,
     LatentBundle,
     LatentConfig,
     LatentSpaceFit,
@@ -23,6 +27,8 @@ from dyadcast import (
     modularity,
     walktrap,
 )
+import dyadcast
+import helpers
 from dyadcast import latent
 from helpers import (
     best_modularity_partition,
@@ -434,6 +440,36 @@ def test_bundle_json_round_trip():
     assert back.to_json() == bundle.to_json()
 
 
+# One 40-node window under the default config, printed as bundle JSON.
+BUNDLE_SCRIPT = """
+import json, sys
+import numpy as np
+from dyadcast import LaggedNetwork, LatentConfig, fit_bundle
+rng = np.random.default_rng(7)
+A = (rng.random((40, 40)) < 0.15) * (1.0 - np.eye(40))
+nodes = tuple(f"n{k:02d}" for k in range(40))
+net = LaggedNetwork(window=(1, 1), nodes=nodes, adjacency=A)
+sys.stdout.write(json.dumps(fit_bundle(net, LatentConfig(), 0).to_json()))
+"""
+
+
+def test_fit_bundle_does_not_depend_on_the_blas_thread_count():
+    """The stacked MMSBM matmuls and every other fit give the same bundle
+    text under one and two BLAS threads."""
+    src = str(Path(dyadcast.__file__).resolve().parents[1])
+    texts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", BUNDLE_SCRIPT], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        texts.append(proc.stdout)
+    assert texts[0] == texts[1] and '"mmsbm"' in texts[0]
+
+
 def test_config_fingerprint_distinguishes():
     a = LatentConfig()
     b = LatentConfig(walk_length=5)
@@ -609,15 +645,17 @@ def test_latent_space_matches_loop_oracle_on_random_nets():
 
 
 def test_mmsbm_matches_loop_oracle_on_random_nets():
-    for case in range(20):
+    # tol 1e-4 stops restarts of one stack at different iterations, so rows
+    # leave the stack while others go on
+    for case in range(60):
         rng = np.random.default_rng(1000 + case)
-        K = int(rng.integers(1, 4))
-        net = random_net(rng, int(rng.integers(K, 13)))
+        K = int(rng.integers(1, 6))
+        net = random_net(rng, int(rng.integers(K, 41)))
         kw = dict(
             K=K,
-            restarts=int(rng.integers(1, 3)),
-            max_iter=int(rng.choice([0, 1, 20, 80])),
-            tol=float(rng.choice([0.0, 1e-7])),
+            restarts=int(rng.integers(1, 6)),
+            max_iter=int(rng.choice([0, 1, 20, 80, 300])),
+            tol=float(rng.choice([0.0, 1e-7, 1e-4])),
             seed=case,
         )
         fit, (ref, _) = fit_mmsbm(net, **kw), fit_mmsbm_oracle(net, **kw)
@@ -625,3 +663,34 @@ def test_mmsbm_matches_loop_oracle_on_random_nets():
         assert (fit.objective, fit.stop, fit.n_iter) == (
             ref.objective, ref.stop, ref.n_iter
         ), (case, kw)
+
+
+def test_mmsbm_raises_the_error_of_the_first_failing_restart(monkeypatch):
+    """With a smoothing weight of 1e9 the objective is so large that its
+    rounding outruns the 1e-6 slack. On this net restart 1 fails at
+    iteration 2 and restart 0 at iteration 3; a loop over the restarts
+    raises restart 0's error, and so must the stack, which sees restart 1
+    fail first."""
+    monkeypatch.setattr(latent, "MMSBM_EPS", 1e9)
+    monkeypatch.setattr(helpers, "MMSBM_EPS", 1e9)
+    rng = np.random.default_rng(12)
+    n, K = int(rng.integers(6, 16)), int(rng.integers(2, 4))
+    net = random_net(rng, n)
+    kw = dict(K=K, max_iter=50, tol=0.0, seed=12)
+
+    def message(fit, **more):
+        with pytest.raises(FitError) as caught:
+            fit(net, **kw, **more)
+        return str(caught.value)
+
+    first = message(fit_mmsbm_oracle, restarts=2)
+    assert first.endswith("at iteration 3")
+    for restarts in (2, 4):
+        assert message(fit_mmsbm, restarts=restarts) == first
+
+    def shifted(seed, tag, r):  # restart r draws restart r + 1's start
+        return helpers.seed_for(seed, tag, r + 1)
+
+    # restart 1 alone fails earlier
+    monkeypatch.setattr(latent, "seed_for", shifted)
+    assert message(fit_mmsbm, restarts=1).endswith("at iteration 2")

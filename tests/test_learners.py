@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -856,6 +857,34 @@ def test_tune_does_not_extend_a_grid_past_the_largest_float(grid):
     assert [entry[0]["lam"] for entry in result.table] == list(grid)
     model = fit_learner("elastic-net", train, seed=0, grid=TuneGrid(enet_lambda=grid), folds=2)
     assert model.params["lam"] == grid[1] and model.diagnostics["tuning"]["at_boundary"]
+
+
+def test_tune_grid_repeats_are_one_point():
+    """Each axis is searched sorted and without repeats, so (0.1, 0.1) is
+    the single point 0.1: no CV fit, and no extension spent on dropping
+    the repeat."""
+    grid = TuneGrid(enet_lambda=(0.1, 0.1), nn_hidden=(2, 1, 2), nn_decay=(1.0, 0.5, 1.0))
+    assert grid.for_learner("elastic-net") == {"lam": [0.1]}
+    assert grid.for_learner("neural-net") == {"hidden": [1, 2], "decay": [0.5, 1.0]}
+    X, y = logistic_sample()
+    result = tune("elastic-net", TrainingSet.build(X, y, NAMES3), grid, folds=2)
+    assert (result.params, result.score, result.table, result.extensions) == (
+        {"lam": 0.1}, None, [], 0
+    )
+
+
+def test_tune_neural_net_with_an_overflowing_decay_warns_nothing():
+    """A 1e200 decay overflows the penalty at the descent's trial points.
+    Such a point is a non-finite loss that the line search rejects; no
+    RuntimeWarning escapes tune."""
+    X, y = logistic_sample(n=40, seed=5)
+    train = TrainingSet.build(X, y, NAMES3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = tune(
+            "neural-net", train, TuneGrid(nn_hidden=(2,), nn_decay=(0.1, 1e200)), folds=2
+        )
+    assert result.params == {"decay": 0.1, "hidden": 2}
 
 
 def test_tune_selects_useful_rounds():
