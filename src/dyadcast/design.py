@@ -40,12 +40,9 @@ class FeatureConfig:
 
 @dataclass(frozen=True)
 class DyadDesign:
-    """One period's worth of rows: dyads, predictors, labels."""
+    """One period's predictors and labels. Row k is the dyad at position k
+    of ``eligible_dyads(panel, period)``."""
 
-    period: int
-    lag: int
-    spec_class: str
-    dyads: Tuple[Tuple[str, str], ...]
     feature_names: Tuple[str, ...]
     X: np.ndarray
     y: np.ndarray
@@ -127,18 +124,10 @@ def build_design(
         blocks.append(cov_X)
         names.extend(cov_names)
 
-    X = np.column_stack(blocks) if blocks else np.zeros((len(dyads), 0))
+    X = np.column_stack(blocks)
     if not np.all(np.isfinite(X)):
         raise DataError(f"non-finite predictor values at period {period}")
-    return DyadDesign(
-        period=period,
-        lag=lag,
-        spec_class=spec_class,
-        dyads=tuple(dyads),
-        feature_names=tuple(names),
-        X=X,
-        y=y,
-    )
+    return DyadDesign(feature_names=tuple(names), X=X, y=y)
 
 
 def stack_designs(designs: Sequence[DyadDesign]) -> Tuple[np.ndarray, np.ndarray]:

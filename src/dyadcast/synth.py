@@ -1,7 +1,8 @@
 """Synthetic dyadic event panels with planted structure.
 
-Events are drawn per period from a logistic model combining a baseline
-rate, block affinity, covariate effects, and previous-period edge
+Events are drawn in every period, period 1 included. A logistic model
+combines a baseline rate, block affinity and covariate effects, and a dyad
+with an event in the previous period mixes that probability with
 persistence. Ground-truth parameters come back alongside the data so
 recovery checks have an oracle. All nodes span the full period range, so
 eligibility never depends on inferred activity.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress, product
 from pathlib import Path
 from typing import Annotated, Literal
 
@@ -117,14 +119,21 @@ def generate_synthetic(spec: SyntheticSpec):
     with probability 1 at period 1.
     """
     spec.validate()
-    nodes = [f"n{k:02d}" for k in range(spec.n_nodes)]
+    n = spec.n_nodes
+    nodes = [f"n{k:02d}" for k in range(n)]
     blocks = {node: k % spec.n_blocks for k, node in enumerate(nodes)}
     dyads = [(i, j) for i in nodes for j in nodes if i != j]
+    # dyad d is (nodes[I[d]], nodes[J[d]]): the off-diagonal in row-major order
+    I, J = np.nonzero(~np.eye(n, dtype=bool))
     intercept = _logit(spec.base_rate)
+    # the log-odds before covariates: intercept, then the block term
+    eta_base = np.where((I - J) % spec.n_blocks == 0, intercept + spec.block_affinity, intercept)
+    # dyad (a, b) sits at a*(n-1) + b, one less when b is past the diagonal
+    initial = np.zeros(len(dyads), dtype=bool)
+    initial[[a * (n - 1) + b - (b > a) for a, b in spec.initial_edges]] = True
     names = spec.covariate_names
-    effects = [(names.index(n), e) for n, e in sorted(spec.covariate_effects.items())]
+    effects = [(names.index(name), e) for name, e in sorted(spec.covariate_effects.items())]
     registry = {node: (1, spec.periods) for node in nodes}
-    initial = {(nodes[a], nodes[b]) for a, b in spec.initial_edges}
 
     lo, hi = spec.rate_band
     for attempt in range(spec.max_attempts):
@@ -144,36 +153,26 @@ def generate_synthetic(spec: SyntheticSpec):
             xs[p] = draw_block() if spec.time_varying_covariates else xs[1]
 
         events = []
-        prev: set = set()
+        prev = np.zeros(len(dyads), dtype=bool)
         for p in range(1, spec.periods + 1):
-            x = xs[p - 1] if p > 1 else xs[1]
-            current = set()
-            for d, (i, j) in enumerate(dyads):
-                eta = intercept
-                if blocks[i] == blocks[j]:
-                    eta += spec.block_affinity
-                for c, effect in effects:
-                    eta += effect * x[d, c]
-                p_logit = _sigmoid(eta)
-                if p == 1 and (i, j) in initial:
-                    prob = 1.0
-                elif (i, j) in prev:
-                    prob = spec.persistence + (1.0 - spec.persistence) * p_logit
-                else:
-                    prob = p_logit
-                if rng.random() < prob:
-                    events.append((i, j, p))
-                    current.add((i, j))
-            prev = current
+            x = xs[max(p - 1, 1)]
+            eta = eta_base
+            for c, effect in effects:
+                eta = eta + effect * x[:, c]
+            p_logit = np.array([_sigmoid(e) for e in eta.tolist()])
+            prob = np.where(prev, spec.persistence + (1.0 - spec.persistence) * p_logit, p_logit)
+            if p == 1:
+                prob[initial] = 1.0
+            prev = rng.random(len(dyads)) < prob
+            events.extend((i, j, p) for i, j in compress(dyads, prev))
 
         rate = len(events) / (len(dyads) * spec.periods)
         if lo <= rate <= hi:
-            entries = {}
-            for p in range(1, spec.periods + 1):
-                x = xs[p]
-                for d, (i, j) in enumerate(dyads):
-                    for c, name in enumerate(names):
-                        entries[(p, i, j, name)] = float(x[d, c])
+            entries = {
+                (p, i, j, name): v
+                for p in range(1, spec.periods + 1)
+                for ((i, j), name), v in zip(product(dyads, names), map(float, xs[p].flat))
+            }
             panel = EventPanel(events=tuple(events), registry=registry)
             table = CovariateTable(entries=entries)
             truth = GroundTruth(

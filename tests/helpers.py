@@ -18,8 +18,8 @@ import numpy as np
 
 from dyadcast import (
     CommunityPartition, CovariateTable, EvaluationError, EventPanel, FitError, FittedModel,
-    LaggedNetwork, LatentBundle, LatentConfig, LatentSpaceFit, MMSBMFit, ParseError, TrainingSet,
-    TuningError,
+    GenerationError, LaggedNetwork, LatentBundle, LatentConfig, LatentSpaceFit, MMSBMFit,
+    ParseError, TrainingSet, TuningError,
 )
 from dyadcast import learners
 from dyadcast.codec import Count, NonNegative, Positive
@@ -27,6 +27,8 @@ from dyadcast.evaluation import pr_curve
 from dyadcast.latent import ALPHA_CAP, LATENT_GRAD_TOL, MMSBM_EPS
 from dyadcast.learners import COEF_CAP, _require_both_classes
 from dyadcast.seeding import seed_for
+from dyadcast.store import INDICATOR_COVARIATES
+from dyadcast.synth import GroundTruth, _logit, _sigmoid
 
 
 def make_net(edges, nodes=(), window=(1, 1)):
@@ -981,3 +983,93 @@ def tune_oracle(kind, train, grid=None, folds=5, seed=0, params=None):
         ({a: k for a, k in zip(axes, key)}, val) for key, val in sorted(scores.items())
     ]
     return learners.TuneResult(best_params, best_score, table, folds_used, extensions, at_boundary)
+
+
+def generate_synthetic_oracle(spec):
+    """``generate_synthetic`` written as a loop over the dyads, with the
+    previous period's events held as a set of name pairs. Draw
+    (EventPanel, CovariateTable, GroundTruth) from the spec.
+
+    Edge probability at period p for dyad (i,j):
+        p_logit = sigmoid(logit(base_rate) + block_affinity*[same block]
+                          + sum_k effect_k * x_k(i,j))
+        p       = persistence + (1-persistence)*p_logit   if edge at p-1
+                = p_logit                                  otherwise
+    Events at p>=2 use the covariate values recorded at p-1, matching what
+    a forecaster sees; period 1 uses its own values. initial_edges fire
+    with probability 1 at period 1.
+    """
+    spec.validate()
+    nodes = [f"n{k:02d}" for k in range(spec.n_nodes)]
+    blocks = {node: k % spec.n_blocks for k, node in enumerate(nodes)}
+    dyads = [(i, j) for i in nodes for j in nodes if i != j]
+    intercept = _logit(spec.base_rate)
+    names = spec.covariate_names
+    effects = [(names.index(n), e) for n, e in sorted(spec.covariate_effects.items())]
+    registry = {node: (1, spec.periods) for node in nodes}
+    initial = {(nodes[a], nodes[b]) for a, b in spec.initial_edges}
+
+    lo, hi = spec.rate_band
+    for attempt in range(spec.max_attempts):
+        rng = np.random.default_rng(seed_for(spec.seed, "synth", attempt))
+
+        def draw_block():
+            vals = np.empty((len(dyads), len(names)))
+            for c, name in enumerate(names):
+                if name in INDICATOR_COVARIATES:
+                    vals[:, c] = (rng.random(len(dyads)) < 0.5).astype(float)
+                else:
+                    vals[:, c] = rng.normal(0.0, 1.0, size=len(dyads))
+            return vals
+
+        xs = {1: draw_block()}
+        for p in range(2, spec.periods + 1):
+            xs[p] = draw_block() if spec.time_varying_covariates else xs[1]
+
+        events = []
+        prev: set = set()
+        for p in range(1, spec.periods + 1):
+            x = xs[p - 1] if p > 1 else xs[1]
+            current = set()
+            for d, (i, j) in enumerate(dyads):
+                eta = intercept
+                if blocks[i] == blocks[j]:
+                    eta += spec.block_affinity
+                for c, effect in effects:
+                    eta += effect * x[d, c]
+                p_logit = _sigmoid(eta)
+                if p == 1 and (i, j) in initial:
+                    prob = 1.0
+                elif (i, j) in prev:
+                    prob = spec.persistence + (1.0 - spec.persistence) * p_logit
+                else:
+                    prob = p_logit
+                if rng.random() < prob:
+                    events.append((i, j, p))
+                    current.add((i, j))
+            prev = current
+
+        rate = len(events) / (len(dyads) * spec.periods)
+        if lo <= rate <= hi:
+            entries = {}
+            for p in range(1, spec.periods + 1):
+                x = xs[p]
+                for d, (i, j) in enumerate(dyads):
+                    for c, name in enumerate(names):
+                        entries[(p, i, j, name)] = float(x[d, c])
+            panel = EventPanel(events=tuple(events), registry=registry)
+            table = CovariateTable(entries=entries)
+            truth = GroundTruth(
+                blocks=blocks,
+                intercept=intercept,
+                block_affinity=spec.block_affinity,
+                persistence=spec.persistence,
+                effects=dict(spec.covariate_effects),
+                rate=rate,
+                attempts=attempt + 1,
+            )
+            return panel, table, truth
+
+    raise GenerationError(
+        f"no draw landed in rate band {spec.rate_band} after {spec.max_attempts} attempts"
+    )

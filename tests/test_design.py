@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from dyadcast import (
     FeatureConfig,
     SchemaError,
     build_design,
+    eligible_dyads,
     stack_designs,
 )
 from dyadcast.design import SPEC_CLASSES, SPEC_COMBINED, SPEC_COVARIATES, SPEC_ENDOGENOUS
@@ -51,14 +54,15 @@ def test_endogenous_design_schema():
     d = build_design(panel_abc(), 3, 2, SPEC_ENDOGENOUS, CFG, bundle=bundle_abc())
     assert d.feature_names == ENDOGENOUS_FEATURE_NAMES
     assert d.X.shape == (6, 8)
-    assert d.dyads == (
+    assert eligible_dyads(panel_abc(), 3) == [
         ("a", "b"), ("a", "c"), ("b", "a"), ("b", "c"), ("c", "a"), ("c", "b"),
-    )
+    ]
+    assert [f.name for f in fields(d)] == ["feature_names", "X", "y"]
 
 
 def test_labels_come_from_focal_period():
     d = build_design(panel_abc(), 3, 2, SPEC_ENDOGENOUS, CFG, bundle=bundle_abc())
-    lab = dict(zip(d.dyads, d.y))
+    lab = dict(zip(eligible_dyads(panel_abc(), 3), d.y))
     assert lab[("a", "b")] == 1.0
     assert sum(d.y) == 1
     assert d.y.mean() == pytest.approx(1.0 / 6.0)
@@ -115,7 +119,7 @@ def test_missing_covariate_imputed_and_flagged():
     d = build_design(
         panel_abc(), 3, 1, SPEC_COVARIATES, CFG, covariates=CovariateTable(entries=entries)
     )
-    row = dict(zip(d.dyads, d.X))
+    row = dict(zip(eligible_dyads(panel_abc(), 3), d.X))
     assert row[("a", "b")][0] == 0.0 and row[("a", "b")][1] == 1.0
     assert row[("b", "c")][0] == 3.0 and row[("b", "c")][1] == 0.0
 
@@ -137,14 +141,12 @@ def test_empty_covariate_table_rejected():
 
 
 def test_future_events_cannot_leak_into_predictors():
+    shifted_panel = panel_abc(extra=[("b", "a", 3), ("c", "a", 4)])
     base = build_design(panel_abc(), 3, 2, SPEC_ENDOGENOUS, CFG, bundle=bundle_abc())
-    shifted = build_design(
-        panel_abc(extra=[("b", "a", 3), ("c", "a", 4)]),
-        3, 2, SPEC_ENDOGENOUS, CFG, bundle=bundle_abc(),
-    )
+    shifted = build_design(shifted_panel, 3, 2, SPEC_ENDOGENOUS, CFG, bundle=bundle_abc())
     assert np.array_equal(base.X, shifted.X)
-    assert base.dyads == shifted.dyads
-    lab = dict(zip(shifted.dyads, shifted.y))
+    assert eligible_dyads(panel_abc(), 3) == eligible_dyads(shifted_panel, 3)
+    lab = dict(zip(eligible_dyads(shifted_panel, 3), shifted.y))
     assert lab[("b", "a")] == 1.0
     assert not np.array_equal(base.y, shifted.y)
 

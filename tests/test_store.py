@@ -189,9 +189,10 @@ def test_eligible_dyads_all_ordered_pairs():
 
 
 def test_eligible_dyads_excludes_entrants():
-    panel = EventPanel(events=(), registry={"a": (1, 5), "b": (1, 5), "c": (3, 5)})
-    assert len(eligible_dyads(panel, 3)) == 2  # c enters at 3, inactive at 2
-    assert len(eligible_dyads(panel, 4)) == 6
+    panel = EventPanel(events=(), registry={"a": (1, 2), "b": (1, 5), "c": (3, 5)})
+    # c enters at 3, inactive at 2; a leaves after 2, so it is still eligible at 3
+    assert eligible_dyads(panel, 3) == [("a", "b"), ("b", "a")]
+    assert eligible_dyads(panel, 4) == [("b", "c"), ("c", "b")]
 
 
 def test_eligible_dyads_single_node():

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dyadcast import (
     GenerationError,
@@ -10,7 +12,9 @@ from dyadcast import (
     load_events,
     save_synthetic,
 )
-from dyadcast.store import INDICATOR_COVARIATES
+from dyadcast.store import CANONICAL_COVARIATES, INDICATOR_COVARIATES
+
+from helpers import generate_synthetic_oracle
 
 
 def all_dyads(panel):
@@ -225,3 +229,57 @@ def test_save_and_reload_round_trip(tmp_path):
     assert reloaded.registry == panel.registry
     retable = load_covariates(paths["covariates"])
     assert retable.entries == table.entries
+
+
+def generation_outcome(generate, spec):
+    """Everything a draw returns, as text, so float bits and the order of
+    insertion into the covariate table both count; or the error's text."""
+    try:
+        panel, table, truth = generate(spec)
+    except GenerationError as exc:
+        return "error", str(exc)
+    return repr(panel.events), panel.registry, repr(list(table.entries.items())), repr(truth)
+
+
+@st.composite
+def synthetic_specs(draw):
+    n_nodes = draw(st.integers(2, 11))
+    share = st.one_of(st.sampled_from([0.0, 0.05, 0.1, 0.2, 1.0]), st.floats(0.0, 1.0))
+    coefficient = st.floats(-3.0, 3.0, allow_nan=False)
+    names = tuple(draw(st.lists(st.sampled_from(CANONICAL_COVARIATES), max_size=9, unique=True)))
+    effects = draw(st.dictionaries(st.sampled_from(names), coefficient) if names else st.just({}))
+    pairs = st.tuples(st.integers(0, n_nodes - 1), st.integers(0, n_nodes - 1))
+    initial = draw(st.lists(pairs.filter(lambda d: d[0] != d[1]), max_size=5, unique=True))
+    ends = st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.3, 1.0])
+    band = draw(st.one_of(st.just((0.0, 1.0)), st.tuples(ends, ends).map(sorted)))
+    return SyntheticSpec(
+        n_nodes=n_nodes,
+        periods=draw(st.integers(1, 6)),
+        n_blocks=draw(st.integers(1, 4)),
+        block_affinity=draw(coefficient),
+        persistence=draw(share),
+        base_rate=draw(share),
+        covariate_effects=effects,
+        covariate_names=names,
+        time_varying_covariates=draw(st.booleans()),
+        initial_edges=tuple(initial),
+        rate_band=tuple(band),
+        max_attempts=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+RETRY_SPEC = SyntheticSpec(
+    n_nodes=4, periods=3, base_rate=0.2, persistence=0.5, initial_edges=((0, 1),),
+    covariate_effects={"contiguity": 1.0}, rate_band=(0.2, 0.25),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(synthetic_specs())
+@example(dataclasses.replace(RETRY_SPEC, seed=2))  # lands in the band at attempt 17
+@example(dataclasses.replace(RETRY_SPEC, seed=1))  # misses it 20 times
+def test_generation_matches_the_dyad_loop_oracle(spec):
+    assert generation_outcome(generate_synthetic, spec) == generation_outcome(
+        generate_synthetic_oracle, spec
+    )
