@@ -11,6 +11,7 @@ from .design import (
     DyadDesign,
     FeatureConfig,
     build_design,
+    join_designs,
     stack_designs,
 )
 from .errors import (

@@ -22,9 +22,7 @@ SPEC_COVARIATES = "covariates-only"
 SPEC_COMBINED = "combined"
 SPEC_CLASSES = (SPEC_ENDOGENOUS, SPEC_COVARIATES, SPEC_COMBINED)
 SpecClass = Literal[SPEC_CLASSES]
-# the spec classes whose designs hold the network columns, and those
-# whose designs hold the covariate columns
-READS_NETWORK = frozenset((SPEC_ENDOGENOUS, SPEC_COMBINED))
+# the spec classes whose designs hold the covariate columns
 READS_COVARIATES = frozenset((SPEC_COVARIATES, SPEC_COMBINED))
 
 
@@ -95,39 +93,44 @@ def build_design(
 
     ``bundle`` must hold latent-structure fits for the window [period-lag,
     period-1]; it is required whenever endogenous features are in play.
+    A ``combined`` design is the join of the two single-block designs.
     """
+    if spec_class == SPEC_COMBINED:
+        return join_designs(
+            build_design(panel, period, lag, SPEC_ENDOGENOUS, config, bundle=bundle),
+            build_design(panel, period, lag, SPEC_COVARIATES, config, covariates=covariates),
+        )
     dyads = eligible_dyads(panel, period)
 
     events_now = panel.events_at(period)
     y = np.array([1.0 if (i, j) in events_now else 0.0 for i, j in dyads])
 
-    blocks = []
-    names: list = []
-
-    if spec_class in READS_NETWORK:
+    if spec_class == SPEC_ENDOGENOUS:
         if bundle is None:
             raise ValueError("endogenous features require a latent bundle")
         net = aggregate_window(panel, period - lag, period - 1)
-        blocks.append(
-            feature_block(
-                net, dyads, bundle, exclude_focal_flow=config.exclude_focal_flow
-            )
-        )
-        names.extend(ENDOGENOUS_FEATURE_NAMES)
-
-    if spec_class in READS_COVARIATES:
+        names = ENDOGENOUS_FEATURE_NAMES
+        X = feature_block(net, dyads, bundle, exclude_focal_flow=config.exclude_focal_flow)
+    else:
         if covariates is None:
             raise ValueError("covariate features require a covariate table")
-        cov_names, cov_X = _covariate_block(
+        names, X = _covariate_block(
             covariates, period - config.covariate_offset, dyads, config.max_missing
         )
-        blocks.append(cov_X)
-        names.extend(cov_names)
 
-    X = np.column_stack(blocks)
     if not np.all(np.isfinite(X)):
         raise DataError(f"non-finite predictor values at period {period}")
     return DyadDesign(feature_names=tuple(names), X=X, y=y)
+
+
+def join_designs(network: DyadDesign, covariates: DyadDesign) -> DyadDesign:
+    """One period's ``combined`` design: the network columns, then the
+    covariate columns, labelled by the first design's ``y``."""
+    return DyadDesign(
+        feature_names=network.feature_names + covariates.feature_names,
+        X=np.column_stack((network.X, covariates.X)),
+        y=network.y,
+    )
 
 
 def stack_designs(designs: Sequence[DyadDesign]) -> Tuple[np.ndarray, np.ndarray]:

@@ -21,13 +21,8 @@ import numpy as np
 
 from .codec import Folds, Level, NonEmpty, Positive, Saved, check, check_fields, decode
 from .design import (
-    READS_COVARIATES,
-    READS_NETWORK,
-    SPEC_CLASSES,
-    FeatureConfig,
-    SpecClass,
-    build_design,
-    stack_designs,
+    READS_COVARIATES, SPEC_CLASSES, SPEC_COMBINED, SPEC_COVARIATES, SPEC_ENDOGENOUS,
+    FeatureConfig, SpecClass, build_design, join_designs, stack_designs,
 )
 from .errors import (
     DyadcastError,
@@ -235,10 +230,16 @@ def run_experiment(
     p_min, p_max = panel.period_range()
 
     def design_for(t: int, lag: int, spec: str):
+        """The design of period t; ``designs`` holds the single-block ones,
+        and a combined design is their join, made when it is read."""
+        if spec == SPEC_COMBINED:
+            return join_designs(
+                design_for(t, lag, SPEC_ENDOGENOUS), design_for(t, lag, SPEC_COVARIATES)
+            )
         key = (t, spec)
         if key not in designs:
             bundle = None
-            if spec in READS_NETWORK:
+            if spec == SPEC_ENDOGENOUS:
                 net = aggregate_window(panel, t - lag, t - 1)
                 bundle = cache.get(net, config.features.latent, config.master_seed)
             designs[key] = build_design(

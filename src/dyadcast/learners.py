@@ -61,8 +61,9 @@ class Standardizer(Saved):
         means = X.mean(axis=0) if len(X) else np.zeros(X.shape[1])
         sds = X.std(axis=0) if len(X) else np.zeros(X.shape[1])
         tol = 1e-12 * np.maximum(1.0, np.abs(means))
-        kept = np.flatnonzero(sds > tol)
-        dropped = tuple(names[k] for k in range(len(names)) if k not in set(kept))
+        keep = sds > tol
+        kept = np.flatnonzero(keep)
+        dropped = tuple(name for name, k in zip(names, keep) if not k)
         return Standardizer(
             input_names=names,
             kept=kept,

@@ -10,6 +10,7 @@ from dyadcast import (
     SchemaError,
     build_design,
     eligible_dyads,
+    join_designs,
     stack_designs,
 )
 from dyadcast.design import SPEC_CLASSES, SPEC_COMBINED, SPEC_COVARIATES, SPEC_ENDOGENOUS
@@ -94,6 +95,14 @@ def test_combined_concatenates_blocks():
         "trade-dependence", "trade-dependence-missing", "contiguity", "contiguity-missing",
     )
     assert d.X.shape == (6, 12)
+    # it is the join of the two single-block designs
+    endo = build_design(panel_abc(), 3, 2, SPEC_ENDOGENOUS, CFG, bundle=bundle_abc())
+    cov = build_design(panel_abc(), 3, 2, SPEC_COVARIATES, CFG, covariates=table_abc())
+    joined = join_designs(endo, cov)
+    assert joined.feature_names == d.feature_names
+    assert joined.X.tobytes() == d.X.tobytes() and joined.X.flags.c_contiguous
+    assert np.array_equal(joined.X, np.hstack([endo.X, cov.X]))
+    assert joined.y is endo.y and np.array_equal(d.y, endo.y)
 
 
 def test_only_endogenous_blocks_aggregate_the_window(monkeypatch):

@@ -254,11 +254,20 @@ def test_one_training_set_per_period_lag_and_spec(world, monkeypatch):
     assert len(builds) == len(fitted)
 
 
-@pytest.mark.parametrize("specs", [("endogenous-only",), ("endogenous-only", "covariates-only")])
+@pytest.mark.parametrize(
+    "specs", [("endogenous-only",), ("endogenous-only", "covariates-only"), ("combined",)]
+)
 def test_each_design_is_dropped_after_its_last_reader(world, monkeypatch, specs):
     """A cell reads the designs of its period and of the depth periods
-    before it, so a run holds at most depth + 1 designs per spec class at
-    once, however many periods and lags it covers."""
+    before it, so a run holds at most depth + 1 single-block designs per
+    block at once, however many periods and lags it covers. A combined
+    design is joined from them when it is read and held by no one after."""
+    reads = {
+        "endogenous-only": {"network"},
+        "covariates-only": {"covariates"},
+        "combined": {"network", "covariates"},
+    }
+    blocks = len(set().union(*(reads[spec] for spec in specs)))
     panel, table = world
     built, held = [], []
     build = harness.build_design
@@ -272,8 +281,47 @@ def test_each_design_is_dropped_after_its_last_reader(world, monkeypatch, specs)
     monkeypatch.setattr(harness, "build_design", tracked)
     cfg = fast_config(lags=(1, 2), depth=2, spec_classes=specs, learners=("logit",))
     run_experiment(cfg, panel, table)
-    assert len(built) > 3 * (2 + 1) * len(specs)
-    assert max(held) <= (2 + 1) * len(specs)
+    assert len(built) > 3 * (2 + 1) * blocks
+    assert max(held) <= (2 + 1) * blocks
+
+
+def test_each_block_is_built_once_per_period_and_lag(world, monkeypatch):
+    """Three spec classes over two lags: the window, its latent bundle, the
+    network block and the covariate block of each (period, lag) are built
+    once, and the combined design is the join of the other two."""
+    import dyadcast.design as dz
+
+    panel, table = world
+    calls: dict = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.setdefault(f"{owner.__name__}.{name}", []).append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in [
+        (dz, "feature_block"), (dz, "_covariate_block"), (dz, "aggregate_window"),
+        (harness, "aggregate_window"), (BundleCache, "get"), (harness, "build_design"),
+    ]:
+        count(owner, name)
+    cfg = fast_config(first_period=5, last_period=7, lags=(1, 2), learners=("logit",))
+    result = run_experiment(cfg, panel, table)
+    assert {c.status for c in result.cells} == {"ok"}
+
+    pairs = sorted({(args[1], args[2]) for args in calls.pop("dyadcast.harness.build_design")})
+    assert len(pairs) == 2 * (3 + 1)
+    for name in ("dyadcast.harness.aggregate_window", "dyadcast.design.aggregate_window"):
+        windows = sorted((end + 1, end + 1 - start) for _, start, end in calls.pop(name))
+        assert windows == pairs, name
+    assert {name: len(args) for name, args in calls.items()} == {
+        "dyadcast.design.feature_block": len(pairs),
+        "dyadcast.design._covariate_block": len(pairs),
+        "BundleCache.get": len(pairs),
+    }
 
 
 def test_run_outputs_identical_across_hash_seeds(tmp_path):
@@ -670,25 +718,32 @@ def test_cli_run_reports_cell_errors(cli_world, tmp_path, capsys):
     kept = [lines[0]] + [ln for ln in lines[1:] if int(ln.split(",")[0]) >= 3]
     trimmed = data_dir / "covariates-late.csv"
     trimmed.write_text("\n".join(kept) + "\n")
+    reason = "covariate 'joint-democracy' missing for 100% of dyads at period 2"
 
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(
-        json.dumps(
-            cli_config_json(
-                paths, tmp_path / "run",
-                covariates=str(trimmed), first_period=4, last_period=4,
-                spec_classes=("covariates-only",), learners=("logit",),
+    # a combined cell fails with its covariate block's reason, and the
+    # endogenous-only cell beside it still scores
+    for specs in (("covariates-only",), ("endogenous-only", "covariates-only", "combined")):
+        run_dir = tmp_path / "-".join(specs)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(
+            json.dumps(
+                cli_config_json(
+                    paths, run_dir,
+                    covariates=str(trimmed), first_period=4, last_period=4,
+                    spec_classes=specs, learners=("logit",),
+                )
             )
         )
-    )
-    assert main(["run", "--config", str(cfg_path)]) == 1
-    err = capsys.readouterr().err
-    # the README's `error {period}-{lag}-{spec}-{learner}: reason`
-    assert err == (
-        "error 4-2-covariates-only-logit: "
-        "covariate 'joint-democracy' missing for 100% of dyads at period 2\n"
-    )
-    assert (tmp_path / "run" / "cells.csv").exists()
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        # the README's `error {period}-{lag}-{spec}-{learner}: reason`
+        assert err == "".join(
+            f"error 4-2-{spec}-logit: {reason}\n" for spec in specs if spec != "endogenous-only"
+        )
+        cells = read_cells_csv(run_dir / "cells.csv")
+        assert {c.spec_class: c.status for c in cells} == {
+            spec: "ok" if spec == "endogenous-only" else "error" for spec in specs
+        }
 
 
 def test_cli_run_rejects_a_non_finite_config_value(cli_world, tmp_path, capsys):

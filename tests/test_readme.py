@@ -1,7 +1,9 @@
-"""README examples run as written: the defaults block, the quick-start's
-`dyadcast synth` output, and the library-use snippet."""
+"""README examples run as written: the defaults block, the config keys
+under Semantics, the quick-start's `dyadcast synth` output, and the
+library-use snippet."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,25 @@ def between(text, start, end):
 def test_readme_defaults_block_is_the_default_config():
     block = between(README, "The full set, with defaults:\n\n```json\n", "```")
     assert json.loads(block) == ExperimentConfig().to_json()
+
+
+def key_paths(doc, prefix=""):
+    """Every key of a nested JSON object as a dotted path."""
+    for key, value in doc.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + key + ".")
+
+
+def test_readme_semantics_keys_are_config_keys():
+    """Each backticked key that heads a bullet under Semantics, such as
+    `features.covariate_offset` or `first_period` / `last_period`, names a
+    key of the config."""
+    section = between(README, "Semantics:\n\n", "\n\nSkips vs errors")
+    heads = re.findall(r"^- ((?:`[^`]+`(?: / )?)+):", section, flags=re.MULTILINE)
+    named = [key for head in heads for key in re.findall(r"`([^`]+)`", head)]
+    assert len(named) == 15
+    assert set(named) <= set(key_paths(ExperimentConfig().to_json()))
 
 
 @pytest.fixture
