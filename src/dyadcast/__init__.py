@@ -81,6 +81,7 @@ from .store import (
     CovariateTable,
     EventPanel,
     LaggedNetwork,
+    PeriodCovariates,
     aggregate_window,
     eligible_dyads,
     load_covariates,

@@ -57,26 +57,35 @@ def _covariate_block(
     Missing entries are imputed to zero and flagged in a companion
     ``<name>-missing`` column so the learner can absorb the gap.  A covariate
     missing for more than ``max_missing`` of rows is a data problem, not a
-    modeling choice.
+    modeling choice. A dyad is missing every name when either id has no
+    entry at ``period``, or the table has no such period.
     """
-    names = list(table.names_present())
+    names = table.names
     if not names:
         raise DataError("covariate table declares no covariate names")
     n = len(dyads)
-    X = np.zeros((n, 2 * len(names)))
-    out_names = []
-    for c, name in enumerate(names):
-        col = [table.entries.get((period, i, j, name)) for i, j in dyads]
-        miss = [v is None for v in col]
-        frac = sum(miss) / n if n else 0.0
+    values = np.zeros((len(names), n))
+    missing = np.ones((len(names), n), dtype=bool)
+    block = table.periods.get(period)
+    if block is not None:
+        index = block.index
+        I = np.array([index.get(i, -1) for i, _ in dyads], dtype=np.intp)
+        J = np.array([index.get(j, -1) for _, j in dyads], dtype=np.intp)
+        known = (I >= 0) & (J >= 0)
+        I, J = I[known], J[known]
+        # cells without an entry hold 0.0, the imputed value
+        values[:, known] = block.values[:, I, J]
+        missing[:, known] = ~block.present[:, I, J]
+    for name, count in zip(names, missing.sum(axis=1).tolist()):
+        frac = count / n if n else 0.0
         if frac > max_missing:
             raise DataError(
                 f"covariate {name!r} missing for {frac:.0%} of dyads at period {period}"
             )
-        X[:, 2 * c] = [0.0 if m else v for v, m in zip(col, miss)]
-        X[:, 2 * c + 1] = miss
-        out_names += [name, f"{name}-missing"]
-    return out_names, X
+    X = np.empty((n, 2 * len(names)))
+    X[:, 0::2] = values.T
+    X[:, 1::2] = missing.T
+    return [col for name in names for col in (name, f"{name}-missing")], X
 
 
 @checked

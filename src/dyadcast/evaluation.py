@@ -9,6 +9,7 @@ callers can carry them through tables; genuinely unanswerable requests
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +78,29 @@ def bootstrap_ci(values, replicates: Positive = 10000, seed: int = 0, level: Lev
     idx = rng.integers(0, len(values), size=(replicates, len(values)))
     means = values[idx].mean(axis=1)
     alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
-    return float(lo), float(hi)
+    return _quantiles(means, (alpha, 1.0 - alpha))
+
+
+def _quantiles(values, qs) -> tuple:
+    """``np.quantile(values, qs)`` bit for bit (its default linear method),
+    by sorting and interpolating: np.quantile calls np.unique, which
+    imports numpy.ma on first use."""
+    ordered = np.sort(values).tolist()
+    n, last = len(ordered), ordered[-1]
+    if math.isnan(last):  # NaN sorts last, and numpy returns it for every q
+        return tuple(last for _ in qs)
+    out = []
+    for q in qs:
+        virtual = (n - 1) * q
+        if virtual < n - 1:
+            below = math.floor(virtual)
+            above = below + 1
+        else:  # numpy reads the last value, through index -1, at both ends
+            below = above = -1
+        a, b, t = ordered[below], ordered[above], virtual - below
+        diff = b - a
+        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return tuple(out)
 
 
 def rolling_mean(series, width: int = 3):

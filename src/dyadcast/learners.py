@@ -97,7 +97,7 @@ class TrainingSet:
         y = np.asarray(y, dtype=float)
         if X.ndim != 2 or len(X) != len(y):
             raise SchemaError(f"X is {X.shape}, y has {len(y)} rows")
-        if set(np.unique(y)) - {0.0, 1.0}:
+        if np.any((y != 0.0) & (y != 1.0)):
             raise FitError("labels must be 0/1")
         if not np.all(np.isfinite(X)):
             raise FitError("non-finite feature values")

@@ -12,8 +12,9 @@ import hashlib
 import io
 import math
 import os
-import sys
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import ItemsView, Mapping
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -146,37 +147,187 @@ class LaggedNetwork:
         return h.hexdigest()
 
 
-@dataclass
-class CovariateTable:
-    """Long-form dyadic covariates keyed by (period, i, j, name).
+@dataclass(frozen=True, eq=False)
+class PeriodCovariates:
+    """One period's covariates over the node ids in its rows.
 
-    Only declared names are accepted: the canonical set plus any
-    `extra_names` registered at construction. Indicator covariates must
-    take values in {0,1}.
+    ``nodes`` is the sorted tuple of those ids; ``values`` and ``present``
+    are read-only (names, n, n) arrays over the table's ``names``.
+    ``values[c, a, b]`` holds name c for the dyad (nodes[a], nodes[b]) where
+    ``present[c, a, b]``, and 0.0 where the table has no entry.
     """
 
-    entries: dict[tuple[int, str, str, str], float] = field(default_factory=dict)
+    nodes: tuple[str, ...]
+    values: np.ndarray
+    present: np.ndarray
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {node: k for k, node in enumerate(self.nodes)}
+
+
+class CovariateEntries(Mapping):
+    """Read-only ``(period, i, j, name) -> value`` view of a table's present
+    cells, iterated in sorted-key order."""
+
+    def __init__(self, table: "CovariateTable"):
+        self._table = table
+        self._column = {name: c for c, name in enumerate(table.names)}
+
+    def __len__(self) -> int:
+        return sum(int(block.present.sum()) for block in self._table.periods.values())
+
+    def __getitem__(self, key) -> float:
+        try:
+            period, i, j, name = key
+            block = self._table.periods[period]
+            cell = self._column[name], block.index[i], block.index[j]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+        if not block.present[cell]:
+            raise KeyError(key)
+        return float(block.values[cell])
+
+    def __iter__(self):
+        return (key for key, _ in self._cells())
+
+    def items(self):
+        return _CellItems(self)
+
+    def _cells(self):
+        """(key, value) per present cell, in sorted-key order: period, then
+        i and j (each block's nodes are sorted), then name."""
+        names = self._table.names
+        by_name = sorted(range(len(names)), key=names.__getitem__)
+        sorted_names = [names[k] for k in by_name]
+        for period in sorted(self._table.periods):
+            block = self._table.periods[period]
+            # (i, j, name) axes, names sorted: nonzero then walks keys in order
+            cells = np.nonzero(block.present[by_name].transpose(1, 2, 0))
+            values = block.values[by_name].transpose(1, 2, 0)[cells].tolist()
+            nodes = block.nodes
+            for a, b, c, value in zip(*(axis.tolist() for axis in cells), values):
+                yield (period, nodes[a], nodes[b], sorted_names[c]), value
+
+
+class _CellItems(ItemsView):
+    """Items in one pass over each period's arrays, not a lookup per key."""
+
+    def __iter__(self):
+        return self._mapping._cells()
+
+
+@dataclass(frozen=True, eq=False)
+class CovariateTable:
+    """Dyadic covariates, held per period as node-indexed arrays.
+
+    ``names`` are the declared names with at least one entry, in declaration
+    order; ``periods`` maps each period with entries to its
+    `PeriodCovariates`. ``entries`` views the same cells keyed by
+    ``(period, i, j, name)``. Only declared names are accepted: the
+    canonical set plus any `extra_names`. Indicator covariates (the
+    canonical ones and `indicator_extras`) must take values in {0,1}.
+
+    Build a table with `from_entries`, `load_covariates` or `from_codes`,
+    which the other two call.
+    """
+
+    periods: dict[int, PeriodCovariates]
+    names: tuple[str, ...]
     extra_names: tuple[str, ...] = ()
     indicator_extras: frozenset[str] = frozenset()
 
-    def __post_init__(self):
-        self.declared = CANONICAL_COVARIATES + tuple(self.extra_names)
-        indicators = INDICATOR_COVARIATES | self.indicator_extras
-        seen = set()
-        for (period, i, j, name), value in self.entries.items():
-            if name not in self.declared:
-                raise ValidationError(f"undeclared covariate name {name!r}")
-            if name in indicators and value not in (0.0, 1.0):
-                raise ValidationError(
-                    f"indicator covariate {name!r} has non-binary value {value} "
-                    f"at ({period},{i},{j})"
-                )
-            seen.add(name)
-        self._present = [n for n in self.declared if n in seen]
+    @cached_property
+    def entries(self) -> CovariateEntries:
+        return CovariateEntries(self)
 
     def names_present(self) -> list[str]:
         """Declared names with at least one entry, in declaration order."""
-        return list(self._present)
+        return list(self.names)
+
+    @classmethod
+    def from_entries(cls, entries, extra_names=(), indicator_extras=frozenset()):
+        """The table of a ``{(period, i, j, name): value}`` mapping; a bad
+        entry is reported in the mapping's order."""
+        periods: dict = {}
+        ids: dict = {}
+        names: dict = {}
+        codes = [
+            (periods.setdefault(period, len(periods)), ids.setdefault(i, len(ids)),
+             ids.setdefault(j, len(ids)), names.setdefault(name, len(names)))
+            for period, i, j, name in entries
+        ]
+        return cls.from_codes(
+            (list(periods), list(ids), list(names)),
+            np.array(codes, dtype=np.intp).reshape(-1, 4).T,
+            list(entries.values()),
+            extra_names,
+            indicator_extras,
+        )
+
+    @classmethod
+    def from_codes(cls, keys, codes, values, extra_names=(), indicator_extras=frozenset()):
+        """The table of one entry per row, rows given as codes.
+
+        ``keys`` is (periods, node ids, names), each a sequence of distinct
+        values; ``codes`` is four integer arrays (period, i, j, name)
+        indexing them, one element per row, and ``values`` the rows' values.
+        Rows must have distinct keys. The first row, in row order, with an
+        undeclared name or a non-binary indicator value raises
+        ValidationError.
+        """
+        periods, ids, names = keys
+        p, i, j, c = (np.asarray(code, dtype=np.intp) for code in codes)
+        values = np.asarray(values, dtype=float)
+        declared = CANONICAL_COVARIATES + tuple(extra_names)
+        indicators = INDICATOR_COVARIATES | frozenset(indicator_extras)
+        known = np.array([name in declared for name in names], dtype=bool)
+        binary = np.array([name in indicators for name in names], dtype=bool)
+        bad = ~known[c] | (binary[c] & (values != 0.0) & (values != 1.0))
+        if bad.any():
+            r = int(bad.argmax())
+            name = names[c[r]]
+            if not known[c[r]]:
+                raise ValidationError(f"undeclared covariate name {name!r}")
+            raise ValidationError(
+                f"indicator covariate {name!r} has non-binary value {float(values[r])} "
+                f"at ({periods[p[r]]},{ids[i[r]]},{ids[j[r]]})"
+            )
+
+        # columns: the names with rows, in declaration order
+        used = np.zeros(len(names), dtype=bool)
+        used[c] = True
+        order = sorted(np.flatnonzero(used).tolist(), key=lambda k: declared.index(names[k]))
+        column = np.zeros(len(names), dtype=np.intp)
+        column[order] = np.arange(len(order))
+        ranked = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+        by_period = np.argsort(p, kind="stable")
+        ends = np.searchsorted(p, np.arange(len(periods) + 1), sorter=by_period)
+        blocks = {}
+        for q in sorted(range(len(periods)), key=periods.__getitem__):
+            rows = by_period[ends[q] : ends[q + 1]]
+            if not len(rows):
+                continue
+            seen = np.zeros(len(ids), dtype=bool)
+            seen[i[rows]] = seen[j[rows]] = True
+            nodes = ranked[seen[ranked]]  # the period's ids, sorted
+            position = np.zeros(len(ids), dtype=np.intp)
+            position[nodes] = np.arange(len(nodes))
+            cell = column[c[rows]], position[i[rows]], position[j[rows]]
+            shape = (len(order), len(nodes), len(nodes))
+            cells, present = np.zeros(shape), np.zeros(shape, dtype=bool)
+            cells[cell] = values[rows]
+            present[cell] = True
+            cells.flags.writeable = present.flags.writeable = False
+            blocks[periods[q]] = PeriodCovariates(
+                nodes=tuple(ids[k] for k in nodes.tolist()), values=cells, present=present
+            )
+        return cls(
+            periods=blocks,
+            names=tuple(names[k] for k in order),
+            extra_names=tuple(extra_names),
+            indicator_extras=frozenset(indicator_extras),
+        )
 
 
 def _open_text(source):
@@ -276,39 +427,79 @@ def load_events(events_csv, registry_csv=None) -> EventPanel:
 
 def load_covariates(cov_csv, extra_names=(), indicator_extras=()) -> CovariateTable:
     """Read a long-form covariate table with header ``year,i,j,name,value``.
-    Node ids and names are interned, so the keys share one string each.
 
-    Years, node ids and names repeat on row after row, so each distinct raw
-    text is parsed or stripped and interned once per load, in two memos
-    kept apart so that a year ``1`` and a node ``1`` never meet."""
-    entries: dict[tuple[int, str, str, str], float] = {}
-    years: dict[str, int] = {}
-    texts: dict[str, str] = {}
-    for line_no, (y, i, j, name, value) in _read_rows(cov_csv, COVARIATES_HEADER, "covariates"):
-        try:
-            key = (years[y], texts[i], texts[j], texts[name])
-        except KeyError:
-            if y not in years:
-                years[y] = _parse_int(y.strip(), "covariates", line_no, "year")
-            for text in (i, j, name):
-                if text not in texts:
-                    texts[text] = sys.intern(text.strip())
-            key = (years[y], texts[i], texts[j], texts[name])
-        if key in entries:
-            raise ParseError(f"covariates: line {line_no}: duplicate key {key}")
-        try:
-            number = float(value)
-        except ValueError:
-            number = math.nan
-        if not math.isfinite(number):
-            # re-read stripped, to raise the message naming the text
-            number = _parse_float(value.strip(), "covariates", line_no, "value")
-        entries[key] = number
-    return CovariateTable(
-        entries=entries,
-        extra_names=tuple(extra_names),
-        indicator_extras=frozenset(indicator_extras),
+    Rows stream into code arrays (period, i, j, name) and a value array;
+    years, node ids and names repeat on row after row, so each distinct raw
+    text is parsed or stripped once per load, in memos kept apart so that a
+    year ``1``, a node ``1`` and a name ``1`` never meet. Duplicate keys are
+    found once the rows are in, but still reported ahead of any error on a
+    later line."""
+    keys: tuple[dict, dict, dict] = ({}, {}, {})  # period, node id, name -> code
+    periods, ids, names = keys
+    year_codes: dict = {}  # raw text -> code, one entry per distinct text
+    id_codes: dict = {}
+    name_codes: dict = {}
+    codes = tuple(array("q") for _ in range(4))  # period, i, j, name per row
+    lines, values = array("q"), array("d")
+    put_line, put_value = lines.append, values.append
+    put_p, put_i, put_j, put_name = (column.append for column in codes)
+    try:
+        for line_no, (y, i, j, name, value) in _read_rows(
+            cov_csv, COVARIATES_HEADER, "covariates"
+        ):
+            try:
+                p, a, b, c = year_codes[y], id_codes[i], id_codes[j], name_codes[name]
+            except KeyError:
+                if y not in year_codes:
+                    period = _parse_int(y.strip(), "covariates", line_no, "year")
+                    year_codes[y] = periods.setdefault(period, len(periods))
+                for memo, key, text in ((id_codes, ids, i), (id_codes, ids, j),
+                                        (name_codes, names, name)):
+                    if text not in memo:
+                        memo[text] = key.setdefault(text.strip(), len(key))
+                p, a, b, c = year_codes[y], id_codes[i], id_codes[j], name_codes[name]
+            put_line(line_no)
+            put_p(p)
+            put_i(a)
+            put_j(b)
+            put_name(c)
+            try:
+                number = float(value)
+            except ValueError:
+                number = math.nan
+            if not math.isfinite(number):
+                # re-read stripped, to raise the message naming the text
+                number = _parse_float(value.strip(), "covariates", line_no, "value")
+            put_value(number)
+    except ParseError:
+        # a duplicate on this line or an earlier one comes first
+        _raise_first_duplicate(codes, lines, keys)
+        raise
+    _raise_first_duplicate(codes, lines, keys)
+    return CovariateTable.from_codes(
+        tuple(map(list, keys)),
+        [np.frombuffer(column, dtype=np.int64) for column in codes],
+        np.frombuffer(values, dtype=float),
+        extra_names,
+        indicator_extras,
     )
+
+
+def _raise_first_duplicate(codes, lines, keys) -> None:
+    """Raise the ParseError of the first row, in row order, whose key an
+    earlier row holds; rows are ``codes`` into ``keys``, as
+    `load_covariates` collects them."""
+    p, i, j, c = (np.frombuffer(column, dtype=np.int64) for column in codes)
+    periods, ids, names = (list(key) for key in keys)
+    # one integer per key (distinct keys, distinct integers), ordered stably,
+    # so each key's rows stay in row order and all but the first repeat it
+    packed = ((p * len(ids) + i) * len(ids) + j) * len(names) + c
+    order = np.argsort(packed, kind="stable")
+    repeats = order[1:][packed[order[1:]] == packed[order[:-1]]]
+    if len(repeats):
+        r = int(repeats.min())
+        key = (periods[p[r]], ids[i[r]], ids[j[r]], names[c[r]])
+        raise ParseError(f"covariates: line {lines[r]}: duplicate key {key}")
 
 
 def aggregate_window(panel: EventPanel, start: int, end: int) -> LaggedNetwork:

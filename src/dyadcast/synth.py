@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress, product
+from itertools import compress
 from pathlib import Path
 from typing import Annotated, Literal
 
@@ -63,6 +63,8 @@ class SyntheticSpec(Saved):
     def validate(self) -> None:
         """Declared types and bounds, then the rules between fields."""
         check_fields(self, GenerationError)
+        if len(set(self.covariate_names)) < len(self.covariate_names):
+            raise GenerationError(f"covariate_names repeats a name: {self.covariate_names}")
         for name in self.covariate_effects:
             if name not in self.covariate_names:
                 raise GenerationError(f"effect on unemitted covariate {name!r}")
@@ -168,13 +170,14 @@ def generate_synthetic(spec: SyntheticSpec):
 
         rate = len(events) / (len(dyads) * spec.periods)
         if lo <= rate <= hi:
-            entries = {
-                (p, i, j, name): v
-                for p in range(1, spec.periods + 1)
-                for ((i, j), name), v in zip(product(dyads, names), map(float, xs[p].flat))
-            }
+            # one row per (period, dyad, name), in the order xs holds them
+            period, dyad, column = np.indices((spec.periods, len(dyads), len(names))).reshape(3, -1)
+            table = CovariateTable.from_codes(
+                (range(1, spec.periods + 1), nodes, names),
+                (period, I[dyad], J[dyad], column),
+                np.concatenate([xs[p].ravel() for p in range(1, spec.periods + 1)]),
+            )
             panel = EventPanel(events=tuple(events), registry=registry)
-            table = CovariateTable(entries=entries)
             truth = GroundTruth(
                 blocks=blocks,
                 intercept=intercept,
@@ -208,6 +211,6 @@ def save_synthetic(panel: EventPanel, table: CovariateTable, out_dir) -> dict:
     )
     _write_rows(
         paths["covariates"], COVARIATES_HEADER,
-        ((*key, repr(table.entries[key])) for key in sorted(table.entries)),
+        ((*key, repr(value)) for key, value in table.entries.items()),
     )
     return {k: str(v) for k, v in paths.items()}

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from dyadcast import (
-    CommunityPartition, CovariateTable, EvaluationError, EventPanel, FitError, FittedModel,
-    GenerationError, LaggedNetwork, LatentBundle, LatentConfig, LatentSpaceFit, MMSBMFit,
-    ParseError, TrainingSet, TuningError,
+    CommunityPartition, CovariateTable, DataError, EvaluationError, EventPanel, FitError,
+    FittedModel, GenerationError, LaggedNetwork, LatentBundle, LatentConfig, LatentSpaceFit,
+    MMSBMFit, ParseError, TrainingSet, TuningError,
 )
 from dyadcast import learners
 from dyadcast.codec import Count, NonNegative, Positive
@@ -880,11 +880,36 @@ def load_covariates_oracle(text, extra_names=(), indicator_extras=()):
         entries[key] = number(value, line_no, "value", float)
         if not math.isfinite(entries[key]):
             raise ParseError(f"{label}: line {line_no}: value {value!r} is not a finite number")
-    return CovariateTable(
-        entries=entries,
+    return CovariateTable.from_entries(
+        entries,
         extra_names=tuple(extra_names),
         indicator_extras=frozenset(indicator_extras),
     )
+
+
+def covariate_block_oracle(table, period, dyads, max_missing):
+    """The covariate block as one ``entries`` lookup per dyad and name:
+    each name's column, then its ``-missing`` column, with missing values
+    imputed as 0 and the first name missing for more than ``max_missing``
+    of the dyads raising DataError."""
+    names = list(table.names_present())
+    if not names:
+        raise DataError("covariate table declares no covariate names")
+    n = len(dyads)
+    X = np.zeros((n, 2 * len(names)))
+    out_names = []
+    for c, name in enumerate(names):
+        col = [table.entries.get((period, i, j, name)) for i, j in dyads]
+        miss = [v is None for v in col]
+        frac = sum(miss) / n if n else 0.0
+        if frac > max_missing:
+            raise DataError(
+                f"covariate {name!r} missing for {frac:.0%} of dyads at period {period}"
+            )
+        X[:, 2 * c] = [0.0 if m else v for v, m in zip(col, miss)]
+        X[:, 2 * c + 1] = miss
+        out_names += [name, f"{name}-missing"]
+    return out_names, X
 
 
 # ------------------------------------------------------------------ tune
@@ -1058,7 +1083,7 @@ def generate_synthetic_oracle(spec):
                     for c, name in enumerate(names):
                         entries[(p, i, j, name)] = float(x[d, c])
             panel = EventPanel(events=tuple(events), registry=registry)
-            table = CovariateTable(entries=entries)
+            table = CovariateTable.from_entries(entries)
             truth = GroundTruth(
                 blocks=blocks,
                 intercept=intercept,

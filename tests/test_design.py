@@ -2,6 +2,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dyadcast import (
     CovariateTable,
@@ -13,10 +15,11 @@ from dyadcast import (
     join_designs,
     stack_designs,
 )
+from dyadcast.design import _covariate_block
 from dyadcast.design import SPEC_CLASSES, SPEC_COMBINED, SPEC_COVARIATES, SPEC_ENDOGENOUS
 from dyadcast.features import ENDOGENOUS_FEATURE_NAMES
 
-from helpers import make_panel, stub_bundle
+from helpers import covariate_block_oracle, make_panel, stub_bundle
 
 NODES = ("a", "b", "c")
 
@@ -45,7 +48,7 @@ def table_abc(entries=None, **kwargs):
                 for p in (1, 2, 3, 4):
                     entries[(p, i, j, "trade-dependence")] = 0.1 * p
                     entries[(p, i, j, "contiguity")] = 1.0
-    return CovariateTable(entries=entries, **kwargs)
+    return CovariateTable.from_entries(entries, **kwargs)
 
 
 CFG = FeatureConfig()
@@ -126,7 +129,7 @@ def test_missing_covariate_imputed_and_flagged():
             if i != j and not (i == "a" and j == "b"):
                 entries[(2, i, j, "trade-dependence")] = 3.0
     d = build_design(
-        panel_abc(), 3, 1, SPEC_COVARIATES, CFG, covariates=CovariateTable(entries=entries)
+        panel_abc(), 3, 1, SPEC_COVARIATES, CFG, covariates=CovariateTable.from_entries(entries)
     )
     row = dict(zip(eligible_dyads(panel_abc(), 3), d.X))
     assert row[("a", "b")][0] == 0.0 and row[("a", "b")][1] == 1.0
@@ -138,14 +141,14 @@ def test_excess_missingness_rejected():
     with pytest.raises(DataError, match="missing"):
         build_design(
             panel_abc(), 3, 1, SPEC_COVARIATES, CFG,
-            covariates=CovariateTable(entries=entries),
+            covariates=CovariateTable.from_entries(entries),
         )
 
 
 def test_empty_covariate_table_rejected():
     with pytest.raises(DataError, match="names"):
         build_design(
-            panel_abc(), 3, 1, SPEC_COVARIATES, CFG, covariates=CovariateTable(entries={})
+            panel_abc(), 3, 1, SPEC_COVARIATES, CFG, covariates=CovariateTable.from_entries({})
         )
 
 
@@ -179,7 +182,7 @@ def test_non_finite_covariate_rejected():
     with pytest.raises(DataError, match="non-finite"):
         build_design(
             panel_abc(), 3, 1, SPEC_COVARIATES, CFG,
-            covariates=CovariateTable(entries=entries),
+            covariates=CovariateTable.from_entries(entries),
         )
 
 
@@ -205,3 +208,55 @@ def test_stack_designs_schema_mismatch():
         stack_designs([d_endo, d_cov])
     with pytest.raises(ValueError):
         stack_designs([])
+
+
+# ------------------------------------------------ covariate block oracle
+
+BLOCK_NODES = ("a", "b", "c", "d")
+BLOCK_NAMES = ("contiguity", "trade-dependence", "CINC-ratio")
+
+
+@st.composite
+def covariate_blocks(draw):
+    """A table over periods 1-3 with cells left out at random, a period to
+    read (0 and 4 are never in the table), dyads that may name ids the
+    table lacks, and a max_missing often on a dyad-count boundary."""
+    cells = [
+        (p, i, j, name)
+        for p in (1, 2, 3) for i in BLOCK_NODES for j in BLOCK_NODES if i != j
+        for name in BLOCK_NAMES
+    ]
+    kept = draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))
+    number = st.one_of(st.sampled_from([0.0, -0.0, 1.5, 1e-300]), st.floats(-1e6, 1e6))
+    entries = {
+        key: draw(st.sampled_from([0.0, 1.0]) if key[3] == "contiguity" else number)
+        for key in kept
+    }
+    pairs = [(i, j) for i in BLOCK_NODES + ("z",) for j in BLOCK_NODES + ("z",) if i != j]
+    dyads = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    n = max(len(dyads), 1)
+    max_missing = draw(st.one_of(st.integers(0, n).map(lambda k: k / n), st.floats(0.0, 1.0)))
+    return CovariateTable.from_entries(entries), draw(st.integers(0, 4)), dyads, max_missing
+
+
+def _block_or_error(block, table, period, dyads, max_missing):
+    try:
+        names, X = block(table, period, dyads, max_missing)
+    except DataError as exc:
+        return str(exc)
+    return list(names), X.shape, X.tobytes()
+
+
+@settings(max_examples=300)
+@given(covariate_blocks())
+@example((CovariateTable.from_entries({}), 1, [("a", "b")], 0.5))
+@example((table_abc(), 5, [("a", "b"), ("b", "a")], 1.0))
+@example((table_abc(), 2, [("a", "b"), ("a", "z")], 0.5))
+@example((table_abc(), 2, [("a", "b"), ("a", "z"), ("z", "c")], 0.5))
+@example((table_abc(), 2, [], 0.0))
+def test_covariate_block_matches_its_lookup_oracle(case):
+    """Same names and X bytes, or the same DataError text, as one entries
+    lookup per dyad and name."""
+    assert _block_or_error(_covariate_block, *case) == _block_or_error(
+        covariate_block_oracle, *case
+    )

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyadcast import (
@@ -19,7 +19,7 @@ from dyadcast import (
     roc_curve,
     rolling_mean,
 )
-from dyadcast.evaluation import SELECTION_THRESHOLD
+from dyadcast.evaluation import SELECTION_THRESHOLD, _quantiles
 
 from helpers import (
     average_precision_oracle, curve_oracle, expected_ap_random, mann_whitney_auc,
@@ -286,6 +286,38 @@ def test_bootstrap_deterministic():
     vals = np.random.default_rng(6).normal(size=12)
     assert bootstrap_ci(vals, seed=8) == bootstrap_ci(vals, seed=8)
     assert bootstrap_ci(vals, seed=8) != bootstrap_ci(vals, seed=9)
+
+
+# -0.0 is mapped to 0.0: np.quantile partitions where _quantiles sorts, and
+# the two may order equal zeros of opposite sign differently
+SAMPLE_FLOATS = st.floats(allow_subnormal=True).map(lambda x: x + 0.0)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(SAMPLE_FLOATS, min_size=1, max_size=40),
+    st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.025, 0.5, 0.975, 1.0])),
+             min_size=1, max_size=4),
+)
+@example([0.1] * 7 + [0.3], [0.025, 0.975])
+@example([1.0, math.inf], [1.0])
+@example([math.nan, 1.0], [0.5])
+def test_quantiles_match_numpy_bit_for_bit(values, qs):
+    """Sort-and-interpolate gives np.quantile's linear method exactly,
+    NaN, infinite and subnormal samples included."""
+    with np.errstate(invalid="ignore"):
+        want = np.quantile(np.array(values), qs).tolist()
+    got = _quantiles(np.array(values), qs)
+    assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+
+
+@pytest.mark.parametrize("seed,level", [(0, 0.95), (3, 0.9), (11, 0.5)])
+def test_bootstrap_ci_is_numpys_quantile_of_its_means(seed, level):
+    vals = np.random.default_rng(seed).normal(size=9)
+    idx = np.random.default_rng(seed).integers(0, 9, size=(1000, 9))
+    alpha = (1.0 - level) / 2.0
+    want = tuple(np.quantile(vals[idx].mean(axis=1), [alpha, 1.0 - alpha]).tolist())
+    assert bootstrap_ci(vals, replicates=1000, seed=seed, level=level) == want
 
 
 def test_bootstrap_validation():

@@ -182,8 +182,8 @@ def test_zero_positive_test_period_keeps_scores():
 
 def test_missing_covariate_periods_become_error_cells(world):
     panel, table = world
-    late_only = type(table)(
-        entries={k: v for k, v in table.entries.items() if k[0] >= 3}
+    late_only = type(table).from_entries(
+        {k: v for k, v in table.entries.items() if k[0] >= 3}
     )
     cfg = fast_config(
         first_period=3, last_period=4, spec_classes=("covariates-only",),
@@ -359,6 +359,37 @@ def test_run_outputs_identical_across_hash_seeds(tmp_path):
         outputs.append(Path(cfg.output_dir))
     for name in ("cells.csv", "aggregate.csv", "ratios.csv"):
         assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
+
+
+def test_covariates_only_run_never_imports_numpy_ma(tmp_path):
+    """np.unique and np.quantile import numpy.ma on first use, a cost paid
+    in every process; a covariates-only `dyadcast run` reaches neither."""
+    panel, table, _ = generate_synthetic(SyntheticSpec(
+        n_nodes=8, periods=5, base_rate=0.15, covariate_effects={"contiguity": 1.0}, seed=0,
+    ))
+    paths = save_synthetic(panel, table, tmp_path / "data")
+    cfg = ExperimentConfig(
+        events=paths["events"], registry=paths["registry"], covariates=paths["covariates"],
+        first_period=4, last_period=5, lags=(1,), spec_classes=("covariates-only",),
+        learners=("logit", "elastic-net"), learner_params={"elastic-net": {"lam": 0.01}},
+        output_dir=str(tmp_path / "run"),
+    )
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg.to_json()))
+    src = str(Path(dyadcast.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\nfrom dyadcast.cli import main\n"
+        f"code = main(['run', '--config', {str(cfg_path)!r}])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert "4 cells evaluated, 0 skipped, 0 errored" in proc.stdout
 
 
 # -------------------------------------------------------------- aggregate

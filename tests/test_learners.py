@@ -70,6 +70,9 @@ def test_training_set_validation():
         TrainingSet.build(np.zeros((4, 1)), np.zeros(3), ("a",))
     with pytest.raises(FitError, match="labels"):
         TrainingSet.build(np.zeros((3, 1)), np.array([0.0, 1.0, 2.0]), ("a",))
+    for bad in (np.nan, -np.inf, 0.5):
+        with pytest.raises(FitError, match="labels"):
+            TrainingSet.build(np.zeros((3, 1)), np.array([1.0, bad, 0.0]), ("a",))
     with pytest.raises(FitError, match="non-finite"):
         TrainingSet.build(np.array([[np.inf], [0.0]]), np.array([0.0, 1.0]), ("a",))
 

@@ -177,6 +177,7 @@ def test_easy_band_accepts_first_attempt():
         {"rate_band": (0.1,)},
         {"initial_edges": ((-1, 0),)},
         {"covariate_names": ("contiguity", 5)},
+        {"covariate_names": ("contiguity", "trade-dependence", "contiguity")},
         {"n_nodes": 2.5},
     ],
 )
