@@ -39,7 +39,7 @@ from .learners import (
 )
 from .seeding import seed_for
 from .store import CovariateTable, EventPanel, aggregate_window, load_covariates, load_events
-from .store import _parse_float, _parse_int, _read_rows, _write_rows
+from .store import _parse_float, _parse_int, _read_rows, _stripped_rows, _write_rows
 
 CELLS_HEADER = ("period", "lag", "spec", "learner", "auc_pr", "auc_roc", "skip", "error")
 AGGREGATE_HEADER = (
@@ -384,19 +384,23 @@ def write_cells_csv(path, cells) -> None:
 
 def read_cells_csv(path) -> list:
     """Inverse of write_cells_csv, close enough for re-summarizing."""
-    cells = []
-    for line_no, row in _read_rows(path, CELLS_HEADER, "cells"):
-        period, lag, spec, kind, pr, roc, skip, error = (f.strip() for f in row)
-        pr, roc = (math.nan if v == "NA" else _parse_float(v, "cells", line_no, what)
-                   for v, what in ((pr, "auc_pr"), (roc, "auc_roc")))
-        status, reason = ("error", error) if error else ("skip", skip) if skip else ("ok", "")
-        cells.append(
-            CellResult(
-                _parse_int(period, "cells", line_no, "period"),
-                _parse_int(lag, "cells", line_no, "lag"),
-                spec, kind, status, auc_pr=pr, auc_roc=roc, reason=reason,
+    cells, blank_lines = [], []
+    for fields, blanks in _read_rows(path, CELLS_HEADER, "cells"):
+        blank_lines += blanks
+        for period, lag, spec, kind, pr, roc, skip, error in _stripped_rows(
+            fields, len(CELLS_HEADER)
+        ):
+            row = len(cells)
+            pr, roc = (math.nan if v == "NA" else _parse_float(v, "cells", blank_lines, row, what)
+                       for v, what in ((pr, "auc_pr"), (roc, "auc_roc")))
+            status, reason = ("error", error) if error else ("skip", skip) if skip else ("ok", "")
+            cells.append(
+                CellResult(
+                    _parse_int(period, "cells", blank_lines, row, "period"),
+                    _parse_int(lag, "cells", blank_lines, row, "lag"),
+                    spec, kind, status, auc_pr=pr, auc_roc=roc, reason=reason,
+                )
             )
-        )
     return cells
 
 

@@ -842,6 +842,60 @@ def spearman(x, y):
     return float(np.sum(rx * ry) / np.sqrt(np.sum(rx**2) * np.sum(ry**2)))
 
 
+# ------------------------------------------------------------------ input
+
+def _oracle_rows(text, label, header_names):
+    """(line number, stripped fields) per data row of a CSV text, read one
+    csv.reader row at a time: the header check, then the blank-line rule,
+    then the field count."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{label}: empty input, expected header {tuple(header_names)}")
+    header = [h.strip() for h in header]
+    if header != list(header_names):
+        raise ParseError(
+            f"{label}: line 1: expected header {','.join(header_names)}, got {','.join(header)}"
+        )
+    for line_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header_names):
+            raise ParseError(
+                f"{label}: line {line_no}: expected {len(header_names)} fields, got {len(row)}"
+            )
+        yield line_no, [f.strip() for f in row]
+
+
+def load_events_oracle(events_text, registry_text=None):
+    """The event loader as plain loops over csv.reader rows: each event's
+    ids checked and its year parsed on its own line, and the registry's
+    nodes checked for repeats as they come."""
+
+    def year(text, label, line_no, what):
+        try:
+            return int(text)
+        except ValueError:
+            raise ParseError(f"{label}: line {line_no}: {what} {text!r} is not an integer")
+
+    events = []
+    for line_no, (s, r, y) in _oracle_rows(events_text, "events", ["sender", "receiver", "year"]):
+        if not s or not r:
+            raise ParseError(f"events: line {line_no}: empty node id")
+        events.append((s, r, year(y, "events", line_no, "year")))
+    if registry_text is None:
+        return EventPanel(events=tuple(events), registry=EventPanel.infer_registry(events))
+    registry = {}
+    header = ["node", "first_year", "last_year"]
+    for line_no, (node, lo, hi) in _oracle_rows(registry_text, "registry", header):
+        if node in registry:
+            raise ParseError(f"registry: line {line_no}: duplicate node {node!r}")
+        registry[node] = (year(lo, "registry", line_no, "first_year"),
+                          year(hi, "registry", line_no, "last_year"))
+    return EventPanel(events=tuple(events), registry=dict(sorted(registry.items())))
+
+
 # ------------------------------------------------------------- covariates
 
 def load_covariates_oracle(text, extra_names=(), indicator_extras=()):

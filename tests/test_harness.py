@@ -534,6 +534,14 @@ def test_read_cells_rejects_a_malformed_row(tmp_path, row, message):
         read_cells_csv(p)
 
 
+def test_read_cells_counts_blank_lines_in_its_line_numbers(tmp_path):
+    p = tmp_path / "cells.csv"
+    p.write_text(CELLS_LINE_1 + "\n1,2,combined,logit,0.5,0.75,,\n \n1,3,combined,logit,x,,,\n")
+    with pytest.raises(ParseError) as info:
+        read_cells_csv(p)
+    assert str(info.value) == "cells: line 5: auc_pr 'x' is not a number"
+
+
 @pytest.mark.parametrize("row,message", BAD_CELL_ROWS, ids=BAD_CELL_IDS)
 def test_cli_summarize_malformed_cells_exit_2(tmp_path, capsys, row, message):
     (tmp_path / "config.json").write_text(json.dumps(ExperimentConfig().to_json()))

@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dyadcast import (
+    CANONICAL_COVARIATES,
     CovariateTable,
     EventPanel,
     ParseError,
@@ -21,7 +23,8 @@ from dyadcast import (
     load_events,
     save_synthetic,
 )
-from helpers import edge_set, load_covariates_oracle, make_panel
+from dyadcast.store import CHUNK_ROWS, COVARIATES_HEADER, EVENTS_HEADER, REGISTRY_HEADER
+from helpers import edge_set, load_covariates_oracle, load_events_oracle, make_panel
 
 
 def test_events_canonical_order():
@@ -479,22 +482,27 @@ COV_FIELDS = (
 
 
 @st.composite
-def cov_rows(draw):
-    """Data rows, with up to three blank lines and, in one example in three,
-    a row of the wrong width, each put in at a drawn position."""
-    rows = draw(st.lists(st.tuples(*COV_FIELDS).map(list), max_size=12))
+def csv_rows(draw, fields):
+    """Data rows of ``fields``, with up to three blank lines and, in one
+    example in three, a row of the wrong width, each put in at a drawn
+    position."""
+    rows = draw(st.lists(st.tuples(*fields).map(list), max_size=12))
     inserts = draw(st.lists(st.sampled_from([[], [" "], ["\t\t"]]), max_size=3))
     if draw(st.integers(0, 2)) == 0:
-        inserts.append(draw(st.lists(COV_FIELDS[1], min_size=1, max_size=7)
-                            .filter(lambda row: len(row) != 5)))
+        inserts.append(draw(st.lists(fields[1], min_size=1, max_size=7)
+                            .filter(lambda row: len(row) != len(fields))))
     for row in inserts:
         rows.insert(draw(st.integers(0, len(rows))), row)
     return rows
 
 
-def _csv_text(rows):
+def cov_rows():
+    return csv_rows(COV_FIELDS)
+
+
+def _csv_text(rows, header=COVARIATES_HEADER):
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows([["year", "i", "j", "name", "value"], *rows])
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
     return out.getvalue()
 
 
@@ -536,6 +544,192 @@ def test_load_covariates_matches_its_loop_oracle_on_a_synthetic_world(tmp_path):
     assert len(got.entries) == len(table.entries) > 1000
     assert list(got.entries.items()) == list(want.entries.items())
     assert [v.hex() for v in got.entries.values()] == [v.hex() for v in want.entries.values()]
+
+
+# ------------------------------------------------------- reading in blocks
+#
+# The loaders read `CHUNK_ROWS` rows at a time; these inputs put their
+# errors at row positions derived from it, so they land in a later block,
+# right after a block boundary or in the last, short block.
+
+@pytest.fixture(scope="module")
+def world_covariates(tmp_path_factory):
+    """A saved world's covariate file, more than five blocks long: its path
+    and its data lines."""
+    panel, table, _ = generate_synthetic(SyntheticSpec(
+        n_nodes=30, periods=3, covariate_names=CANONICAL_COVARIATES,
+        time_varying_covariates=True, seed=5,
+    ))
+    path = save_synthetic(panel, table, tmp_path_factory.mktemp("world"))["covariates"]
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines()[1:]
+    assert len(lines) == 3 * 30 * 29 * 9 > 5 * CHUNK_ROWS
+    return path, lines
+
+
+def _edited(lines, edits, header=",".join(COVARIATES_HEADER)):
+    """The CSV text of data ``lines`` with the line at each row of ``edits``
+    replaced by the lines ``edits[row](line)`` returns."""
+    out = [header]
+    for row, line in enumerate(lines):
+        out += edits[row](line) if row in edits else [line]
+    return "\n".join(out) + "\n"
+
+
+def _field(k, text):
+    """An edit that sets field ``k`` of a line to ``text``."""
+    def edit(line):
+        fields = line.split(",")
+        fields[k] = text
+        return [",".join(fields)]
+    return edit
+
+
+def _last_block(lines):
+    return len(lines) // CHUNK_ROWS * CHUNK_ROWS
+
+
+C = CHUNK_ROWS  # rows per block
+# each case gives, from the file's data lines, the edits to make to them
+CHUNK_CASES = {
+    "clean": lambda lines: {},
+    # every line after the blank one moves down, the bad value's too
+    "blank-line-first-block": lambda lines: {10: lambda line: ["", line], C + 5: _field(4, "x")},
+    "blank-line-at-boundary": lambda lines: {C - 1: lambda line: [line, " "],
+                                             C + 1: _field(4, "inf")},
+    # the second occurrence comes two blocks later, the bad value after it
+    "duplicate-in-later-block": lambda lines: {2 * C + 7: lambda line: [lines[3]],
+                                               2 * C + 9: _field(4, "x")},
+    "duplicate-before-boundary": lambda lines: {C - 1: lambda line: [lines[0]],
+                                                C: _field(4, "x")},
+    "bad-value-on-duplicate": lambda lines: {C + 2: lambda line: _field(4, "nan")(lines[C])},
+    # a duplicate after the bad year does not count
+    "bad-year-after-boundary": lambda lines: {C: _field(0, "soon"),
+                                              C + 3: lambda line: [lines[1]]},
+    "bad-year-ends-block": lambda lines: {C - 1: _field(0, "1.5")},
+    "short-row-last-block": lambda lines: {
+        _last_block(lines) + 11: lambda line: [line.rsplit(",", 2)[0]]},
+    "short-row-after-duplicate": lambda lines: {
+        _last_block(lines) - 2: lambda line: [lines[_last_block(lines) - 1]],
+        _last_block(lines): lambda line: ["1,n00"]},
+}
+
+
+@pytest.mark.parametrize("case", list(CHUNK_CASES))
+def test_load_covariates_matches_its_loop_oracle_across_blocks(world_covariates, case):
+    """Blank lines, duplicates, bad years and values and short rows at block
+    boundaries give the row-by-row loop's exact error; the clean file gives
+    its entries in order and in bits."""
+    _, lines = world_covariates
+    text = _edited(lines, CHUNK_CASES[case](lines))
+    got = _loaded(lambda t: load_covariates(io.StringIO(t)), text)
+    want = _loaded(load_covariates_oracle, text)
+    if case != "clean":
+        assert isinstance(want, tuple) and got == want
+        return
+    assert list(got.entries) == list(want.entries)
+    assert [v.hex() for v in got.entries.values()] == [v.hex() for v in want.entries.values()]
+
+
+def test_a_bad_value_comes_before_a_csv_error_in_its_block():
+    # csv.reader raises on a bare carriage return inside a line; the rows
+    # it read before that line are still checked first
+    rows = "1,a,b,CINC-ratio,1\n1,a,c,CINC-ratio,x\n1,a\rb,c,CINC-ratio,1\n"
+    with pytest.raises(ParseError) as info:
+        load_covariates(io.StringIO("year,i,j,name,value\n" + rows))
+    assert str(info.value) == "covariates: line 3: value 'x' is not a number"
+    with pytest.raises(csv.Error):
+        load_covariates(io.StringIO("year,i,j,name,value\n" + rows.replace(",x", ",2")))
+
+
+def test_load_covariates_peak_memory_stays_near_its_code_arrays(world_covariates):
+    # one block of fields is live at a time, so the peak is the code
+    # arrays, their duplicate check and one block: about 90 B a row on this
+    # 23,490-row file (83 B with the earlier row-at-a-time loop), where a
+    # loader holding every row's fields peaks near 480 B a row
+    path, lines = world_covariates
+    load_covariates(path)
+    tracemalloc.start()
+    try:
+        load_covariates(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / len(lines) < 200
+
+
+def test_loading_closes_its_file_when_a_later_block_is_bad(tmp_path, world_covariates):
+    _, lines = world_covariates
+    texts = {
+        "duplicate": _edited(lines, {CHUNK_ROWS + 3: lambda line: [lines[0]]}),
+        "value": _edited(lines, {2 * CHUNK_ROWS + 3: _field(4, "x")}),
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for name, text in texts.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+            with pytest.raises(ParseError, match="duplicate|not a number"):
+                load_covariates(tmp_path / f"{name}.csv")
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    for text in texts.values():
+        stream = io.StringIO(text)
+        with pytest.raises(ParseError):
+            load_covariates(stream)
+        assert not stream.closed
+
+
+# a blank id after stripping is an error; "1" is a node and a year at once
+EVENT_FIELDS = (
+    _padded(["a", "b", "c", "1", "a,b"], ["", " "]),
+    _padded(["a", "b", "c", "1", "a,b"], [""]),
+    _padded(["1", "2", "3", "02"], ["x", "1.5", ""]),
+)
+REGISTRY_FIELDS = (
+    _padded(["a", "b", "c", "1", "a,b"], []),
+    _padded(["0", "1", "2"], ["x", ""]),
+    _padded(["2", "3", "4"], ["2.0"]),
+)
+
+
+@settings(max_examples=200)
+@given(csv_rows(EVENT_FIELDS), st.none() | csv_rows(REGISTRY_FIELDS))
+@example([[" a ", "\tb", " 1 "], [], ["b", "a", "2"]], [["a", "0", "4"], [" "], [" b", "1", "3"]])
+@example([["a", "b", "1"]], [["a", "0", "4"], ["b", "1", "3"], [" a ", "1", "2"]])
+@example([["a", "b", "x"], ["a", "b"]], None)
+def test_load_events_matches_its_loop_oracle(events, registry):
+    """The same panel or the same error message as the row-by-row loop."""
+    events_text = _csv_text(events, EVENTS_HEADER)
+    registry_text = None if registry is None else _csv_text(registry, REGISTRY_HEADER)
+    texts = events_text, registry_text
+    got = _loaded(lambda t: load_events(*(text and io.StringIO(text) for text in t)), texts)
+    assert got == _loaded(lambda t: load_events_oracle(*t), texts)
+
+
+# (events edits, registry edits) per case, on files over two blocks long
+EVENT_CASES = {
+    "clean": ({}, {}),
+    "blank-then-bad-year": ({3: lambda line: [" ", line], C: _field(2, "soon")}, {}),
+    "empty-id-last-block": ({2 * C + 1: _field(1, " ")}, {}),
+    "short-row-after-boundary": ({C: lambda line: ["n00,n01"]}, {}),
+    "registry-duplicate-later-block": ({}, {C + 4: lambda line: ["n00000,1,9"]}),
+    "registry-bad-year-after-blank": ({}, {1: lambda line: [line, ""], C: _field(2, "x")}),
+}
+
+
+@pytest.mark.parametrize("case", list(EVENT_CASES))
+def test_load_events_matches_its_loop_oracle_across_blocks(case):
+    nodes = [f"n{k:05d}" for k in range(2 * C + 50)]
+    events = [f"{nodes[k]},{nodes[k + 1]},{1 + k % 9}" for k in range(len(nodes) - 1)]
+    registry = [f"{node},1,9" for node in nodes]
+    event_edits, registry_edits = EVENT_CASES[case]
+    events_text = _edited(events, event_edits, ",".join(EVENTS_HEADER))
+    registry_text = _edited(registry, registry_edits, ",".join(REGISTRY_HEADER))
+    texts = events_text, registry_text
+    got = _loaded(lambda t: load_events(*map(io.StringIO, t)), texts)
+    want = _loaded(lambda t: load_events_oracle(*t), texts)
+    assert got == want
+    assert isinstance(want, EventPanel) == (case == "clean")
 
 
 def test_covariate_undeclared_name():
