@@ -75,7 +75,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    with open(args.spec) as fh:
+    with open(args.spec, encoding="utf-8") as fh:
         spec = SyntheticSpec.from_json(json.load(fh))
     panel, table, truth = generate_synthetic(spec)
     paths = save_synthetic(panel, table, args.out)
@@ -124,7 +124,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DyadcastError, OSError, json.JSONDecodeError) as exc:
+    except (DyadcastError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

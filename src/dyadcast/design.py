@@ -15,13 +15,17 @@ from .codec import Positive, Share, checked
 from .errors import DataError, SchemaError
 from .features import ENDOGENOUS_FEATURE_NAMES, feature_block
 from .latent import LatentBundle, LatentConfig
-from .store import CovariateTable, EventPanel, aggregate_window, eligible_dyads
+from .store import (
+    CovariateTable, EventPanel, LaggedNetwork, aggregate_window, dyad_positions, eligible_dyads,
+)
 
 SPEC_ENDOGENOUS = "endogenous-only"
 SPEC_COVARIATES = "covariates-only"
 SPEC_COMBINED = "combined"
 SPEC_CLASSES = (SPEC_ENDOGENOUS, SPEC_COVARIATES, SPEC_COMBINED)
 SpecClass = Literal[SPEC_CLASSES]
+# the spec classes that are one block each, as `build_design` makes them
+BlockClass = Literal[SPEC_ENDOGENOUS, SPEC_COVARIATES]
 # the spec classes whose designs hold the covariate columns
 READS_COVARIATES = frozenset((SPEC_COVARIATES, SPEC_COMBINED))
 
@@ -68,10 +72,7 @@ def _covariate_block(
     missing = np.ones((len(names), n), dtype=bool)
     block = table.periods.get(period)
     if block is not None:
-        index = block.index
-        I = np.array([index.get(i, -1) for i, _ in dyads], dtype=np.intp)
-        J = np.array([index.get(j, -1) for _, j in dyads], dtype=np.intp)
-        known = (I >= 0) & (J >= 0)
+        I, J, known = dyad_positions(block.index, dyads)
         I, J = I[known], J[known]
         # cells without an entry hold 0.0, the imputed value
         values[:, known] = block.values[:, I, J]
@@ -92,32 +93,33 @@ def _covariate_block(
 def build_design(
     panel: EventPanel,
     period: int,
-    lag: Positive,
-    spec_class: SpecClass,
+    spec_class: BlockClass,
     config: FeatureConfig,
+    net: Optional[LaggedNetwork] = None,
     bundle: Optional[LatentBundle] = None,
     covariates: Optional[CovariateTable] = None,
 ) -> DyadDesign:
-    """Assemble the design matrix for one focal period.
+    """Assemble one block's design matrix for one focal period.
 
-    ``bundle`` must hold latent-structure fits for the window [period-lag,
-    period-1]; it is required whenever endogenous features are in play.
-    A ``combined`` design is the join of the two single-block designs.
+    ``net`` is the window [period-lag, period-1] that the caller aggregated
+    and ``bundle`` the latent-structure fits on it; both are required for
+    the endogenous block. The labels are the events of ``period``'s own
+    one-period window. A ``combined`` design is `join_designs` of the two
+    blocks.
     """
-    if spec_class == SPEC_COMBINED:
-        return join_designs(
-            build_design(panel, period, lag, SPEC_ENDOGENOUS, config, bundle=bundle),
-            build_design(panel, period, lag, SPEC_COVARIATES, config, covariates=covariates),
-        )
+    if net is not None and net.window[1] != period - 1:
+        raise ValueError(f"window {net.window} of period {period} must end at {period - 1}")
     dyads = eligible_dyads(panel, period)
 
-    events_now = panel.events_at(period)
-    y = np.array([1.0 if (i, j) in events_now else 0.0 for i, j in dyads])
+    # a node that has left by period is not in its window: the dyad is a 0
+    now = aggregate_window(panel, period, period)
+    I, J, known = dyad_positions(now.index, dyads)
+    y = np.zeros(len(dyads))
+    y[known] = now.adjacency[I[known], J[known]]
 
     if spec_class == SPEC_ENDOGENOUS:
-        if bundle is None:
-            raise ValueError("endogenous features require a latent bundle")
-        net = aggregate_window(panel, period - lag, period - 1)
+        if net is None or bundle is None:
+            raise ValueError("endogenous features require a lagged window and its latent bundle")
         names = ENDOGENOUS_FEATURE_NAMES
         X = feature_block(net, dyads, bundle, exclude_focal_flow=config.exclude_focal_flow)
     else:

@@ -105,7 +105,7 @@ class ExperimentConfig(Saved):
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return ExperimentConfig.from_json(json.load(fh))
 
 
@@ -238,13 +238,11 @@ def run_experiment(
             )
         key = (t, spec)
         if key not in designs:
-            bundle = None
+            net = bundle = None
             if spec == SPEC_ENDOGENOUS:
                 net = aggregate_window(panel, t - lag, t - 1)
                 bundle = cache.get(net, config.features.latent, config.master_seed)
-            designs[key] = build_design(
-                panel, t, lag, spec, config.features, bundle, covariates
-            )
+            designs[key] = build_design(panel, t, spec, config.features, net, bundle, covariates)
         return designs[key]
 
     cells: list = []

@@ -128,9 +128,6 @@ class EventPanel:
         firsts, lasts = zip(*self.registry.values())
         return min(firsts), max(lasts)
 
-    def events_at(self, period: int) -> frozenset[tuple[str, str]]:
-        return frozenset((s, r) for s, r, p in self.events if p == period)
-
 
 @dataclass(frozen=True, eq=False)
 class LaggedNetwork:
@@ -259,10 +256,6 @@ class CovariateTable:
     def entries(self) -> CovariateEntries:
         return CovariateEntries(self)
 
-    def names_present(self) -> list[str]:
-        """Declared names with at least one entry, in declaration order."""
-        return list(self.names)
-
     @classmethod
     def from_entries(cls, entries, extra_names=(), indicator_extras=frozenset()):
         """The table of a ``{(period, i, j, name): value}`` mapping; a bad
@@ -350,12 +343,23 @@ class CovariateTable:
 
 def _open_text(source):
     """Accept a path, bytes, or a file-like object; return a context manager
-    giving a text stream. Only a file opened here is closed on exit."""
+    giving a text stream, which decodes paths and bytes as UTF-8 as it is
+    read. Only a file opened here is closed on exit."""
     if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", newline="")
+        return open(source, "r", newline="", encoding="utf-8")
     if isinstance(source, bytes):
-        return io.StringIO(source.decode())
+        return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", newline="")
     return contextlib.nullcontext(source)
+
+
+def _unreadable(exc, label, reader) -> ParseError:
+    """The ParseError of a csv.Error, at the reader's line, or of text that
+    is not UTF-8, at no line: the text is decoded in chunks, so the rows
+    before the bad byte may not have been read yet."""
+    if isinstance(exc, UnicodeDecodeError):
+        byte = exc.object[exc.start]
+        return ParseError(f"{label}: byte {byte:#04x} is not UTF-8 text ({exc.reason})")
+    return ParseError(f"{label}: line {reader.line_num}: {exc}")
 
 
 def _read_rows(source, expected_header, label):
@@ -365,8 +369,10 @@ def _read_rows(source, expected_header, label):
     since the previous block, so `_line_of` numbers every row. A row of the
     wrong width raises ParseError only once the block before it was handed
     over: a caller that checks each block in full reports the first
-    malformed line in file order. Surrounding whitespace is not part of a
-    value: each caller strips the fields it reads."""
+    malformed line in file order. So does a line the `csv` module cannot
+    read, or text that is not UTF-8 (see `_unreadable`). Surrounding
+    whitespace is not part of a value: each caller strips the fields it
+    reads."""
     width = len(expected_header)
     with _open_text(source) as stream:
         reader = csv.reader(stream)
@@ -374,6 +380,8 @@ def _read_rows(source, expected_header, label):
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{label}: empty input, expected header {expected_header}")
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise _unreadable(exc, label, reader) from None
         header = [h.strip() for h in header]
         if header != list(expected_header):
             raise ParseError(
@@ -386,12 +394,13 @@ def _read_rows(source, expected_header, label):
             try:
                 # each row is added to the block's list as it is read and then
                 # dropped; the list's running lengths are where the rows end,
-                # and on a csv.Error they hold the rows read before it
+                # and on an error they hold the rows read before it
                 ends += map(len, itertools.accumulate(
                     itertools.islice(reader, CHUNK_ROWS), operator.iadd, initial=fields
                 ))
-            except csv.Error as exc:  # raised once the rows before it are handed over
-                failure = exc
+            except (csv.Error, UnicodeDecodeError) as exc:
+                # raised below, once the rows before it are handed over
+                failure = _unreadable(exc, label, reader)
             if ends != list(range(0, width * len(ends), width)):
                 fields, kept = [], fields
                 for line, start, stop in zip(itertools.count(line_no), ends, ends[1:]):
@@ -428,7 +437,7 @@ def _line_of(blank_lines, row) -> int:
 
 def _write_rows(path, header, rows) -> None:
     """Write the header and then each row, in the dialect _read_rows reads."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
@@ -616,6 +625,13 @@ def aggregate_window(panel: EventPanel, start: int, end: int) -> LaggedNetwork:
     A[[i for i, _ in ij], [j for _, j in ij]] = 1.0
     A.flags.writeable = False
     return LaggedNetwork(window=(start, end), nodes=nodes, adjacency=A)
+
+
+def dyad_positions(index: dict[str, int], dyads) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions in ``index`` of each dyad's ids (-1 if absent), and where both are present."""
+    I = np.array([index.get(i, -1) for i, _ in dyads], dtype=np.intp)
+    J = np.array([index.get(j, -1) for _, j in dyads], dtype=np.intp)
+    return I, J, (I >= 0) & (J >= 0)
 
 
 def eligible_dyads(panel: EventPanel, outcome_period: int) -> list[tuple[str, str]]:

@@ -51,6 +51,12 @@ def edge_set(net):
     )
 
 
+def events_at(panel, period):
+    """The (sender, receiver) pairs of the panel's events at ``period``,
+    read off its event list rather than through ``aggregate_window``."""
+    return frozenset((s, r) for s, r, p in panel.events if p == period)
+
+
 def make_panel(events, registry=None):
     """events: iterable of (sender, receiver, period)."""
     events = tuple(events)
@@ -847,7 +853,7 @@ def spearman(x, y):
 def _oracle_rows(text, label, header_names):
     """(line number, stripped fields) per data row of a CSV text, read one
     csv.reader row at a time: the header check, then the blank-line rule,
-    then the field count."""
+    then the field count. A line csv.reader refuses is a ParseError there."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -858,14 +864,17 @@ def _oracle_rows(text, label, header_names):
         raise ParseError(
             f"{label}: line 1: expected header {','.join(header_names)}, got {','.join(header)}"
         )
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header_names):
-            raise ParseError(
-                f"{label}: line {line_no}: expected {len(header_names)} fields, got {len(row)}"
-            )
-        yield line_no, [f.strip() for f in row]
+    try:
+        for line_no, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header_names):
+                raise ParseError(
+                    f"{label}: line {line_no}: expected {len(header_names)} fields, got {len(row)}"
+                )
+            yield line_no, [f.strip() for f in row]
+    except csv.Error as exc:
+        raise ParseError(f"{label}: line {reader.line_num}: {exc}") from None
 
 
 def load_events_oracle(events_text, registry_text=None):
@@ -911,23 +920,8 @@ def load_covariates_oracle(text, extra_names=(), indicator_extras=()):
             noun = "an integer" if kind is int else "a number"
             raise ParseError(f"{label}: line {line_no}: {what} {text!r} is not {noun}")
 
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(f"{label}: empty input, expected header {tuple(header_names)}")
-    header = [h.strip() for h in header]
-    if header != header_names:
-        raise ParseError(
-            f"{label}: line 1: expected header {','.join(header_names)}, got {','.join(header)}"
-        )
     entries = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 5:
-            raise ParseError(f"{label}: line {line_no}: expected 5 fields, got {len(row)}")
-        y, i, j, name, value = [f.strip() for f in row]
+    for line_no, (y, i, j, name, value) in _oracle_rows(text, label, header_names):
         key = (number(y, line_no, "year", int), sys.intern(i), sys.intern(j), sys.intern(name))
         if key in entries:
             raise ParseError(f"{label}: line {line_no}: duplicate key {key}")
@@ -946,7 +940,7 @@ def covariate_block_oracle(table, period, dyads, max_missing):
     each name's column, then its ``-missing`` column, with missing values
     imputed as 0 and the first name missing for more than ``max_missing``
     of the dyads raising DataError."""
-    names = list(table.names_present())
+    names = list(table.names)
     if not names:
         raise DataError("covariate table declares no covariate names")
     n = len(dyads)

@@ -10,6 +10,7 @@ from dyadcast import (
     DataError,
     FeatureConfig,
     SchemaError,
+    aggregate_window,
     build_design,
     eligible_dyads,
     join_designs,
@@ -54,8 +55,15 @@ def table_abc(entries=None, **kwargs):
 CFG = FeatureConfig()
 
 
+def endogenous(panel, period, lag=2, bundle=None):
+    """The network block of ``period``, on the window [period-lag, period-1]
+    aggregated here as the harness does."""
+    net = aggregate_window(panel, period - lag, period - 1)
+    return build_design(panel, period, SPEC_ENDOGENOUS, CFG, net, bundle or bundle_abc())
+
+
 def test_endogenous_design_schema():
-    d = build_design(panel_abc(), 3, 2, SPEC_ENDOGENOUS, CFG, bundle=bundle_abc())
+    d = endogenous(panel_abc(), 3)
     assert d.feature_names == ENDOGENOUS_FEATURE_NAMES
     assert d.X.shape == (6, 8)
     assert eligible_dyads(panel_abc(), 3) == [
@@ -65,15 +73,22 @@ def test_endogenous_design_schema():
 
 
 def test_labels_come_from_focal_period():
-    d = build_design(panel_abc(), 3, 2, SPEC_ENDOGENOUS, CFG, bundle=bundle_abc())
+    d = endogenous(panel_abc(), 3)
     lab = dict(zip(eligible_dyads(panel_abc(), 3), d.y))
     assert lab[("a", "b")] == 1.0
     assert sum(d.y) == 1
     assert d.y.mean() == pytest.approx(1.0 / 6.0)
+    # c is active at 2, so its dyads are rows of period 3, but it has left
+    # by 3 and is not in that period's window: its dyads are 0
+    left = make_panel(
+        [("a", "b", 1), ("b", "c", 2), ("a", "b", 3)], {"a": (1, 5), "b": (1, 5), "c": (1, 2)}
+    )
+    lab = dict(zip(eligible_dyads(left, 3), endogenous(left, 3).y))
+    assert lab == {d: float(d == ("a", "b")) for d in eligible_dyads(panel_abc(), 3)}
 
 
 def test_covariate_design_schema_and_values():
-    d = build_design(panel_abc(), 3, 1, SPEC_COVARIATES, CFG, covariates=table_abc())
+    d = build_design(panel_abc(), 3, SPEC_COVARIATES, CFG, covariates=table_abc())
     assert d.feature_names == (
         "trade-dependence", "trade-dependence-missing", "contiguity", "contiguity-missing",
     )
@@ -85,41 +100,46 @@ def test_covariate_design_schema_and_values():
 
 def test_covariate_offset_honored():
     cfg = FeatureConfig(covariate_offset=2)
-    d = build_design(panel_abc(), 3, 1, SPEC_COVARIATES, cfg, covariates=table_abc())
+    d = build_design(panel_abc(), 3, SPEC_COVARIATES, cfg, covariates=table_abc())
     assert np.allclose(d.X[:, 0], 0.1)
 
 
 def test_combined_concatenates_blocks():
-    d = build_design(
-        panel_abc(), 3, 2, SPEC_COMBINED, CFG, bundle=bundle_abc(), covariates=table_abc()
-    )
-    assert d.feature_names[:8] == ENDOGENOUS_FEATURE_NAMES
-    assert d.feature_names[8:] == (
+    """A combined design is the join of the two blocks: the network
+    columns, then the covariate columns, labelled by the network block."""
+    endo = endogenous(panel_abc(), 3)
+    cov = build_design(panel_abc(), 3, SPEC_COVARIATES, CFG, covariates=table_abc())
+    joined = join_designs(endo, cov)
+    assert joined.feature_names[:8] == ENDOGENOUS_FEATURE_NAMES
+    assert joined.feature_names[8:] == (
         "trade-dependence", "trade-dependence-missing", "contiguity", "contiguity-missing",
     )
-    assert d.X.shape == (6, 12)
-    # it is the join of the two single-block designs
-    endo = build_design(panel_abc(), 3, 2, SPEC_ENDOGENOUS, CFG, bundle=bundle_abc())
-    cov = build_design(panel_abc(), 3, 2, SPEC_COVARIATES, CFG, covariates=table_abc())
-    joined = join_designs(endo, cov)
-    assert joined.feature_names == d.feature_names
-    assert joined.X.tobytes() == d.X.tobytes() and joined.X.flags.c_contiguous
-    assert np.array_equal(joined.X, np.hstack([endo.X, cov.X]))
-    assert joined.y is endo.y and np.array_equal(d.y, endo.y)
+    assert joined.X.shape == (6, 12) and joined.X.flags.c_contiguous
+    assert joined.X.tobytes() == np.hstack([endo.X, cov.X]).tobytes()
+    assert joined.y is endo.y and np.array_equal(cov.y, endo.y)
 
 
-def test_only_endogenous_blocks_aggregate_the_window(monkeypatch):
+def test_combined_is_not_a_block():
+    with pytest.raises(ValueError, match="spec_class"):
+        build_design(
+            panel_abc(), 3, SPEC_COMBINED, CFG, aggregate_window(panel_abc(), 1, 2),
+            bundle_abc(), table_abc(),
+        )
+
+
+def test_blocks_aggregate_only_their_label_window(monkeypatch):
+    """Each block reads its labels from its own period's one-period window;
+    the network block's lag window is the caller's, never aggregated here."""
     import dyadcast.design as dz
 
     calls = []
     original = dz.aggregate_window
     monkeypatch.setattr(dz, "aggregate_window", lambda *a: calls.append(a) or original(*a))
-    build_design(panel_abc(), 3, 2, SPEC_COVARIATES, CFG, covariates=table_abc())
-    assert calls == []
-    build_design(
-        panel_abc(), 3, 2, SPEC_COMBINED, CFG, bundle=bundle_abc(), covariates=table_abc()
-    )
-    assert [a[1:] for a in calls] == [(1, 2)]
+    build_design(panel_abc(), 3, SPEC_COVARIATES, CFG, covariates=table_abc())
+    assert [a[1:] for a in calls] == [(3, 3)]
+    net = original(panel_abc(), 1, 2)
+    build_design(panel_abc(), 3, SPEC_ENDOGENOUS, CFG, net, bundle_abc())
+    assert [a[1:] for a in calls] == [(3, 3), (3, 3)]
 
 
 def test_missing_covariate_imputed_and_flagged():
@@ -129,7 +149,7 @@ def test_missing_covariate_imputed_and_flagged():
             if i != j and not (i == "a" and j == "b"):
                 entries[(2, i, j, "trade-dependence")] = 3.0
     d = build_design(
-        panel_abc(), 3, 1, SPEC_COVARIATES, CFG, covariates=CovariateTable.from_entries(entries)
+        panel_abc(), 3, SPEC_COVARIATES, CFG, covariates=CovariateTable.from_entries(entries)
     )
     row = dict(zip(eligible_dyads(panel_abc(), 3), d.X))
     assert row[("a", "b")][0] == 0.0 and row[("a", "b")][1] == 1.0
@@ -140,7 +160,7 @@ def test_excess_missingness_rejected():
     entries = {(2, "a", "b", "trade-dependence"): 3.0}  # 1 of 6 dyads present
     with pytest.raises(DataError, match="missing"):
         build_design(
-            panel_abc(), 3, 1, SPEC_COVARIATES, CFG,
+            panel_abc(), 3, SPEC_COVARIATES, CFG,
             covariates=CovariateTable.from_entries(entries),
         )
 
@@ -148,30 +168,37 @@ def test_excess_missingness_rejected():
 def test_empty_covariate_table_rejected():
     with pytest.raises(DataError, match="names"):
         build_design(
-            panel_abc(), 3, 1, SPEC_COVARIATES, CFG, covariates=CovariateTable.from_entries({})
+            panel_abc(), 3, SPEC_COVARIATES, CFG, covariates=CovariateTable.from_entries({})
         )
 
 
 def test_future_events_cannot_leak_into_predictors():
     shifted_panel = panel_abc(extra=[("b", "a", 3), ("c", "a", 4)])
-    base = build_design(panel_abc(), 3, 2, SPEC_ENDOGENOUS, CFG, bundle=bundle_abc())
-    shifted = build_design(shifted_panel, 3, 2, SPEC_ENDOGENOUS, CFG, bundle=bundle_abc())
+    base = endogenous(panel_abc(), 3)
+    shifted = endogenous(shifted_panel, 3)
     assert np.array_equal(base.X, shifted.X)
     assert eligible_dyads(panel_abc(), 3) == eligible_dyads(shifted_panel, 3)
     lab = dict(zip(eligible_dyads(shifted_panel, 3), shifted.y))
     assert lab[("b", "a")] == 1.0
     assert not np.array_equal(base.y, shifted.y)
+    # a window that reaches the outcome period, or one that stops short of
+    # the period before it, is not the lag window of this design
+    for start, end in ((2, 3), (3, 3), (3, 4), (1, 1)):
+        net = aggregate_window(shifted_panel, start, end)
+        with pytest.raises(ValueError, match=rf"window \({start}, {end}\)"):
+            build_design(shifted_panel, 3, SPEC_ENDOGENOUS, CFG, net, bundle_abc())
 
 
 def test_requirements_validated():
+    net = aggregate_window(panel_abc(), 1, 2)
     with pytest.raises(ValueError, match="bundle"):
-        build_design(panel_abc(), 3, 2, SPEC_ENDOGENOUS, CFG)
+        build_design(panel_abc(), 3, SPEC_ENDOGENOUS, CFG, net)
+    with pytest.raises(ValueError, match="window"):
+        build_design(panel_abc(), 3, SPEC_ENDOGENOUS, CFG, bundle=bundle_abc())
     with pytest.raises(ValueError, match="covariate"):
-        build_design(panel_abc(), 3, 2, SPEC_COVARIATES, CFG)
+        build_design(panel_abc(), 3, SPEC_COVARIATES, CFG)
     with pytest.raises(ValueError, match="spec_class"):
-        build_design(panel_abc(), 3, 2, "everything", CFG, bundle=bundle_abc())
-    with pytest.raises(ValueError, match="lag"):
-        build_design(panel_abc(), 3, 0, SPEC_ENDOGENOUS, CFG, bundle=bundle_abc())
+        build_design(panel_abc(), 3, "everything", CFG, net, bundle_abc())
 
 
 def test_non_finite_covariate_rejected():
@@ -181,7 +208,7 @@ def test_non_finite_covariate_rejected():
     }
     with pytest.raises(DataError, match="non-finite"):
         build_design(
-            panel_abc(), 3, 1, SPEC_COVARIATES, CFG,
+            panel_abc(), 3, SPEC_COVARIATES, CFG,
             covariates=CovariateTable.from_entries(entries),
         )
 
@@ -192,8 +219,8 @@ def test_spec_classes_constant():
 
 def test_stack_designs():
     b = bundle_abc()
-    d3 = build_design(panel_abc(), 3, 2, SPEC_ENDOGENOUS, CFG, bundle=b)
-    d4 = build_design(panel_abc(), 4, 2, SPEC_ENDOGENOUS, CFG, bundle=b)
+    d3 = endogenous(panel_abc(), 3, bundle=b)
+    d4 = endogenous(panel_abc(), 4, bundle=b)
     X, y = stack_designs([d3, d4])
     assert X.shape == (12, 8)
     assert np.array_equal(X[:6], d3.X) and np.array_equal(X[6:], d4.X)
@@ -202,8 +229,8 @@ def test_stack_designs():
 
 def test_stack_designs_schema_mismatch():
     b = bundle_abc()
-    d_endo = build_design(panel_abc(), 3, 2, SPEC_ENDOGENOUS, CFG, bundle=b)
-    d_cov = build_design(panel_abc(), 3, 1, SPEC_COVARIATES, CFG, covariates=table_abc())
+    d_endo = endogenous(panel_abc(), 3, bundle=b)
+    d_cov = build_design(panel_abc(), 3, SPEC_COVARIATES, CFG, covariates=table_abc())
     with pytest.raises(SchemaError):
         stack_designs([d_endo, d_cov])
     with pytest.raises(ValueError):

@@ -104,7 +104,7 @@ def test_cell_scores_are_the_models_read_only_probabilities(world, full_run):
     cfg = fast_config()
     for kind in LEARNERS:
         key = (6, 2, "covariates-only", kind)
-        test = harness.build_design(panel, 6, 2, "covariates-only", cfg.features, None, table)
+        test = harness.build_design(panel, 6, "covariates-only", cfg.features, covariates=table)
         want = full_run.models[key].predict_proba(test.X, test.feature_names)
         scores = full_run.cell(*key).scores
         assert scores.dtype == np.float64 and not scores.flags.writeable
@@ -288,7 +288,9 @@ def test_each_design_is_dropped_after_its_last_reader(world, monkeypatch, specs)
 def test_each_block_is_built_once_per_period_and_lag(world, monkeypatch):
     """Three spec classes over two lags: the window, its latent bundle, the
     network block and the covariate block of each (period, lag) are built
-    once, and the combined design is the join of the other two."""
+    once, and the combined design is the join of the other two. The harness
+    aggregates each lag window; a design aggregates only its own period's
+    one-period window, for its labels."""
     import dyadcast.design as dz
 
     panel, table = world
@@ -312,11 +314,17 @@ def test_each_block_is_built_once_per_period_and_lag(world, monkeypatch):
     result = run_experiment(cfg, panel, table)
     assert {c.status for c in result.cells} == {"ok"}
 
-    pairs = sorted({(args[1], args[2]) for args in calls.pop("dyadcast.harness.build_design")})
-    assert len(pairs) == 2 * (3 + 1)
-    for name in ("dyadcast.harness.aggregate_window", "dyadcast.design.aggregate_window"):
-        windows = sorted((end + 1, end + 1 - start) for _, start, end in calls.pop(name))
-        assert windows == pairs, name
+    builds = calls.pop("dyadcast.harness.build_design")
+    # (period, lag) of each network block, read off the window it was given
+    pairs = sorted((t, t - net.window[0]) for _, t, _, _, net, *_ in builds if net is not None)
+    assert len(pairs) == len(set(pairs)) == 2 * (3 + 1)
+    assert sorted(args[1:3] for args in builds) == sorted(
+        (t, spec) for t, _ in pairs for spec in ("endogenous-only", "covariates-only")
+    )
+    windows = calls.pop("dyadcast.harness.aggregate_window")
+    assert sorted((end + 1, end + 1 - start) for _, start, end in windows) == pairs
+    labels = calls.pop("dyadcast.design.aggregate_window")
+    assert sorted(args[1:] for args in labels) == sorted((t, t) for _, t, *_ in builds)
     assert {name: len(args) for name, args in calls.items()} == {
         "dyadcast.design.feature_block": len(pairs),
         "dyadcast.design._covariate_block": len(pairs),
@@ -1109,7 +1117,7 @@ def test_cli_rejects_undeclared_covariate_names(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err == "error: undeclared covariate name 'coolness'\n"
     table = load_covariates(covariates, extra_names=("coolness",))
-    assert table.names_present() == ["coolness"]
+    assert table.names == ("coolness",)
 
 
 def test_cli_non_finite_covariate_exits_2_naming_the_line(tmp_path, capsys):
@@ -1131,6 +1139,71 @@ def test_cli_non_finite_covariate_exits_2_naming_the_line(tmp_path, capsys):
         "error: covariates: line 3: value 'nan' is not a finite number\n"
     )
     assert not (tmp_path / "run").exists()
+
+
+BIG_FIELD = b"x" * 140_000  # over the csv module's 131,072-character field limit
+# (file, its bytes, dyadcast run's stderr): valid rows, then bytes that are
+# not UTF-8 or a field the csv module refuses
+MALFORMED_BYTES = [
+    ("events", b"sender,receiver,year\na,b,1\nb,c,2\nc,a,\xff\n",
+     "events: byte 0xff is not UTF-8 text (invalid start byte)"),
+    ("events", b"sender,receiver,year\na,b,1\nb,c,2\nc,a," + BIG_FIELD + b"\n",
+     "events: line 4: field larger than field limit (131072)"),
+    ("registry", b"node,first_year,last_year\na,1,3\nb,1,3\nc,1,\xff\n",
+     "registry: byte 0xff is not UTF-8 text (invalid start byte)"),
+    ("registry", b"node,first_year,last_year\na,1,3\nb,1,3\nc,1," + BIG_FIELD + b"\n",
+     "registry: line 4: field larger than field limit (131072)"),
+    ("covariates", b"year,i,j,name,value\n1,a,b,CINC-ratio,\xff\n",
+     "covariates: byte 0xff is not UTF-8 text (invalid start byte)"),
+    ("covariates", b"year,i,j,name,value\n1,a,b,CINC-ratio,0.5\n2,a,b,CINC-ratio," + BIG_FIELD,
+     "covariates: line 3: field larger than field limit (131072)"),
+    # a duplicate key on an earlier line comes first, as a row-by-row reader finds it
+    ("covariates",
+     b"year,i,j,name,value\n1,a,b,CINC-ratio,0.5\n1,a,b,CINC-ratio,0.5\n1,a,b,CINC-ratio,"
+     + BIG_FIELD + b"\n",
+     "covariates: line 3: duplicate key (1, 'a', 'b', 'CINC-ratio')"),
+]
+
+
+@pytest.mark.parametrize(
+    "label,data,message", MALFORMED_BYTES,
+    ids=[f"{label}-{k}" for k, (label, *_) in enumerate(MALFORMED_BYTES)],
+)
+def test_cli_malformed_bytes_exit_2(tmp_path, capsys, label, data, message):
+    """Every input CSV is read as UTF-8: a byte that is not UTF-8, or a line
+    the csv module cannot read, stops `dyadcast run` with one error line
+    and exit code 2, before any output is written."""
+    paths = {}
+    for name, text in (
+        ("events", b"sender,receiver,year\na,b,1\nb,c,2\nc,a,3\n"),
+        ("registry", b"node,first_year,last_year\na,1,3\nb,1,3\nc,1,3\n"),
+        ("covariates", b"year,i,j,name,value\n1,a,b,CINC-ratio,0.5\n"),
+    ):
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_bytes(data if name == label else text)
+    cfg = ExperimentConfig(
+        events=str(paths["events"]), registry=str(paths["registry"]),
+        covariates=str(paths["covariates"]), first_period=3, last_period=3, lags=(1,),
+        spec_classes=("covariates-only",), learners=("logit",), output_dir=str(tmp_path / "run"),
+    )
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg.to_json()))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_config_and_cells_that_are_not_utf8_exit_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"events": "\xff.csv"}')
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    config.write_text(json.dumps(ExperimentConfig().to_json()))
+    (tmp_path / "cells.csv").write_bytes(CELLS_LINE_1.encode() + b"1,2,combined,\xff\n")
+    assert main(["summarize", "--in", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: cells: byte 0xff is not UTF-8 text (invalid start byte)\n"
+    )
 
 
 def test_cli_bad_inputs_exit_2(tmp_path, capsys):

@@ -24,7 +24,7 @@ from dyadcast import (
     save_synthetic,
 )
 from dyadcast.store import CHUNK_ROWS, COVARIATES_HEADER, EVENTS_HEADER, REGISTRY_HEADER
-from helpers import edge_set, load_covariates_oracle, load_events_oracle, make_panel
+from helpers import edge_set, events_at, load_covariates_oracle, load_events_oracle, make_panel
 
 
 def test_events_canonical_order():
@@ -67,9 +67,12 @@ def test_infer_registry_spans():
 
 
 def test_events_at():
+    """A one-period window holds that period's events, as the oracle
+    reads them off the event list; a period without events has none."""
     panel = make_panel([("a", "b", 1), ("b", "a", 2), ("a", "b", 2)])
-    assert panel.events_at(2) == frozenset({("b", "a"), ("a", "b")})
-    assert panel.events_at(9) == frozenset()
+    assert events_at(panel, 2) == frozenset({("b", "a"), ("a", "b")})
+    assert edge_set(aggregate_window(panel, 2, 2)) == events_at(panel, 2)
+    assert events_at(panel, 9) == edge_set(aggregate_window(panel, 9, 9)) == frozenset()
 
 
 def test_aggregate_window_examples():
@@ -112,7 +115,7 @@ def test_aggregate_window_is_union_of_period_slices(events, start, end):
     panel = EventPanel(events=tuple(events), registry=registry)
     expected = set()
     for p in range(start, end + 1):
-        expected |= set(panel.events_at(p))
+        expected |= set(events_at(panel, p))
     net = aggregate_window(panel, start, end)
     assert edge_set(net) == frozenset(expected)
     assert net.adjacency.tolist() == [[float((i, j) in expected) for j in "abcd"] for i in "abcd"]
@@ -609,6 +612,12 @@ CHUNK_CASES = {
     "bad-year-ends-block": lambda lines: {C - 1: _field(0, "1.5")},
     "short-row-last-block": lambda lines: {
         _last_block(lines) + 11: lambda line: [line.rsplit(",", 2)[0]]},
+    # a field over the csv module's size limit is reported at its line,
+    # after a duplicate on an earlier line and before a later bad value
+    "big-field-after-duplicate": lambda lines: {C - 1: lambda line: [lines[0]],
+                                                C + 4: _field(4, "x" * 140_000)},
+    "big-field-before-bad-value": lambda lines: {C + 2: _field(2, "x" * 140_000),
+                                                 C + 5: _field(4, "nan")},
     "short-row-after-duplicate": lambda lines: {
         _last_block(lines) - 2: lambda line: [lines[_last_block(lines) - 1]],
         _last_block(lines): lambda line: ["1,n00"]},
@@ -633,13 +642,17 @@ def test_load_covariates_matches_its_loop_oracle_across_blocks(world_covariates,
 
 def test_a_bad_value_comes_before_a_csv_error_in_its_block():
     # csv.reader raises on a bare carriage return inside a line; the rows
-    # it read before that line are still checked first
+    # it read before that line are still checked first, and the csv.Error
+    # is then a ParseError naming its line
     rows = "1,a,b,CINC-ratio,1\n1,a,c,CINC-ratio,x\n1,a\rb,c,CINC-ratio,1\n"
     with pytest.raises(ParseError) as info:
         load_covariates(io.StringIO("year,i,j,name,value\n" + rows))
     assert str(info.value) == "covariates: line 3: value 'x' is not a number"
-    with pytest.raises(csv.Error):
+    with pytest.raises(ParseError) as info:
         load_covariates(io.StringIO("year,i,j,name,value\n" + rows.replace(",x", ",2")))
+    assert str(info.value).startswith(
+        "covariates: line 4: new-line character seen in unquoted field"
+    )
 
 
 def test_load_covariates_peak_memory_stays_near_its_code_arrays(world_covariates):
@@ -766,7 +779,7 @@ def test_names_present_declaration_order():
             (1, "a", "b", "joint-democracy"): 0.0,
         }
     )
-    assert table.names_present() == ["joint-democracy", "contiguity"]
+    assert table.names == ("joint-democracy", "contiguity")
 
 
 def test_non_finite_covariate_value_is_storable():

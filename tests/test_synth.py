@@ -14,7 +14,7 @@ from dyadcast import (
 )
 from dyadcast.store import CANONICAL_COVARIATES, INDICATOR_COVARIATES
 
-from helpers import generate_synthetic_oracle
+from helpers import events_at, generate_synthetic_oracle
 
 
 def all_dyads(panel):
@@ -37,7 +37,7 @@ def test_full_persistence_freezes_initial_edges():
     panel, _, truth = generate_synthetic(spec)
     expected = {("n00", "n01"), ("n02", "n03"), ("n04", "n00")}
     for p in range(1, 7):
-        assert panel.events_at(p) == expected
+        assert events_at(panel, p) == expected
     assert truth.rate == pytest.approx(3.0 / 20.0)
 
 
@@ -56,7 +56,7 @@ def test_block_affinity_raises_within_block_rate():
     )
     within = between = wn = bn = 0
     for p in range(1, 16):
-        ev = panel.events_at(p)
+        ev = events_at(panel, p)
         for i, j in all_dyads(panel):
             if truth.blocks[i] == truth.blocks[j]:
                 wn += 1
@@ -73,7 +73,7 @@ def test_persistence_raises_repeat_rate():
     )
     rep = norep = repn = norepn = 0
     for p in range(2, 21):
-        prev, cur = panel.events_at(p - 1), panel.events_at(p)
+        prev, cur = events_at(panel, p - 1), events_at(panel, p)
         for d in all_dyads(panel):
             if d in prev:
                 repn += 1
@@ -94,7 +94,7 @@ def test_covariate_effect_acts_through_lagged_value():
     )
     hi = lo = hn = ln = 0
     for p in range(2, 21):
-        ev = panel.events_at(p)
+        ev = events_at(panel, p)
         for i, j in all_dyads(panel):
             if table.entries.get((p - 1, i, j, "trade-dependence")) > 0:
                 hn += 1
