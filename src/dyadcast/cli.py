@@ -19,6 +19,7 @@ from .harness import (
     write_aggregate_csv,
     write_outputs,
 )
+from .store import load_json
 from .synth import SyntheticSpec, generate_synthetic, save_synthetic
 
 
@@ -75,8 +76,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        spec = SyntheticSpec.from_json(json.load(fh))
+    spec = SyntheticSpec.from_json(load_json(args.spec, "spec"))
     panel, table, truth = generate_synthetic(spec)
     paths = save_synthetic(panel, table, args.out)
     print(
@@ -124,7 +124,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DyadcastError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (DyadcastError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

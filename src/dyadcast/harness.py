@@ -38,7 +38,9 @@ from .learners import (
     LEARNERS, Learner, TrainingSet, TuneGrid, fit_learner, fit_logit, learner_keywords,
 )
 from .seeding import seed_for
-from .store import CovariateTable, EventPanel, aggregate_window, load_covariates, load_events
+from .store import (
+    CovariateTable, EventPanel, aggregate_window, load_covariates, load_events, load_json,
+)
 from .store import _parse_float, _parse_int, _read_rows, _stripped_rows, _write_rows
 
 CELLS_HEADER = ("period", "lag", "spec", "learner", "auc_pr", "auc_roc", "skip", "error")
@@ -105,8 +107,7 @@ class ExperimentConfig(Saved):
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return ExperimentConfig.from_json(json.load(fh))
+    return ExperimentConfig.from_json(load_json(path, "config"))
 
 
 def load_run_inputs(config: ExperimentConfig):

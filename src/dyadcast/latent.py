@@ -10,11 +10,12 @@ Three complementary summaries of who fights whom:
 
 Each iterative fit is pinned bit for bit to the loop it replaced (kept as
 an oracle in ``tests/helpers.py``), so its kernel saves only work that
-leaves every float the same: the latent space builds its distance matrix
-one coordinate at a time, in the order numpy's reduce over a 3-D
-difference array sums it, and hands the margins its value built to its
-gradient; MMSBM computes 1 - B and 1 - P once each, and steps its restarts
-as one stack, whose matmuls and per-restart sums are each restart's own.
+leaves every float the same: the latent space computes each distance,
+margin, sigmoid and log term once per unordered pair of nodes, puts them
+back into the (n, n) layout before any sum, and hands the margins its
+value built to its gradient; MMSBM computes 1 - B and 1 - P once each,
+and steps its restarts as one stack, whose matmuls and per-restart sums
+are each restart's own.
 
 All three consume the undirected or directed binary adjacency of one
 lagged window and are bundled together behind a content-addressed cache,
@@ -25,6 +26,7 @@ every fit inside it is positional in that order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -297,26 +299,19 @@ ALPHA_CAP = 30.0
 LATENT_GRAD_TOL = 1e-5
 
 
-def _edge_loglik(sgn, mask, m):
-    """Masked Bernoulli log likelihood under P(edge) = sigmoid(m), where sgn
-    is -1 at the edges and +1 elsewhere."""
-    return -(mask * np.logaddexp(0.0, sgn * m)).sum()
-
-
-def _distances(z):
-    """Euclidean distances between the rows of z, with 1e-18 under the root.
+def _pair_distances(z, iu, ju):
+    """Euclidean distance between rows iu[p] and ju[p] of z for each pair p,
+    with 1e-18 under the root.
 
     The squares are summed one coordinate at a time, left to right: for
     fewer than 8 coordinates that is the order of numpy's own reduce over
-    the last axis, so the bits are the same at a quarter of the cost. From
-    8 on numpy sums pairwise, so the 3-D reduce is kept there.
+    the last axis, so the bits are the same at a fraction of the cost. From
+    8 on numpy sums pairwise, so its reduce is kept there.
     """
-    if z.shape[1] >= 8:
-        d2 = np.sum((z[:, None, :] - z[None, :, :]) ** 2, axis=2)
-    else:
-        d2 = (z[:, 0, None] - z[None, :, 0]) ** 2
-        for k in range(1, z.shape[1]):
-            d2 += (z[:, k, None] - z[None, :, k]) ** 2
+    sq = z.take(iu, axis=0)
+    sq -= z.take(ju, axis=0)
+    sq *= sq
+    d2 = functools.reduce(np.add, sq.T) if z.shape[1] < 8 else np.sum(sq, axis=1)
     d2 += 1e-18
     return np.sqrt(d2, out=d2)
 
@@ -338,12 +333,17 @@ def fit_latent_space(
     each accepted point's distances and margins alpha - d for its
     gradient, and stops at "tolerance" once every gradient entry is below
     LATENT_GRAD_TOL; best of `starts` random starts by penalized
-    objective, whose report is the fit's. The distance matrix is built one
-    coordinate at a time (``_distances``), which gives the same bits as
-    numpy's reduce over a 3-D difference array without building it. Empty
-    and complete graphs, and a single node, get a closed-form fit that
-    stops as "degenerate": all positions at the origin and alpha at
-    -+ALPHA_CAP (0 for one node).
+    objective, whose report is the fit's. Empty and complete graphs, and a
+    single node, get a closed-form fit that stops as "degenerate": all
+    positions at the origin and alpha at -+ALPHA_CAP (0 for one node).
+
+    Distances and margins are symmetric, so each is computed once per
+    unordered pair i < j (``_pair_distances``), as are the sigmoid of the
+    gradient and the one exp and log1p behind both of a pair's log terms.
+    The two cells of each pair then get their own log term and residual,
+    and one ``take`` puts those into the (n, n) layout before any sum, so
+    every sum runs over the same array, in the same order, as over the
+    full matrices, and every float is the same.
     """
     n = len(net.nodes)
     if n == 0:
@@ -351,37 +351,61 @@ def fit_latent_space(
     n_dyads = n * (n - 1)
 
     Y = net.adjacency
-    mask = 1.0 - np.eye(n)
-    sgn = np.where(Y == 1, -1.0, 1.0)
     n_edges = int(Y.sum())
+
+    # `cells` holds one value per cell off the diagonal, pair by pair (i < j):
+    # every cell (i, j), then every cell (j, i), then the diagonal's 0.0;
+    # cells.take(cells_at) lays it out as the (n, n) matrix.
+    iu, ju = np.triu_indices(n, 1)
+    P = iu.size
+    cells_at = np.full((n, n), 2 * P)
+    cells_at[iu, ju] = np.arange(P)
+    cells_at[ju, iu] = np.arange(P, 2 * P)
+    cells = np.zeros(2 * P + 1)
+    sides = cells[: 2 * P].reshape(2, P)
+    Y_sides = np.stack((Y[iu, ju], Y[ju, iu]))
+    sgn_sides = 1.0 - 2.0 * Y_sides  # -1 at the edges
+
+    def loglik(mu):
+        """Log likelihood of the edges under P(i->j) = sigmoid(m), m = mu at
+        each pair: the sum of -logaddexp(0, -+m) over the cells off the
+        diagonal, -+ as the cell is an edge or not. numpy's logaddexp(0, s)
+        is max(s, 0) + logaddexp(0, -|s|) bit for bit, so the two cells of
+        a pair share their second term."""
+        t = np.logaddexp(0.0, -np.abs(mu))
+        np.multiply(sgn_sides, mu, out=sides)
+        np.maximum(sides, 0.0, out=sides)
+        np.add(sides, t, out=sides)
+        return -cells.take(cells_at).sum()
 
     if n < 2 or n_edges == 0 or n_edges == n_dyads:
         alpha = 0.0 if n < 2 else (-ALPHA_CAP if n_edges == 0 else ALPHA_CAP)
         z = np.zeros((n, dim))
-        ll = float(_edge_loglik(sgn, mask, alpha * mask))
+        ll = float(loglik(np.full(P, alpha)))
         return LatentSpaceFit(z, alpha, stop="degenerate", n_iter=0, objective=ll)
 
     def value(x):
         z, alpha = x
-        dmat = _distances(z)
-        m = alpha - dmat
-        ll = _edge_loglik(sgn, mask, m)
-        return -float(ll - tau * (z**2).sum()), (dmat, m)
+        du = _pair_distances(z, iu, ju)
+        mu = alpha - du
+        return -float(loglik(mu) - tau * (z**2).sum()), (du, mu)
 
     def gradient(x, aux):
         z, _ = x
-        dmat, m = aux
-        # E = mask * (Y - sigmoid(m)), with m clipped to +-500, in one buffer
-        E = np.minimum(np.maximum(m, -500.0), 500.0)
-        np.negative(E, out=E)
-        np.exp(E, out=E)
-        E += 1.0
-        np.divide(1.0, E, out=E)
-        np.subtract(Y, E, out=E)
-        E *= mask
-        S = E + E.T
-        S /= dmat
-        S.flat[:: n + 1] = 0.0
+        du, mu = aux
+        # E = Y - sigmoid(m) off the diagonal, with m clipped to +-500
+        p = np.minimum(np.maximum(mu, -500.0), 500.0)
+        np.negative(p, out=p)
+        np.exp(p, out=p)
+        p += 1.0
+        np.divide(1.0, p, out=p)
+        np.subtract(Y_sides, p, out=sides)
+        E = cells.take(cells_at)  # 0.0 on the diagonal, not -0.0: the same sum
+        # S = (E + E.T) / d, 0 on the diagonal
+        s = sides[0] + sides[1]
+        s /= du
+        sides[:] = s
+        S = cells.take(cells_at)
         return (S.sum(axis=1)[:, None] * z - S @ z) + 2.0 * tau * z, -float(E.sum())
 
     def project(x):

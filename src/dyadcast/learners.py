@@ -344,11 +344,16 @@ def _best_stump(cuts: _CutTable, w, z):
     wz = w * z
     total_w = float(w.sum())
     total_wz = float(wz.sum())
-    wl = np.cumsum(w[cuts.order], axis=1).take(cuts.flat)
-    wzl = np.cumsum(wz[cuts.order], axis=1).take(cuts.flat)
+    wl = np.cumsum(w.take(cuts.order), axis=1).take(cuts.flat)
+    wzl = np.cumsum(wz.take(cuts.order), axis=1).take(cuts.flat)
     wr, wzr = total_w - wl, total_wz - wzl
-    kept = np.flatnonzero(~((wl <= 0.0) | (wr <= 0.0)))
-    wl, wzl, wr, wzr = wl[kept], wzl[kept], wr[kept], wzr[kept]
+    # a fit's weights are positive, so a boundary is dropped only when its
+    # right sum rounds to 0: most searches keep every boundary
+    dropped = (wl <= 0.0) | (wr <= 0.0)
+    kept = None
+    if dropped.any():
+        kept = np.flatnonzero(~dropped)
+        wl, wzl, wr, wzr = wl[kept], wzl[kept], wr[kept], wzr[kept]
     gain = wzl * wzl / wl + wzr * wzr / wr
     earlier = np.fmax.accumulate(np.concatenate(([-np.inf], gain)))
     records = np.flatnonzero(gain > earlier[:-1]).tolist()
@@ -359,7 +364,7 @@ def _best_stump(cuts: _CutTable, w, z):
     if best is None:
         mean = total_wz / total_w
         return (-1, 0.0, float(mean), float(mean))
-    at = kept[best]
+    at = best if kept is None else kept[best]
     return (
         int(cuts.feat[at]), float(cuts.thr[at]),
         float(wzl[best] / wl[best]), float(wzr[best] / wr[best]),

@@ -20,10 +20,12 @@ import csv
 import hashlib
 import io
 import itertools
+import json
 import math
 import operator
 import os
 from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -362,6 +364,16 @@ def _unreadable(exc, label, reader) -> ParseError:
     return ParseError(f"{label}: line {reader.line_num}: {exc}")
 
 
+def load_json(path, label):
+    """The JSON value in the file at path; text that is not UTF-8 raises a
+    ParseError that names the file by its label."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise _unreadable(exc, label, None) from None
+
+
 def _read_rows(source, expected_header, label):
     """Yield the data rows in blocks of up to `CHUNK_ROWS`, as (fields,
     blanks): ``fields`` is one flat list of the block's raw fields, row
@@ -612,7 +624,8 @@ def aggregate_window(panel: EventPanel, start: int, end: int) -> LaggedNetwork:
     """Collapse all events with period in [start, end] to binary edges.
 
     The node set is every node whose registry span intersects the window,
-    so isolates that were merely present are carried along.
+    so isolates that were merely present are carried along. The events are
+    sorted by period, so only the window's slice of them is read.
     """
     if start > end:
         raise ValueError(f"window start {start} exceeds end {end}")
@@ -620,7 +633,10 @@ def aggregate_window(panel: EventPanel, start: int, end: int) -> LaggedNetwork:
         sorted(node for node, (lo, hi) in panel.registry.items() if lo <= end and hi >= start)
     )
     index = {node: k for k, node in enumerate(nodes)}
-    ij = [(index[s], index[r]) for s, r, p in panel.events if start <= p <= end]
+    events = panel.events
+    period = operator.itemgetter(2)
+    window = events[bisect_left(events, start, key=period):bisect_right(events, end, key=period)]
+    ij = [(index[s], index[r]) for s, r, _ in window]
     A = np.zeros((len(nodes), len(nodes)))
     A[[i for i, _ in ij], [j for _, j in ij]] = 1.0
     A.flags.writeable = False

@@ -1197,7 +1197,15 @@ def test_cli_config_and_cells_that_are_not_utf8_exit_2(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_bytes(b'{"events": "\xff.csv"}')
     assert main(["run", "--config", str(config)]) == 2
-    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert capsys.readouterr().err == (
+        "error: config: byte 0xff is not UTF-8 text (invalid start byte)\n"
+    )
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(b'{"n_nodes": 10, "periods": 4}\n\xff')
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "world")]) == 2
+    assert capsys.readouterr().err == (
+        "error: spec: byte 0xff is not UTF-8 text (invalid start byte)\n"
+    )
     config.write_text(json.dumps(ExperimentConfig().to_json()))
     (tmp_path / "cells.csv").write_bytes(CELLS_LINE_1.encode() + b"1,2,combined,\xff\n")
     assert main(["summarize", "--in", str(tmp_path)]) == 2
