@@ -79,6 +79,7 @@ from .store import (
     CANONICAL_COVARIATES,
     INDICATOR_COVARIATES,
     CovariateTable,
+    Dyads,
     EventPanel,
     LaggedNetwork,
     PeriodCovariates,

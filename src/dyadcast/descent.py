@@ -26,7 +26,7 @@ class FitReport:
 
 def _largest(gi):
     """The largest absolute entry of one gradient part, 0 for an empty array."""
-    return abs(gi) if isinstance(gi, float) else np.max(np.abs(gi), initial=0.0)
+    return abs(gi) if isinstance(gi, float) else np.abs(gi).max(initial=0.0)
 
 
 def descend(x, start, value, gradient, step, max_iter, grad_tol, project=lambda x: x):

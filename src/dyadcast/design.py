@@ -16,7 +16,7 @@ from .errors import DataError, SchemaError
 from .features import ENDOGENOUS_FEATURE_NAMES, feature_block
 from .latent import LatentBundle, LatentConfig
 from .store import (
-    CovariateTable, EventPanel, LaggedNetwork, aggregate_window, dyad_positions, eligible_dyads,
+    CovariateTable, Dyads, EventPanel, LaggedNetwork, aggregate_window, eligible_dyads,
 )
 
 SPEC_ENDOGENOUS = "endogenous-only"
@@ -42,8 +42,8 @@ class FeatureConfig:
 
 @dataclass(frozen=True)
 class DyadDesign:
-    """One period's predictors and labels. Row k is the dyad at position k
-    of ``eligible_dyads(panel, period)``."""
+    """One period's predictors and labels. Row k of ``X`` is the dyad
+    ``(nodes[I[k]], nodes[J[k]])`` of ``eligible_dyads(panel, period)``."""
 
     feature_names: Tuple[str, ...]
     X: np.ndarray
@@ -53,7 +53,7 @@ class DyadDesign:
 def _covariate_block(
     table: CovariateTable,
     period: int,
-    dyads: Sequence[Tuple[str, str]],
+    dyads: Dyads,
     max_missing: float,
 ) -> Tuple[list, np.ndarray]:
     """Build covariate columns plus per-covariate missingness indicators.
@@ -67,12 +67,12 @@ def _covariate_block(
     names = table.names
     if not names:
         raise DataError("covariate table declares no covariate names")
-    n = len(dyads)
+    n = len(dyads.I)
     values = np.zeros((len(names), n))
     missing = np.ones((len(names), n), dtype=bool)
     block = table.periods.get(period)
     if block is not None:
-        I, J, known = dyad_positions(block.index, dyads)
+        I, J, known = dyads.at(block.index)
         I, J = I[known], J[known]
         # cells without an entry hold 0.0, the imputed value
         values[:, known] = block.values[:, I, J]
@@ -113,8 +113,8 @@ def build_design(
 
     # a node that has left by period is not in its window: the dyad is a 0
     now = aggregate_window(panel, period, period)
-    I, J, known = dyad_positions(now.index, dyads)
-    y = np.zeros(len(dyads))
+    I, J, known = dyads.at(now.index)
+    y = np.zeros(len(I))
     y[known] = now.adjacency[I[known], J[known]]
 
     if spec_class == SPEC_ENDOGENOUS:

@@ -1,8 +1,9 @@
 """Dyadic statistics computed from a lagged network.
 
 The network statistics are whole-matrix expressions over the window's
-adjacency A, indexed at the dyads. The similarity indices (Adamic & Adar
-2003; Liben-Nowell & Kleinberg 2007) treat the network as undirected,
+adjacency A, indexed at the dyads' positions in the window (`Dyads.at`,
+one lookup per node). The similarity indices (Adamic & Adar 2003;
+Liben-Nowell & Kleinberg 2007) treat the network as undirected,
 U = (A + Aᵀ) > 0: a node's neighbours are its in- and out-neighbours,
 never the node itself, since self-initiations are rejected at ingestion.
 Any common neighbour of a dyad therefore has undirected degree at least
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .store import LaggedNetwork
+from .store import Dyads, LaggedNetwork
 
 # Column order of the endogenous block, as emitted by feature_block.
 ENDOGENOUS_FEATURE_NAMES = (
@@ -33,11 +34,11 @@ ENDOGENOUS_FEATURE_NAMES = (
 
 
 def feature_block(
-    net: LaggedNetwork, dyads, bundle, exclude_focal_flow: bool = False
+    net: LaggedNetwork, dyads: Dyads, bundle, exclude_focal_flow: bool = False
 ) -> np.ndarray:
-    """The eight endogenous statistics for an ordered dyad list.
+    """The eight endogenous statistics of each pair of ``dyads``.
 
-    Columns follow ENDOGENOUS_FEATURE_NAMES; rows align with dyads:
+    Columns follow ENDOGENOUS_FEATURE_NAMES; row k is pair k of ``dyads``:
 
     * memory: 1 if the directed edge i->j occurred in the window;
     * flow: binary out-degree of i times binary in-degree of j. The focal
@@ -51,13 +52,12 @@ def feature_block(
     model, latent space) already computed on this same network, each read
     by position at the dyads' ``net.index`` rows; they fill the last three
     columns (mmsbm-prob per dyad: any vector form of ``pi[i] @ B @ pi[j]``
-    rounds differently). A self-pair, or a bundle whose nodes are not the
-    window's, raises ValueError.
+    rounds differently). A pair that is not two distinct nodes of the
+    window, or a bundle whose nodes are not the window's, raises ValueError.
     """
-    I = np.array([net.index[i] for i, _ in dyads], dtype=np.intp)
-    J = np.array([net.index[j] for _, j in dyads], dtype=np.intp)
-    if np.any(I == J):
-        raise ValueError("dyadic statistics are undefined on a self-pair")
+    I, J, known = dyads.at(net.index)
+    if not known.all() or np.any(I == J):
+        raise ValueError("dyadic statistics need two distinct nodes of the window")
     if bundle.nodes != net.nodes:
         raise ValueError("the latent bundle was fitted on a different node set")
     A = net.adjacency
@@ -73,12 +73,12 @@ def feature_block(
     common = np.einsum("ik,jk->ij", U, U)[I, J]
     union = deg[I] + deg[J] - 2.0 * U[I, J] - common
 
-    out = np.empty((len(dyads), len(ENDOGENOUS_FEATURE_NAMES)))
+    out = np.empty((len(I), len(ENDOGENOUS_FEATURE_NAMES)))
     out[:, 0] = memory
     out[:, 1] = out_deg * in_deg
     out[:, 2] = common
     out[:, 3] = np.einsum("ik,k,jk->ij", U, w, U)[I, J]
-    out[:, 4] = np.divide(common, union, out=np.zeros(len(dyads)), where=union > 0)
+    out[:, 4] = np.divide(common, union, out=np.zeros(len(I)), where=union > 0)
     community = np.array(bundle.partition.labels)
     out[:, 5] = community[I] == community[J]
     pi, B = bundle.mmsbm.pi, bundle.mmsbm.B

@@ -24,6 +24,7 @@ import json
 import math
 import operator
 import os
+import re
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import ItemsView, Mapping
@@ -66,6 +67,10 @@ EVENTS_HEADER = ("sender", "receiver", "year")
 REGISTRY_HEADER = ("node", "first_year", "last_year")
 COVARIATES_HEADER = ("year", "i", "j", "name", "value")
 
+# A node id holds none of these: a window's content hash joins ids with NUL
+# and closes each section with U+0001.
+_CONTROL = re.compile("[\x00-\x1f]")
+
 # Rows per block of `_read_rows`. Coding a block's columns costs about the
 # same per row for blocks of 512 to 8,192 rows; at 1,024 a covariate load's
 # peak RSS stays within 0.3 MB of a row-at-a-time loop's, where blocks of
@@ -92,6 +97,9 @@ class EventPanel:
             ((s, r, int(p)) for s, r, p in self.events), key=lambda e: (e[2], e[0], e[1])
         )
         object.__setattr__(self, "events", tuple(canon))
+        for node in self.registry:
+            if _CONTROL.search(node):
+                raise ValidationError(f"node id {node!r} has a control character")
         for s, r, p in self.events:
             if s == r:
                 raise ValidationError(f"self-initiation {s}->{r} at {p} is not allowed")
@@ -116,13 +124,6 @@ class EventPanel:
                 lo, hi = spans.get(node, (p, p))
                 spans[node] = (min(lo, p), max(hi, p))
         return dict(sorted(spans.items()))
-
-    def nodes(self) -> list[str]:
-        return sorted(self.registry)
-
-    def active(self, node: str, period: int) -> bool:
-        span = self.registry.get(node)
-        return span is not None and span[0] <= period <= span[1]
 
     def period_range(self) -> tuple[int, int]:
         if not self.registry:
@@ -162,6 +163,27 @@ class LaggedNetwork:
             h.update(f"{self.nodes[i]}\x00{self.nodes[j]}".encode())
             h.update(b"\x01")
         return h.hexdigest()
+
+
+@dataclass(frozen=True, eq=False)
+class Dyads:
+    """Node pairs by position: pair k is ``(nodes[I[k]], nodes[J[k]])``.
+    `among` makes every ordered pair of distinct nodes, row-major."""
+
+    nodes: tuple[str, ...]
+    I: np.ndarray
+    J: np.ndarray
+
+    @classmethod
+    def among(cls, nodes) -> "Dyads":
+        I, J = np.nonzero(~np.eye(len(nodes), dtype=bool))
+        return cls(tuple(nodes), I, J)
+
+    def at(self, index: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each pair's positions in ``index`` (-1 if absent), and where both are present."""
+        where = np.array([index.get(node, -1) for node in self.nodes], dtype=np.intp)
+        I, J = where[self.I], where[self.J]
+        return I, J, (I >= 0) & (J >= 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,6 +482,16 @@ def _stripped_rows(fields, width):
     return zip(*[map(str.strip, fields)] * width)
 
 
+def _check_ids(ids, label, blank_lines, row) -> None:
+    """Raise the ParseError of the first id that holds a control character."""
+    for node in ids:
+        if _CONTROL.search(node):
+            raise ParseError(
+                f"{label}: line {_line_of(blank_lines, row)}: "
+                f"node id {node!r} has a control character"
+            )
+
+
 def _parse_int(text, label, blank_lines, row, what):
     try:
         return int(text)
@@ -505,6 +537,7 @@ def load_events(events_csv, registry_csv=None) -> EventPanel:
                 raise ParseError(
                     f"events: line {_line_of(blank_lines, len(events))}: empty node id"
                 )
+            _check_ids((s, r), "events", blank_lines, len(events))
             events.append((s, r, _parse_int(y, "events", blank_lines, len(events), "year")))
 
     if registry_csv is not None:
@@ -513,6 +546,7 @@ def load_events(events_csv, registry_csv=None) -> EventPanel:
             blank_lines += blanks
             for node, lo, hi in _stripped_rows(fields, 3):
                 row = len(registry)
+                _check_ids((node,), "registry", blank_lines, row)
                 if node in registry:
                     raise ParseError(
                         f"registry: line {_line_of(blank_lines, row)}: duplicate node {node!r}"
@@ -643,19 +677,11 @@ def aggregate_window(panel: EventPanel, start: int, end: int) -> LaggedNetwork:
     return LaggedNetwork(window=(start, end), nodes=nodes, adjacency=A)
 
 
-def dyad_positions(index: dict[str, int], dyads) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions in ``index`` of each dyad's ids (-1 if absent), and where both are present."""
-    I = np.array([index.get(i, -1) for i, _ in dyads], dtype=np.intp)
-    J = np.array([index.get(j, -1) for _, j in dyads], dtype=np.intp)
-    return I, J, (I >= 0) & (J >= 0)
-
-
-def eligible_dyads(panel: EventPanel, outcome_period: int) -> list[tuple[str, str]]:
+def eligible_dyads(panel: EventPanel, outcome_period: int) -> Dyads:
     """All ordered pairs of distinct nodes active in the year before the
     outcome, in sorted order. New entrants at the outcome year are excluded."""
     prev = outcome_period - 1
     lo, hi = panel.period_range()
     if not (lo <= prev <= hi):
         raise ValueError(f"period {prev} outside data range [{lo},{hi}]")
-    active = [n for n in panel.nodes() if panel.active(n, prev)]
-    return [(i, j) for i in active for j in active if i != j]
+    return Dyads.among(sorted(n for n, (a, b) in panel.registry.items() if a <= prev <= b))

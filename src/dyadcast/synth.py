@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 from pathlib import Path
 from typing import Annotated, Literal
 
@@ -28,6 +27,7 @@ from .store import (
     INDICATOR_COVARIATES,
     REGISTRY_HEADER,
     CovariateTable,
+    Dyads,
     EventPanel,
     _write_rows,
 )
@@ -121,18 +121,14 @@ def generate_synthetic(spec: SyntheticSpec):
     with probability 1 at period 1.
     """
     spec.validate()
-    n = spec.n_nodes
-    nodes = [f"n{k:02d}" for k in range(n)]
+    dyads = Dyads.among([f"n{k:02d}" for k in range(spec.n_nodes)])  # eligible_dyads' order
+    nodes, I, J = dyads.nodes, dyads.I, dyads.J
     blocks = {node: k % spec.n_blocks for k, node in enumerate(nodes)}
-    dyads = [(i, j) for i in nodes for j in nodes if i != j]
-    # dyad d is (nodes[I[d]], nodes[J[d]]): the off-diagonal in row-major order
-    I, J = np.nonzero(~np.eye(n, dtype=bool))
     intercept = _logit(spec.base_rate)
     # the log-odds before covariates: intercept, then the block term
     eta_base = np.where((I - J) % spec.n_blocks == 0, intercept + spec.block_affinity, intercept)
-    # dyad (a, b) sits at a*(n-1) + b, one less when b is past the diagonal
-    initial = np.zeros(len(dyads), dtype=bool)
-    initial[[a * (n - 1) + b - (b > a) for a, b in spec.initial_edges]] = True
+    initial = np.zeros((spec.n_nodes, spec.n_nodes), dtype=bool)
+    initial[[a for a, _ in spec.initial_edges], [b for _, b in spec.initial_edges]] = True
     names = spec.covariate_names
     effects = [(names.index(name), e) for name, e in sorted(spec.covariate_effects.items())]
     registry = {node: (1, spec.periods) for node in nodes}
@@ -142,12 +138,12 @@ def generate_synthetic(spec: SyntheticSpec):
         rng = np.random.default_rng(seed_for(spec.seed, "synth", attempt))
 
         def draw_block():
-            vals = np.empty((len(dyads), len(names)))
+            vals = np.empty((len(I), len(names)))
             for c, name in enumerate(names):
                 if name in INDICATOR_COVARIATES:
-                    vals[:, c] = (rng.random(len(dyads)) < 0.5).astype(float)
+                    vals[:, c] = (rng.random(len(I)) < 0.5).astype(float)
                 else:
-                    vals[:, c] = rng.normal(0.0, 1.0, size=len(dyads))
+                    vals[:, c] = rng.normal(0.0, 1.0, size=len(I))
             return vals
 
         xs = {1: draw_block()}
@@ -155,7 +151,7 @@ def generate_synthetic(spec: SyntheticSpec):
             xs[p] = draw_block() if spec.time_varying_covariates else xs[1]
 
         events = []
-        prev = np.zeros(len(dyads), dtype=bool)
+        prev = np.zeros(len(I), dtype=bool)
         for p in range(1, spec.periods + 1):
             x = xs[max(p - 1, 1)]
             eta = eta_base
@@ -164,14 +160,14 @@ def generate_synthetic(spec: SyntheticSpec):
             p_logit = np.array([_sigmoid(e) for e in eta.tolist()])
             prob = np.where(prev, spec.persistence + (1.0 - spec.persistence) * p_logit, p_logit)
             if p == 1:
-                prob[initial] = 1.0
-            prev = rng.random(len(dyads)) < prob
-            events.extend((i, j, p) for i, j in compress(dyads, prev))
+                prob[initial[I, J]] = 1.0
+            prev = rng.random(len(I)) < prob
+            events += [(nodes[i], nodes[j], p) for i, j in zip(I[prev].tolist(), J[prev].tolist())]
 
-        rate = len(events) / (len(dyads) * spec.periods)
+        rate = len(events) / (len(I) * spec.periods)
         if lo <= rate <= hi:
             # one row per (period, dyad, name), in the order xs holds them
-            period, dyad, column = np.indices((spec.periods, len(dyads), len(names))).reshape(3, -1)
+            period, dyad, column = np.indices((spec.periods, len(I), len(names))).reshape(3, -1)
             table = CovariateTable.from_codes(
                 (range(1, spec.periods + 1), nodes, names),
                 (period, I[dyad], J[dyad], column),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dyadcast import (
-    CommunityPartition, CovariateTable, DataError, EvaluationError, EventPanel, FitError,
+    CommunityPartition, CovariateTable, DataError, Dyads, EvaluationError, EventPanel, FitError,
     FittedModel, GenerationError, LaggedNetwork, LatentBundle, LatentConfig, LatentSpaceFit,
     MMSBMFit, ParseError, TrainingSet, TuningError,
 )
@@ -55,6 +55,37 @@ def events_at(panel, period):
     """The (sender, receiver) pairs of the panel's events at ``period``,
     read off its event list rather than through ``aggregate_window``."""
     return frozenset((s, r) for s, r, p in panel.events if p == period)
+
+
+def pair_names(dyads):
+    """The (i, j) name pairs of a `Dyads`, in its order."""
+    return [(dyads.nodes[i], dyads.nodes[j]) for i, j in zip(dyads.I.tolist(), dyads.J.tolist())]
+
+
+def as_dyads(pairs):
+    """A hand-built `Dyads` holding the given name pairs in the given order,
+    over the sorted ids they name; it may hold a self-pair."""
+    nodes = tuple(sorted({node for pair in pairs for node in pair}))
+    position = {node: k for k, node in enumerate(nodes)}
+    I = np.array([position[i] for i, _ in pairs], dtype=np.intp)
+    J = np.array([position[j] for _, j in pairs], dtype=np.intp)
+    return Dyads(nodes, I, J)
+
+
+def eligible_dyads_oracle(panel, outcome_period):
+    """``eligible_dyads`` as a nested loop over the nodes active in the year
+    before the outcome, as name pairs."""
+    prev = outcome_period - 1
+    active = [n for n, (first, last) in sorted(panel.registry.items()) if first <= prev <= last]
+    return [(i, j) for i in active for j in active if i != j]
+
+
+def dyad_positions_oracle(index, pairs):
+    """Positions in ``index`` of each pair's ids, one lookup per id of each
+    pair (-1 if absent), and where both are present."""
+    I = np.array([index.get(i, -1) for i, _ in pairs], dtype=np.intp)
+    J = np.array([index.get(j, -1) for _, j in pairs], dtype=np.intp)
+    return I, J, (I >= 0) & (J >= 0)
 
 
 def make_panel(events, registry=None):

@@ -20,7 +20,7 @@ from dyadcast.design import _covariate_block
 from dyadcast.design import SPEC_CLASSES, SPEC_COMBINED, SPEC_COVARIATES, SPEC_ENDOGENOUS
 from dyadcast.features import ENDOGENOUS_FEATURE_NAMES
 
-from helpers import covariate_block_oracle, make_panel, stub_bundle
+from helpers import as_dyads, covariate_block_oracle, make_panel, pair_names, stub_bundle
 
 NODES = ("a", "b", "c")
 
@@ -66,7 +66,7 @@ def test_endogenous_design_schema():
     d = endogenous(panel_abc(), 3)
     assert d.feature_names == ENDOGENOUS_FEATURE_NAMES
     assert d.X.shape == (6, 8)
-    assert eligible_dyads(panel_abc(), 3) == [
+    assert pair_names(eligible_dyads(panel_abc(), 3)) == [
         ("a", "b"), ("a", "c"), ("b", "a"), ("b", "c"), ("c", "a"), ("c", "b"),
     ]
     assert [f.name for f in fields(d)] == ["feature_names", "X", "y"]
@@ -74,7 +74,7 @@ def test_endogenous_design_schema():
 
 def test_labels_come_from_focal_period():
     d = endogenous(panel_abc(), 3)
-    lab = dict(zip(eligible_dyads(panel_abc(), 3), d.y))
+    lab = dict(zip(pair_names(eligible_dyads(panel_abc(), 3)), d.y))
     assert lab[("a", "b")] == 1.0
     assert sum(d.y) == 1
     assert d.y.mean() == pytest.approx(1.0 / 6.0)
@@ -83,8 +83,8 @@ def test_labels_come_from_focal_period():
     left = make_panel(
         [("a", "b", 1), ("b", "c", 2), ("a", "b", 3)], {"a": (1, 5), "b": (1, 5), "c": (1, 2)}
     )
-    lab = dict(zip(eligible_dyads(left, 3), endogenous(left, 3).y))
-    assert lab == {d: float(d == ("a", "b")) for d in eligible_dyads(panel_abc(), 3)}
+    lab = dict(zip(pair_names(eligible_dyads(left, 3)), endogenous(left, 3).y))
+    assert lab == {d: float(d == ("a", "b")) for d in pair_names(eligible_dyads(panel_abc(), 3))}
 
 
 def test_covariate_design_schema_and_values():
@@ -151,7 +151,7 @@ def test_missing_covariate_imputed_and_flagged():
     d = build_design(
         panel_abc(), 3, SPEC_COVARIATES, CFG, covariates=CovariateTable.from_entries(entries)
     )
-    row = dict(zip(eligible_dyads(panel_abc(), 3), d.X))
+    row = dict(zip(pair_names(eligible_dyads(panel_abc(), 3)), d.X))
     assert row[("a", "b")][0] == 0.0 and row[("a", "b")][1] == 1.0
     assert row[("b", "c")][0] == 3.0 and row[("b", "c")][1] == 0.0
 
@@ -177,8 +177,10 @@ def test_future_events_cannot_leak_into_predictors():
     base = endogenous(panel_abc(), 3)
     shifted = endogenous(shifted_panel, 3)
     assert np.array_equal(base.X, shifted.X)
-    assert eligible_dyads(panel_abc(), 3) == eligible_dyads(shifted_panel, 3)
-    lab = dict(zip(eligible_dyads(shifted_panel, 3), shifted.y))
+    assert pair_names(eligible_dyads(panel_abc(), 3)) == pair_names(
+        eligible_dyads(shifted_panel, 3)
+    )
+    lab = dict(zip(pair_names(eligible_dyads(shifted_panel, 3)), shifted.y))
     assert lab[("b", "a")] == 1.0
     assert not np.array_equal(base.y, shifted.y)
     # a window that reaches the outcome period, or one that stops short of
@@ -284,6 +286,7 @@ def _block_or_error(block, table, period, dyads, max_missing):
 def test_covariate_block_matches_its_lookup_oracle(case):
     """Same names and X bytes, or the same DataError text, as one entries
     lookup per dyad and name."""
-    assert _block_or_error(_covariate_block, *case) == _block_or_error(
-        covariate_block_oracle, *case
-    )
+    table, period, dyads, max_missing = case
+    assert _block_or_error(
+        _covariate_block, table, period, as_dyads(dyads), max_missing
+    ) == _block_or_error(covariate_block_oracle, *case)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from dyadcast import ENDOGENOUS_FEATURE_NAMES, feature_block
 from helpers import (
     adamic_adar,
+    as_dyads,
     common_combatants,
     flow,
     jaccard,
@@ -23,8 +24,8 @@ def stats(edges, dyads, nodes=(), exclude_focal_flow=False):
     net = make_net(edges, nodes)
     labels = {n: 0 for n in net.nodes}
     origin = {n: (0.0, 0.0) for n in net.nodes}
-    X = feature_block(net, dyads, stub_bundle(labels, {d: 0.0 for d in dyads}, origin),
-                      exclude_focal_flow)
+    bundle = stub_bundle(labels, {d: 0.0 for d in dyads}, origin)
+    X = feature_block(net, as_dyads(dyads), bundle, exclude_focal_flow)
     return {name: X[:, k].tolist() for k, name in enumerate(NETWORK_COLUMNS)}
 
 
@@ -95,7 +96,7 @@ def test_self_pair_rejected(fn):
         fn(net, "a", "a")
     bundle = stub_bundle({"a": 0, "b": 0}, {("a", "b"): 0.0}, {"a": (0.0,), "b": (0.0,)})
     with pytest.raises(ValueError):
-        feature_block(net, [("a", "b"), ("a", "a")], bundle)
+        feature_block(net, as_dyads([("a", "b"), ("a", "a")]), bundle)
 
 
 # --------------------------------------------------------------- block
@@ -108,7 +109,7 @@ def test_feature_block_column_order_and_values():
         probs={("a", "b"): 0.25, ("b", "a"): 0.125},
         positions={"a": (0.0, 0.0), "b": (1.2, -1.6), "c": (3.0, 0.0), "d": (0.0, 1.0)},
     )
-    X = feature_block(net, dyads, bundle)
+    X = feature_block(net, as_dyads(dyads), bundle)
     assert X.shape == (2, len(ENDOGENOUS_FEATURE_NAMES))
     assert ENDOGENOUS_FEATURE_NAMES == (
         "memory", "flow", "common-combatants", "adamic-adar",
@@ -141,16 +142,16 @@ def test_latent_columns_follow_the_node_index():
         probs={d: 0.5 for d in dyads},
         positions=positions,
     )
-    X = feature_block(net, dyads, bundle)
+    X = feature_block(net, as_dyads(dyads), bundle)
     assert X[:, 5].tolist() == [0.0, 0.0, 1.0, 1.0]
     assert X[:, 7].tolist() == [10.0, 6.0, 8.0, 5.0]
     labels = {"a": 0, "b": 0, "c": 1, "d": 1, "e": 1}
     del positions["d"]
     with pytest.raises(ValueError, match="node set"):
-        feature_block(net, dyads, stub_bundle(labels, {}, positions))
+        feature_block(net, as_dyads(dyads), stub_bundle(labels, {}, positions))
     positions["e"] = (6.0, 8.0)
     with pytest.raises(ValueError, match="node set"):
-        feature_block(net, dyads, stub_bundle(labels, {}, positions))
+        feature_block(net, as_dyads(dyads), stub_bundle(labels, {}, positions))
 
 
 def test_feature_block_exclude_focal_flow():
@@ -163,8 +164,8 @@ def test_feature_block_exclude_focal_flow():
         probs={d: 0.5 for d in dyads},
         positions={"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (0.0, 1.0), "d": (1.0, 1.0)},
     )
-    X0 = feature_block(net, dyads, bundle)
-    X1 = feature_block(net, dyads, bundle, exclude_focal_flow=True)
+    X0 = feature_block(net, as_dyads(dyads), bundle)
+    X1 = feature_block(net, as_dyads(dyads), bundle, exclude_focal_flow=True)
     assert X0.shape == X1.shape == (3, len(ENDOGENOUS_FEATURE_NAMES))
     # a->b: (2-1) x (2-1); a->c: (2-1) x (1-1); c->b has no focal edge
     assert X0[:, 1].tolist() == [4.0, 2.0, 0.0]
@@ -179,7 +180,7 @@ def test_feature_block_empty_network():
         probs={("a", "b"): 0.0},
         positions={"a": (0.0, 0.0), "b": (0.0, 0.0)},
     )
-    X = feature_block(net, [("a", "b")], bundle)
+    X = feature_block(net, as_dyads([("a", "b")]), bundle)
     assert np.array_equal(X[0, :5], np.zeros(5))
 
 

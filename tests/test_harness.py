@@ -1173,6 +1173,29 @@ def test_cli_malformed_bytes_exit_2(tmp_path, capsys, label, data, message):
     """Every input CSV is read as UTF-8: a byte that is not UTF-8, or a line
     the csv module cannot read, stops `dyadcast run` with one error line
     and exit code 2, before any output is written."""
+    assert run_with_input(tmp_path, label, data) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_node_id_with_a_control_character_exits_2(tmp_path, capsys):
+    """A control character in a node id stops `dyadcast run` with one error
+    line naming the events line. With a NUL, Pythons before 3.11 refuse the
+    line in the csv module instead, so only the line is pinned."""
+    assert run_with_input(tmp_path / "x01", "events", b"sender,receiver,year\na\x01b,c,1\n") == 2
+    assert capsys.readouterr().err == (
+        "error: events: line 2: node id 'a\\x01b' has a control character\n"
+    )
+    assert run_with_input(tmp_path / "nul", "events", b"sender,receiver,year\na\x00b,c,1\n") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: events: line 2: ") and err.count("\n") == 1
+    assert not (tmp_path / "nul" / "run").exists()
+
+
+def run_with_input(tmp_path, label, data):
+    """`dyadcast run`'s exit code on a three-node world in ``tmp_path`` whose
+    ``label`` file holds ``data``."""
+    tmp_path.mkdir(exist_ok=True)
     paths = {}
     for name, text in (
         ("events", b"sender,receiver,year\na,b,1\nb,c,2\nc,a,3\n"),
@@ -1188,9 +1211,7 @@ def test_cli_malformed_bytes_exit_2(tmp_path, capsys, label, data, message):
     )
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg.to_json()))
-    assert main(["run", "--config", str(cfg_path)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "run").exists()
+    return main(["run", "--config", str(cfg_path)])
 
 
 def test_cli_config_and_cells_that_are_not_utf8_exit_2(tmp_path, capsys):

@@ -31,6 +31,7 @@ import dyadcast
 import helpers
 from dyadcast import latent
 from helpers import (
+    as_dyads,
     best_modularity_partition,
     edge_set,
     fit_latent_space_oracle,
@@ -59,7 +60,8 @@ def communities(net, part):
 
 def column(net, dyads, bundle, name):
     """One column of feature_block, the fits' positional reads."""
-    return feature_block(net, dyads, bundle)[:, ENDOGENOUS_FEATURE_NAMES.index(name)].tolist()
+    X = feature_block(net, as_dyads(dyads), bundle)
+    return X[:, ENDOGENOUS_FEATURE_NAMES.index(name)].tolist()
 
 
 def bundle_ab(**fit):

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from dyadcast import (
     CANONICAL_COVARIATES,
     CovariateTable,
+    Dyads,
     EventPanel,
     ParseError,
     SyntheticSpec,
@@ -24,7 +25,10 @@ from dyadcast import (
     save_synthetic,
 )
 from dyadcast.store import CHUNK_ROWS, COVARIATES_HEADER, EVENTS_HEADER, REGISTRY_HEADER
-from helpers import edge_set, events_at, load_covariates_oracle, load_events_oracle, make_panel
+from helpers import (
+    dyad_positions_oracle, edge_set, eligible_dyads_oracle, events_at, load_covariates_oracle,
+    load_events_oracle, make_panel, pair_names,
+)
 
 
 def test_events_canonical_order():
@@ -189,7 +193,7 @@ def test_content_hash_sees_edges_and_nodes():
 
 def test_eligible_dyads_all_ordered_pairs():
     panel = EventPanel(events=(), registry={"a": (1, 5), "b": (1, 5), "c": (1, 5)})
-    dyads = eligible_dyads(panel, 3)
+    dyads = pair_names(eligible_dyads(panel, 3))
     assert len(dyads) == 6
     assert dyads == sorted(dyads)
     assert ("a", "b") in dyads and ("b", "a") in dyads
@@ -198,13 +202,13 @@ def test_eligible_dyads_all_ordered_pairs():
 def test_eligible_dyads_excludes_entrants():
     panel = EventPanel(events=(), registry={"a": (1, 2), "b": (1, 5), "c": (3, 5)})
     # c enters at 3, inactive at 2; a leaves after 2, so it is still eligible at 3
-    assert eligible_dyads(panel, 3) == [("a", "b"), ("b", "a")]
-    assert eligible_dyads(panel, 4) == [("b", "c"), ("c", "b")]
+    assert pair_names(eligible_dyads(panel, 3)) == [("a", "b"), ("b", "a")]
+    assert pair_names(eligible_dyads(panel, 4)) == [("b", "c"), ("c", "b")]
 
 
 def test_eligible_dyads_single_node():
     panel = EventPanel(events=(), registry={"a": (1, 5)})
-    assert eligible_dyads(panel, 3) == []
+    assert pair_names(eligible_dyads(panel, 3)) == []
 
 
 def test_eligible_dyads_out_of_range():
@@ -215,20 +219,73 @@ def test_eligible_dyads_out_of_range():
         eligible_dyads(panel, 7)
 
 
+@settings(max_examples=150)
+@given(st.data())
+def test_one_pair_order_for_designs_and_the_generator(data):
+    """On a registry with entries and exits, `eligible_dyads` holds the
+    nested loop's pairs, and `Dyads.at` the per-dyad lookups' positions,
+    absent ids included; the generator draws over the pairs that
+    `eligible_dyads` gives on its own world."""
+    names = data.draw(st.lists(st.text("abxy", min_size=1, max_size=2), min_size=1, max_size=7,
+                               unique=True))
+    spans = st.tuples(st.integers(1, 6), st.integers(1, 6)).map(sorted).map(tuple)
+    panel = EventPanel(events=(), registry={name: data.draw(spans) for name in names})
+    lo, hi = panel.period_range()
+    t = data.draw(st.integers(lo + 1, hi + 1))
+    dyads = eligible_dyads(panel, t)
+    assert pair_names(dyads) == eligible_dyads_oracle(panel, t)
+
+    held = data.draw(st.lists(st.sampled_from(names + ["z"]), unique=True))
+    index = {name: k for k, name in enumerate(held)}
+    got, want = dyads.at(index), dyad_positions_oracle(index, pair_names(dyads))
+    assert [(a.dtype, a.tolist()) for a in got] == [(a.dtype, a.tolist()) for a in want]
+
+    made = []
+    among = Dyads.among
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Dyads, "among", lambda nodes: made.append(among(nodes)) or made[-1])
+        world, _, _ = generate_synthetic(SyntheticSpec(n_nodes=data.draw(st.integers(2, 6)),
+                                                       periods=2))
+    (drawn,) = made
+    for period in (1, 2):
+        assert pair_names(drawn) == pair_names(eligible_dyads(world, period + 1))
+
+
 @given(st.data())
 def test_eligibility_monotone_in_registry(data):
     """Removing a node from the registry never adds dyads."""
     nodes = data.draw(st.sets(st.sampled_from("abcde"), min_size=2, max_size=5))
     registry = {n: (1, 5) for n in nodes}
     panel = EventPanel(events=(), registry=registry)
-    full = set(eligible_dyads(panel, 3))
+    full = set(pair_names(eligible_dyads(panel, 3)))
     drop = data.draw(st.sampled_from(sorted(nodes)))
     smaller = EventPanel(events=(), registry={n: s for n, s in registry.items() if n != drop})
     if len(smaller.registry) >= 1:
-        assert set(eligible_dyads(smaller, 3)) <= full
+        assert set(pair_names(eligible_dyads(smaller, 3))) <= full
 
 
 # ------------------------------------------------------------- CSV input
+
+def test_node_ids_with_a_control_character_are_refused():
+    """A node id may not hold U+0000 to U+001F once its surrounding
+    whitespace is stripped: the events and registry readers name the first
+    such line, and EventPanel refuses such a registry id before it checks
+    any event."""
+    with pytest.raises(ParseError) as exc:
+        load_events(b"sender,receiver,year\na,b,1\nb,a\x01b,2\n")
+    assert str(exc.value) == "events: line 3: node id 'a\\x01b' has a control character"
+    with pytest.raises(ParseError) as exc:
+        load_events(b"sender,receiver,year\n", b"node,first_year,last_year\na,1,2\n\x01b,1,2\n")
+    assert str(exc.value) == "registry: line 3: node id '\\x01b' has a control character"
+    with pytest.raises(ValidationError) as exc:
+        EventPanel(events=(("a", "a", 1),), registry={"a": (1, 2), "c\x1fd": (1, 2)})
+    assert str(exc.value) == "node id 'c\\x1fd' has a control character"
+    # \x1c to \x1f are whitespace to str.strip, so only inner ones remain
+    assert load_events(b"sender,receiver,year\n\x1fa,b\x1c,1\n").events == (("a", "b", 1),)
+    # covariate ids are never hashed and are read only for registered nodes
+    table = load_covariates(b"year,i,j,name,value\n1,a,b\x01,contiguity,1\n")
+    assert table.periods[1].nodes == ("a", "b\x01")
+
 
 EVENTS_CSV = "sender,receiver,year\na,b,1990\nb,a,1991\n"
 
